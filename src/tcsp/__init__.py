@@ -86,7 +86,9 @@ from .scheduling import (
     Schedule,
     SchedulingInstance,
     Task,
+    clique_cover,
     compile_instance,
+    head_bound,
     instance_from_json,
     olb,
     optimum,
@@ -132,8 +134,8 @@ __all__ = [
     "Outcome", "RunReport", "TraceEntry", "bdac1", "bdac3",
     "format_trace_line", "is_bd_arc_consistent", "minus_variant", "pc1",
     "pc2", "revise", "wbdac3",
-    "Schedule", "SchedulingInstance", "Task", "compile_instance",
-    "instance_from_json", "olb", "optimum", "schedule_metrics",
+    "Schedule", "SchedulingInstance", "Task", "clique_cover", "compile_instance",
+    "head_bound", "instance_from_json", "olb", "optimum", "schedule_metrics",
     "SolveResult", "backtrack_free", "connect_x0", "consistent",
     "extract_solution", "solve",
     "INF", "ZERO", "Weight", "format_weight", "parse_weight", "w_add",

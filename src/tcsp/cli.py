@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .errors import (
     EmptyLabel,
@@ -30,6 +29,7 @@ from .intervals import format_union
 from .network import (
     Tcsp,
     down_weight,
+    first_empty_entry,
     graph_to_stp,
     is_stp,
     network_from_json,
@@ -68,12 +68,14 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _first_empty_entry(net: Tcsp) -> Optional[tuple]:
-    for i in range(net.n_vars + 1):
-        for j in range(net.n_vars + 1):
-            if i != j and net.m[i][j].is_empty():
-                return (i, j)
-    return None
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _run_algorithm(args, net: Tcsp, trace) -> RunReport:
@@ -120,7 +122,7 @@ def _cmd_check(args) -> int:
         if report.outcome is Outcome.CONSISTENT:
             print("consistent")
         elif report.outcome is Outcome.EMPTY_DOMAIN:
-            where = _first_empty_entry(net)
+            where = first_empty_entry(net)
             spot = (
                 f"the domain of X{where[1]}"
                 if where and where[0] == 0
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="run a consistency algorithm on a network")
     p.add_argument("input", help="network JSON file")
     p.add_argument("--algorithm", choices=_ALGORITHMS, default="bdac3")
-    p.add_argument("--budget", type=int, default=10000,
+    p.add_argument("--budget", type=_budget, default=10000,
                    help="revise-call budget for the minus variants")
     p.add_argument("--trace", metavar="PATH", help="write one line per revise call")
     p.add_argument("--format", choices=("text", "json"), default="text")

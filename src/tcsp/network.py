@@ -133,6 +133,20 @@ def is_stp(net: Tcsp) -> bool:
     )
 
 
+def first_empty_entry(net: Tcsp) -> Optional[Tuple[int, int]]:
+    """The first pair (i, j), i < j in row order, with an empty label, or None.
+
+    By the mirror invariant (j, i) is empty exactly when (i, j) is, so this
+    is also the first empty entry of the whole matrix in row order.
+    """
+    for i in range(net.n_vars + 1):
+        row = net.m[i]
+        for j in range(i + 1, net.n_vars + 1):
+            if row[j].is_empty():
+                return (i, j)
+    return None
+
+
 # -- label endpoints as path weights ------------------------------------------
 
 

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .intervals import IntervalUnion, format_union
-from .network import PathBounds, Tcsp, down_weight, path_bounds, up_weight
+from .network import PathBounds, Tcsp, down_weight, first_empty_entry, path_bounds, up_weight
 from .weights import w_less
 
 
@@ -81,14 +81,6 @@ _Triple = Tuple[int, int, int]
 
 def _informative(label: IntervalUnion) -> bool:
     return not label.is_universal()
-
-
-def _has_empty_entry(net: Tcsp) -> bool:
-    return any(
-        net.m[i][j].is_empty()
-        for i in range(net.n_vars + 1)
-        for j in range(i + 1, net.n_vars + 1)
-    )
 
 
 class _Run:
@@ -210,7 +202,7 @@ def _bdac3(
     trace: Optional[Trace],
     alg: str,
 ) -> RunReport:
-    if _has_empty_entry(net):
+    if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
     run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace)
     seed = _mask_pairs(net)
@@ -258,7 +250,7 @@ def _bdac1(
     trace: Optional[Trace],
     alg: str,
 ) -> RunReport:
-    if _has_empty_entry(net):
+    if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
     if order is None:
         pairs = _mask_pairs(net)
@@ -299,7 +291,7 @@ def bdac1(
 
 
 def _pc1(net: Tcsp, *, trace: Optional[Trace], alg: str = "pc1") -> RunReport:
-    if _has_empty_entry(net):
+    if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
     run = _Run(net, alg, clamp=False, trace=trace)
     grid = net.m
@@ -355,7 +347,7 @@ def _pc2(
     trace: Optional[Trace],
     alg: str,
 ) -> RunReport:
-    if _has_empty_entry(net):
+    if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
     run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
     grid = net.m

@@ -5,8 +5,13 @@ the time origin.  Release/due windows become binarized-domain constraints,
 precedences become one-sided difference constraints, and a disjunction
 (two tasks sharing a resource) becomes the two-piece label "one of us runs
 first".  Branch and bound resolves disjunctions one at a time, propagating
-with the full-strength arc pass at every node; the completion bound read
-off the domain lower ends prunes and finally certifies the optimum.
+with the full-strength arc pass at every node.  Two completion bounds are
+read off the domain lower ends (the earliest starts): ``olb``, the latest
+earliest start plus duration, and ``head_bound``, the head bound of Carlier
+and Pinson, which also uses that tasks which may not overlap run one after
+another: per clique of a cover of the non-overlap graph, the latest t plus
+the total duration of the clique's tasks with earliest start >= t.  Their
+maximum prunes; at a leaf it equals ``olb`` and certifies the optimum.
 """
 
 from __future__ import annotations
@@ -143,6 +148,61 @@ def olb(net: Tcsp, durations: Sequence[RatLike]) -> Fraction:
     return best
 
 
+def clique_cover(inst: SchedulingInstance) -> Tuple[Tuple[int, ...], ...]:
+    """Cliques of two or more tasks that together cover the non-overlap graph.
+
+    Two tasks may not overlap when they share a disjunction or a precedence.
+    Each task not yet covered seeds a clique, which then takes, in task
+    order, every task that may overlap none of its members.  The cover is
+    deterministic; a task left alone is omitted, since ``olb`` already
+    bounds it.
+    """
+    n = len(inst.tasks)
+    apart: List[set] = [set() for _ in range(n + 1)]
+    for kind, pairs in (("precedence", inst.precedences), ("disjunction", inst.disjunctions)):
+        for a, b in pairs:
+            a, b = _checked_pair(a, b, n, kind)
+            apart[a].add(b)
+            apart[b].add(a)
+    cliques = []
+    covered = set()
+    for seed in range(1, n + 1):
+        if seed in covered:
+            continue
+        clique = [seed]
+        for t in range(1, n + 1):
+            if all(t in apart[c] for c in clique):
+                clique.append(t)
+        covered.update(clique)
+        if len(clique) > 1:
+            cliques.append(tuple(sorted(clique)))
+    return tuple(cliques)
+
+
+def head_bound(
+    net: Tcsp, durations: Sequence[RatLike], cliques: Sequence[Sequence[int]]
+) -> Fraction:
+    """Completion lower bound from tasks that run one after another.
+
+    The tasks of a clique may not overlap, and each starts no earlier than
+    its earliest start est_i (the lower end of its domain), so those with
+    est_i >= t finish no earlier than t plus their total duration.  The
+    bound is the largest such value over every clique and every t in its
+    earliest starts, or 0 when there is no clique.  It never decreases as
+    earliest starts rise, and when starting every task at its earliest
+    start is a schedule it is at most that schedule's makespan, ``olb``.
+    """
+    best = Fraction(0)
+    for clique in cliques:
+        est = {i: net.m[0][i].lower_bound()[0] for i in clique}
+        tail = Fraction(0)
+        for i in sorted(clique, key=est.__getitem__, reverse=True):
+            tail += as_rational(durations[i - 1])
+            if est[i] + tail > best:
+                best = est[i] + tail
+    return best
+
+
 def _closure_violation(net: Tcsp) -> Optional[str]:
     """Check the label forms the scheduler relies on; None when all is well.
 
@@ -221,6 +281,13 @@ def _pick_disjunction(net: Tcsp) -> Optional[Tuple[int, int]]:
 def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
     """Minimum-makespan schedule, or None when the instance is infeasible.
 
+    Depth-first branch and bound over the unresolved disjunctions.  A node
+    is pruned when the larger of ``olb`` and ``head_bound`` (over one
+    ``clique_cover`` of the instance, computed up front) reaches the best
+    makespan found so far.  Both bounds hold for every schedule below the
+    node, so only subtrees that cannot strictly improve are cut, and the
+    first optimum found, the one returned, is the same as with ``olb`` alone.
+
     ``node_check``, when given, is called with the propagated network at
     every consistent search node before branching — an inspection hook for
     tests and instrumentation.  It must not mutate the network.
@@ -231,6 +298,7 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
         return None
     pristine = root.copy()
     durations = [task.duration for task in inst.tasks]
+    cliques = clique_cover(inst)
     incumbent: list = [None, None]  # makespan, start tuple
 
     def visit(net: Tcsp, inherited: Optional[Fraction]):
@@ -241,7 +309,7 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
             raise RuntimeError(f"scheduler label forms broke down: {trouble}")
         if node_check is not None:
             node_check(net)
-        bound = olb(net, durations)
+        bound = max(olb(net, durations), head_bound(net, durations, cliques))
         if inherited is not None and bound < inherited:
             raise RuntimeError("completion bound decreased along a branch")
         if incumbent[0] is not None and incumbent[0] <= bound:
@@ -250,8 +318,9 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
         if pair is None:
             # every inter-task constraint is now one-sided, so after
             # filtering, starting each task at its earliest start satisfies
-            # them all: the bound is attained and no solution here beats it.
-            # Composing with a one-sided label yields a half-line, so no
+            # them all: that schedule's makespan is olb, head_bound cannot
+            # exceed it, so the bound is attained and no solution here beats
+            # it.  Composing with a one-sided label yields a half-line, so no
             # domain here is fragmented either
             incumbent[0] = bound
             incumbent[1] = tuple(

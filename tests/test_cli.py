@@ -11,8 +11,10 @@ import pytest
 from randnets import chain_stp, fragmenting_tcsp, hidden_circuit_stp
 from tcsp import (
     bdac3,
+    build_tcsp,
     format_trace_line,
     network_to_json,
+    parse_union,
     stp_to_graph,
     write_edge_list,
 )
@@ -104,6 +106,36 @@ def test_check_honors_a_custom_budget(capsys, appc):
         "revise calls: 7\n"
         "domain updates: 2\n"
     )
+
+
+def test_check_names_the_emptied_entry_or_a_label(capsys, tmp_path):
+    # X3 - X1 = 5 against a chain of two unit steps
+    path = tmp_path / "short.json"
+    net = build_tcsp(3, [(1, 2, parse_union("[1,1]")), (2, 3, parse_union("[1,1]")),
+                         (1, 3, parse_union("[5,5]"))])
+    path.write_text(network_to_json(net), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "check", str(path), "--algorithm", "pc2")
+    assert code == 1
+    assert out.splitlines()[0] == "inconsistent: entry (1, 3) became empty (negative circuit)"
+    # pc1 reports an empty composition without writing it
+    code, out, _ = run_cli(capsys, "check", str(path), "--algorithm", "pc1")
+    assert code == 1
+    assert out.splitlines()[0] == "inconsistent: a label became empty (negative circuit)"
+
+
+@pytest.mark.parametrize("budget", ["-1", "ten"])
+def test_check_rejects_an_unusable_budget_as_a_usage_error(capsys, appc, budget):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", appc, "--algorithm", "bdac3-minus", "--budget", budget])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --budget" in err and "Traceback" not in err
+
+
+def test_check_accepts_a_zero_budget(capsys, appc):
+    code, out, _ = run_cli(capsys, "check", appc, "--algorithm", "bdac3-minus", "--budget", "0")
+    assert code == 3
+    assert out.splitlines()[0] == "budget exhausted after 0 revise calls"
 
 
 def test_check_json_format(capsys, appb):

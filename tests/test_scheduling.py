@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from tcsp import (
     Task,
     bdac3,
     build_tcsp,
+    clique_cover,
     compile_instance,
+    head_bound,
     instance_from_json,
     olb,
     optimum,
@@ -154,6 +157,107 @@ def test_a_due_window_fragments_a_domain_until_the_disjunction_is_ordered():
     assert net.domains() == [U("[4,5]"), U("[0,2] u [6,+inf)")]
     sched = optimum(inst)
     assert sched.makespan == 6 and sched.start_times == (4, 0)
+
+
+def test_clique_cover_of_precedences_and_disjunctions():
+    # 1 -> 2 -> 3 leaves 1 and 3 free to overlap: two cliques share task 2
+    assert clique_cover(CHAIN_TASKS) == ((1, 2), (2, 3))
+    assert clique_cover(TWO_TASKS) == ((1, 2),)
+    # a lone task is left to olb
+    assert clique_cover(_inst([Task(1), Task(2), Task(3)], disjunctions=[(1, 3)])) == ((1, 3),)
+    pairs = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    one_machine = _inst([Task(1)] * 4, disjunctions=pairs)
+    assert clique_cover(one_machine) == ((1, 2, 3, 4),)
+    with pytest.raises(InvalidInstance):
+        clique_cover(_inst([Task(1), Task(2)], disjunctions=[(1, 3)]))
+
+
+def test_head_bound_sums_the_tasks_that_cannot_start_earlier():
+    # arc consistency leaves both earliest starts at 0 (olb 3); one after
+    # the other they need 5, the true optimum
+    net = compile_instance(TWO_TASKS)
+    assert bdac3(net).outcome is Outcome.CONSISTENT
+    assert head_bound(net, (3, 2), clique_cover(TWO_TASKS)) == 5
+    # earliest starts 0, 4, 6; with durations 5, 2, 1 the whole clique from
+    # t = 0 needs 8, more than the tail from t = 4 (4 + 2 + 1)
+    net = build_tcsp(3, [(0, 1, U("[0,+inf)")), (0, 2, U("[4,+inf)")), (0, 3, U("[6,+inf)"))])
+    assert head_bound(net, (5, 2, 1), [(1, 2, 3)]) == 8
+    # durations 1, 2, 1: the tail from t = 4 gives 4 + 2 + 1 = 7
+    assert head_bound(net, (1, 2, 1), [(1, 2, 3)]) == 7
+    assert head_bound(net, (1, 2, 1), [(1, 3)]) == 7  # 6 + 1; task 2 is not in it
+    assert head_bound(net, (1, 2, 1), []) == 0
+
+
+def _inter_task_convex(net) -> bool:
+    return all(
+        net.m[i][j].is_convex()
+        for i in range(1, net.n_vars + 1)
+        for j in range(i + 1, net.n_vars + 1)
+    )
+
+
+def test_head_bound_is_sound_at_the_root_and_equals_olb_at_every_leaf():
+    rng = random.Random(61827)
+    checked = multi_clique = stronger = leaves = 0
+    for _ in range(100):
+        inst = random_instance(rng)
+        cliques = clique_cover(inst)
+        durations = [t.duration for t in inst.tasks]
+        try:
+            root = compile_instance(inst)
+        except EmptyLabel:
+            continue
+        if bdac3(root).outcome is not Outcome.CONSISTENT:
+            continue
+
+        def node_check(net):
+            nonlocal leaves
+            if _inter_task_convex(net):
+                leaves += 1  # so the pruning bound, the larger of the two, is olb
+                assert head_bound(net, durations, cliques) <= olb(net, durations)
+
+        sched = optimum(inst, node_check=node_check)
+        if sched is None:
+            continue
+        checked += 1
+        multi_clique += len(cliques) > 1
+        root_bound = head_bound(root, durations, cliques)
+        stronger += root_bound > olb(root, durations)
+        assert root_bound <= sched.makespan
+    assert checked >= 50 and multi_clique >= 15 and stronger >= 5 and leaves >= checked
+
+
+def _order_oracle(inst: SchedulingInstance) -> Fraction:
+    """Best makespan over every task order on one machine, each task
+    left-shifted under its release and its predecessor."""
+    best = None
+    for order in itertools.permutations(inst.tasks):
+        end = Fraction(0)
+        for task in order:
+            end = max(end, task.release or 0) + task.duration
+            if task.due is not None and end > task.due:
+                break
+        else:
+            if best is None or end < best:
+                best = end
+    return best
+
+
+def test_seven_tasks_on_one_machine_match_the_order_oracle_in_few_nodes():
+    tasks = [Task(4), Task(2, 3), Task(5), Task(3, None, 9), Task(6, 2), Task(1), Task(4, 5)]
+    pairs = [(a, b) for a in range(1, 8) for b in range(a + 1, 8)]
+    inst = _inst(tasks, disjunctions=pairs)
+    nodes = 0
+
+    def count(net):
+        nonlocal nodes
+        nodes += 1
+
+    sched = optimum(inst, node_check=count)
+    assert sched.makespan == _order_oracle(inst) == 25
+    _assert_schedule_valid(inst, sched)
+    # olb alone explores 3462 consistent nodes here; the head bound 41
+    assert nodes <= 100
 
 
 # -- optimal schedules -----------------------------------------------------------------------
