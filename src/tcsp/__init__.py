@@ -44,7 +44,6 @@ from .graph import (
 from .intervals import (
     Interval,
     IntervalUnion,
-    Rat,
     as_rational,
     format_union,
     parse_union,
@@ -125,7 +124,7 @@ __all__ = [
     "UnionParseError",
     "RootedDistanceGraph", "bellman_ford", "floyd_warshall", "reachable",
     "reachable_set", "read_edge_list", "write_edge_list",
-    "Interval", "IntervalUnion", "Rat", "as_rational", "format_union",
+    "Interval", "IntervalUnion", "as_rational", "format_union",
     "parse_union",
     "PathBounds", "Tcsp", "build_tcsp", "check_solution", "connectivity",
     "convex_closure", "disconnected_variables", "down_weight", "graph_to_stp",

@@ -27,7 +27,6 @@ from .errors import (
 from .graph import RootedDistanceGraph, read_edge_list, write_edge_list
 from .intervals import format_union
 from .network import (
-    Tcsp,
     down_weight,
     first_empty_entry,
     graph_to_stp,
@@ -37,32 +36,10 @@ from .network import (
     stp_to_graph,
     up_weight,
 )
-from .propagation import (
-    Outcome,
-    RunReport,
-    bdac1,
-    bdac3,
-    format_trace_line,
-    minus_variant,
-    pc1,
-    pc2,
-    wbdac3,
-)
+from .propagation import ALGORITHMS, Outcome, bdac3, format_trace_line, run_algorithm
 from .scheduling import instance_from_json, optimum
 from .solver import solve
 from .weights import format_weight
-
-_ALGORITHMS = (
-    "bdac3",
-    "wbdac3",
-    "bdac1",
-    "pc1",
-    "pc2",
-    "bdac3-minus",
-    "bdac1-minus",
-    "pc2-minus",
-)
-
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -78,21 +55,6 @@ def _budget(text: str) -> int:
     return value
 
 
-def _run_algorithm(args, net: Tcsp, trace) -> RunReport:
-    name = args.algorithm
-    if name == "bdac3":
-        return bdac3(net, trace=trace)
-    if name == "wbdac3":
-        return wbdac3(net, trace=trace)
-    if name == "bdac1":
-        return bdac1(net, trace=trace)
-    if name == "pc1":
-        return pc1(net, trace=trace)
-    if name == "pc2":
-        return pc2(net, trace=trace)
-    return minus_variant(name, net, budget=args.budget, trace=trace)
-
-
 def _cmd_check(args) -> int:
     try:
         net = network_from_json(_read(args.input))
@@ -104,7 +66,7 @@ def _cmd_check(args) -> int:
         return 1
     stp_input = is_stp(net)
     trace = [] if args.trace else None
-    report = _run_algorithm(args, net, trace)
+    report = run_algorithm(args.algorithm, net, budget=args.budget, trace=trace)
     if args.trace:
         Path(args.trace).write_text(
             "".join(format_trace_line(e) + "\n" for e in trace), encoding="utf-8"
@@ -260,7 +222,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="run a consistency algorithm on a network")
     p.add_argument("input", help="network JSON file")
-    p.add_argument("--algorithm", choices=_ALGORITHMS, default="bdac3")
+    p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="bdac3")
     p.add_argument("--budget", type=_budget, default=10000,
                    help="revise-call budget for the minus variants")
     p.add_argument("--trace", metavar="PATH", help="write one line per revise call")

@@ -18,9 +18,6 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import NotSingleton, UnionParseError
 
-#: The scalar type used throughout the package.
-Rat = Fraction
-
 RatLike = Union[Fraction, int, str]
 
 _RAT_ZERO = Fraction(0)

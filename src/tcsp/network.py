@@ -14,6 +14,7 @@ the clamped propagation algorithms use to cut off divergence.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .graph import RootedDistanceGraph, reachable_set
 from .intervals import Interval, IntervalUnion, RatLike, as_rational, format_union, parse_union
-from .weights import INF, ZERO, Weight, sort_key, w_add, w_less, w_min
+from .weights import INF, ZERO, Weight, sort_key
 
 
 class Tcsp:
@@ -36,9 +37,15 @@ class Tcsp:
     ``constraint_mask`` remembers which pairs were explicitly constrained;
     the worklist algorithms seed their queues from it.  Structural equality
     compares sizes and matrices only, never the mask.
+
+    Writes go through :meth:`set_pair`, which keeps the mirror invariant and
+    tells the network's path-bounds index (built by the first
+    :func:`path_bounds` call, copied by :meth:`copy`) which pair went stale.
+    The one exception is ``pc1``, whose sweep writes ``m`` directly and
+    therefore drops the index, so the next ``path_bounds`` rebuilds it.
     """
 
-    __slots__ = ("n_vars", "m", "constraint_mask")
+    __slots__ = ("n_vars", "m", "constraint_mask", "_bounds_index")
 
     def __init__(self, n_vars: int):
         if n_vars < 0:
@@ -49,6 +56,7 @@ class Tcsp:
         size = n_vars + 1
         self.m = [[zero if i == j else full for j in range(size)] for i in range(size)]
         self.constraint_mask: set[frozenset[int]] = set()
+        self._bounds_index: Optional[_BoundsIndex] = None
 
     def _check(self, i: int, j: int):
         if not (0 <= i <= self.n_vars and 0 <= j <= self.n_vars):
@@ -67,6 +75,8 @@ class Tcsp:
             raise TypeError(f"label must be an IntervalUnion, got {type(label).__name__}")
         self.m[i][j] = label
         self.m[j][i] = label.converse()
+        if self._bounds_index is not None:
+            self._bounds_index.touch(i, j)
 
     def domains(self) -> List[IntervalUnion]:
         """The binarized domains m[0][1..n]."""
@@ -76,6 +86,8 @@ class Tcsp:
         dup = Tcsp(self.n_vars)
         dup.m = [row[:] for row in self.m]
         dup.constraint_mask = set(self.constraint_mask)
+        if self._bounds_index is not None:
+            dup._bounds_index = self._bounds_index.copy()
         return dup
 
     def __eq__(self, other) -> bool:
@@ -234,6 +246,115 @@ class PathBounds:
     path_ub: Weight
 
 
+_Key = Tuple[Fraction, bool]  # weights.sort_key of a finite weight
+_ZERO_KEY = sort_key(ZERO)
+
+
+def _pair_keys(label: IntervalUnion) -> Tuple[Optional[_Key], Optional[_Key]]:
+    """Sort keys of one pair's candidates: (below, above), None when absent.
+
+    Every finite end of every piece is an edge weight: an upper end b gives
+    b forward, a lower end a gives -a backward, open ends strict.  ``below``
+    is the most negative such weight, kept only when negative; ``above`` is
+    the largest, kept only when nonnegative.  The keys are those of
+    :func:`~tcsp.weights.sort_key`, read straight off the pieces: (value,
+    closed), with False == 0 for a strict weight and True == 1 otherwise.
+    """
+    ends = []
+    for piece in label.parts:
+        if piece.hi is not None:
+            ends.append((piece.hi, piece.hi_closed))
+        if piece.lo is not None:
+            ends.append((-piece.lo, piece.lo_closed))
+    if not ends:
+        return None, None
+    low, high = min(ends), max(ends)
+    return (low if low < _ZERO_KEY else None), (high if high >= _ZERO_KEY else None)
+
+
+def _key_sum(keys: List[_Key]) -> Weight:
+    """The weight of a path made of these edges (ZERO for none)."""
+    return Weight(sum((k[0] for k in keys), Fraction(0)), not all(k[1] for k in keys))
+
+
+class _BoundsIndex:
+    """Every pair's path-bound candidates, kept sorted, for one network.
+
+    ``keys[(i, j)]`` holds the pair's (below, above) candidate keys;
+    ``below`` and ``above`` are those keys in ascending order, and ``last``
+    the n lowest and n highest of them with the bounds they sum to.  A write
+    marks its pair ``stale``; :meth:`bounds` re-derives the stale pairs,
+    moving each changed key by bisection, and re-sums only a window that
+    changed.
+    """
+
+    __slots__ = ("n", "keys", "below", "above", "stale", "last")
+
+    def __init__(self, net: Tcsp):
+        self.n = net.n_vars
+        self.keys: dict = {}
+        self.below: List[_Key] = []
+        self.above: List[_Key] = []
+        self.stale: set = set()
+        for i in range(net.n_vars + 1):
+            row = net.m[i]
+            for j in range(i + 1, net.n_vars + 1):
+                lo, hi = self.keys[(i, j)] = _pair_keys(row[j])
+                if lo is not None:
+                    self.below.append(lo)
+                if hi is not None:
+                    self.above.append(hi)
+        self.below.sort()
+        self.above.sort()
+        self.last = ([], [], PathBounds(ZERO, ZERO))
+        self._resum()
+
+    def touch(self, i: int, j: int):
+        self.stale.add((i, j) if i < j else (j, i))
+
+    def copy(self) -> "_BoundsIndex":
+        dup = object.__new__(_BoundsIndex)
+        dup.n = self.n
+        dup.keys = self.keys.copy()
+        dup.below = self.below[:]
+        dup.above = self.above[:]
+        dup.stale = set(self.stale)
+        dup.last = self.last
+        return dup
+
+    @staticmethod
+    def _move(ordered: List[_Key], old: Optional[_Key], new: Optional[_Key]):
+        if old == new:
+            return
+        if old is not None:
+            del ordered[bisect_left(ordered, old)]
+        if new is not None:
+            insort(ordered, new)
+
+    def _resum(self):
+        low = self.below[:self.n]
+        high = self.above[max(len(self.above) - self.n, 0):]
+        last_low, last_high, bounds = self.last
+        # unchanged keys are the same objects, so equal windows compare fast
+        if low != last_low or high != last_high:
+            bounds = PathBounds(
+                path_lb=bounds.path_lb if low == last_low else _key_sum(low),
+                path_ub=bounds.path_ub if high == last_high else _key_sum(high),
+            )
+            self.last = (low, high, bounds)
+
+    def bounds(self, net: Tcsp) -> PathBounds:
+        if self.stale:
+            for pair in self.stale:
+                old_lo, old_hi = self.keys[pair]
+                lo, hi = self.keys[pair] = _pair_keys(net.m[pair[0]][pair[1]])
+                self._move(self.below, old_lo, lo)
+                self._move(self.above, old_hi, hi)
+            self.stale.clear()
+            self._resum()
+        return self.last[2]
+
+
 def path_bounds(net: Tcsp) -> PathBounds:
     """Lower/upper bounds on the weight of any elementary path.
 
@@ -248,46 +369,18 @@ def path_bounds(net: Tcsp) -> PathBounds:
     all-convex refinement of the network, which is what the propagation
     clamp needs to stay sound when labels are disjunctive.  On an all-convex
     network the two readings coincide.
+
+    The network keeps these candidates sorted: the first call builds that
+    index with one sort, and later calls re-derive only the pairs written
+    since, so a call after one :meth:`Tcsp.set_pair` costs a few bisections
+    and, when the n lowest or highest candidates changed, one sum of n.  The
+    value is always exactly that of a from-scratch computation on the
+    current matrix.
     """
-    n = net.n_vars
-    below: List[Weight] = []
-    above: List[Weight] = []
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            label = net.m[i][j]
-            if label.is_empty() or label.is_universal():
-                continue
-            lo_cand: Optional[Weight] = None
-            hi_cand: Optional[Weight] = None
-            for piece in label.convex_parts():
-                up, down = up_weight(piece), down_weight(piece)
-                small = w_min(up, down)
-                if lo_cand is None or w_less(small, lo_cand):
-                    lo_cand = small
-                finite = [w for w in (up, down) if w.value is not None]
-                if finite:
-                    big = finite[0] if len(finite) == 1 or w_less(finite[1], finite[0]) else finite[1]
-                    if not w_less(big, ZERO) and (hi_cand is None or w_less(hi_cand, big)):
-                        hi_cand = big
-            if lo_cand is not None and w_less(lo_cand, ZERO):
-                below.append(lo_cand)
-            if hi_cand is not None:
-                above.append(hi_cand)
-    if below:
-        below.sort(key=sort_key)
-        lb = ZERO
-        for w in below[:n]:
-            lb = w_add(lb, w)
-    else:
-        lb = ZERO
-    if above:
-        above.sort(key=sort_key, reverse=True)
-        ub = ZERO
-        for w in above[:n]:
-            ub = w_add(ub, w)
-    else:
-        ub = ZERO
-    return PathBounds(path_lb=lb, path_ub=ub)
+    index = net._bounds_index
+    if index is None:
+        index = net._bounds_index = _BoundsIndex(net)
+    return index.bounds(net)
 
 
 def path_range(net: Tcsp) -> Fraction:

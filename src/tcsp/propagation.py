@@ -192,20 +192,41 @@ def _mask_pairs(net: Tcsp) -> List[_Pair]:
     return pairs
 
 
+def _arcs_reading(net: Tcsp, changed: _Pair) -> List[_Pair]:
+    """The constrained arcs whose revise reads entry ``changed`` (either way round).
+
+    A binarized domain m[0][j] is read by every arc (k, j) into X_j; an
+    inter-variable entry (i, j) by the arcs (i, j) and (j, i).  Arcs out of
+    X_j read m[0][j] only as the domain being narrowed, and narrowing a
+    supported domain leaves it supported, so they need no revisit.
+    """
+    i, j = changed
+    net._check(i, j)
+    if i == j:
+        raise ValueError("diagonal entries are fixed at {0}")
+    i, j = min(i, j), max(i, j)
+    mask = net.constraint_mask
+    if i == 0:
+        return [(k, j) for k in range(1, net.n_vars + 1) if frozenset((k, j)) in mask]
+    return [(i, j), (j, i)] if frozenset((i, j)) in mask else []
+
+
 def _bdac3(
     net: Tcsp,
     *,
-    weak: bool,
-    clamp: bool,
-    budget: Optional[int],
-    lifo: bool,
-    trace: Optional[Trace],
-    alg: str,
+    weak: bool = False,
+    clamp: bool = True,
+    budget: Optional[int] = None,
+    lifo: bool = False,
+    trace: Optional[Trace] = None,
+    alg: str = "bdac3",
+    seed: Optional[Sequence[_Pair]] = None,
 ) -> RunReport:
     if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
     run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace)
-    seed = _mask_pairs(net)
+    if seed is None:
+        seed = _mask_pairs(net)
     queue = deque(seed)
     queued = set(seed)
     mask = net.constraint_mask
@@ -227,28 +248,60 @@ def _bdac3(
     return run.report(Outcome.CONSISTENT)
 
 
-def bdac3(net: Tcsp, *, lifo: bool = False, trace: Optional[Trace] = None) -> RunReport:
+def bdac3(
+    net: Tcsp,
+    *,
+    lifo: bool = False,
+    trace: Optional[Trace] = None,
+    changed: Optional[_Pair] = None,
+) -> RunReport:
     """Worklist arc pass over the binarized domains, clamped, full-strength composition.
 
     FIFO is the canonical queue discipline; ``lifo=True`` flips it (the
     fixpoint is the same, the trace is not).
+
+    ``changed=(i, j)`` declares that ``net`` was at this pass's fixpoint
+    before entry (i, j) was narrowed (in either orientation, by
+    :meth:`~tcsp.network.Tcsp.set_pair`).  The run then seeds only the arcs
+    whose revise reads that entry -- for i == 0 every constrained (k, j),
+    otherwise (i, j) and (j, i) -- and ends with the same outcome, and when
+    consistent the same domains, as a full seed, in fewer revise calls.
+    Without the precondition it may stop short of the fixpoint.  The
+    default, None, seeds every constrained arc.
     """
-    return _bdac3(net, weak=False, clamp=True, budget=None, lifo=lifo, trace=trace, alg="bdac3")
+    seed = None if changed is None else _arcs_reading(net, changed)
+    return _bdac3(net, lifo=lifo, trace=trace, seed=seed)
 
 
-def wbdac3(net: Tcsp, *, lifo: bool = False, trace: Optional[Trace] = None) -> RunReport:
-    """Like bdac3 but composing convex closures, so domains stay convex-ish cheap."""
-    return _bdac3(net, weak=True, clamp=True, budget=None, lifo=lifo, trace=trace, alg="wbdac3")
+def wbdac3(
+    net: Tcsp,
+    *,
+    lifo: bool = False,
+    trace: Optional[Trace] = None,
+    changed: Optional[_Pair] = None,
+) -> RunReport:
+    """Like bdac3 but composing convex closures, so domains stay convex-ish cheap.
+
+    ``changed=(i, j)`` seeds only the arcs reading entry (i, j), as in
+    :func:`bdac3`, with the same precondition and the same guarantee.  Note
+    that one wbdac3 run need not end at the wbdac3 fixpoint: after revising
+    X_k through X_m the queue skips the arc back, which is exact only for
+    full-strength composition.  Seeded from such a network the run still
+    removes only values no solution uses, but its domains may differ from a
+    full run's.
+    """
+    seed = None if changed is None else _arcs_reading(net, changed)
+    return _bdac3(net, weak=True, lifo=lifo, trace=trace, alg="wbdac3", seed=seed)
 
 
 def _bdac1(
     net: Tcsp,
     *,
-    clamp: bool,
-    budget: Optional[int],
-    order: Optional[Sequence[_Pair]],
-    trace: Optional[Trace],
-    alg: str,
+    clamp: bool = True,
+    budget: Optional[int] = None,
+    order: Optional[Sequence[_Pair]] = None,
+    trace: Optional[Trace] = None,
+    alg: str = "bdac1",
 ) -> RunReport:
     if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
@@ -287,12 +340,15 @@ def bdac1(
     lexicographically; an explicit ``order`` must list such pairs.
     An empty domain stops the run mid-pass.
     """
-    return _bdac1(net, clamp=True, budget=None, order=order, trace=trace, alg="bdac1")
+    return _bdac1(net, order=order, trace=trace)
 
 
-def _pc1(net: Tcsp, *, trace: Optional[Trace], alg: str = "pc1") -> RunReport:
+def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunReport:
     if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
+    # the sweep writes m directly, past set_pair, so the network's
+    # path-bounds index would go stale: drop it, and path_bounds rebuilds it
+    net._bounds_index = None
     run = _Run(net, alg, clamp=False, trace=trace)
     grid = net.m
     size = net.n_vars + 1
@@ -341,11 +397,11 @@ def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
 def _pc2(
     net: Tcsp,
     *,
-    clamp: bool,
-    budget: Optional[int],
-    select: Optional[Callable[[Tuple[_Triple, ...]], _Triple]],
-    trace: Optional[Trace],
-    alg: str,
+    clamp: bool = True,
+    budget: Optional[int] = None,
+    select: Optional[Callable[[Tuple[_Triple, ...]], _Triple]] = None,
+    trace: Optional[Trace] = None,
+    alg: str = "pc2",
 ) -> RunReport:
     if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
@@ -404,7 +460,42 @@ def pc2(
     pending triple runs next, but ``select`` may pick any pending one (it
     gets the pending tuple and must return a member).
     """
-    return _pc2(net, clamp=True, budget=None, select=select, trace=trace, alg="pc2")
+    return _pc2(net, select=select, trace=trace)
+
+
+#: Every algorithm by the name the CLI and the traces use: its engine, the
+#: settings that make the engine that algorithm, and the one queue option
+#: (``lifo``, ``order`` or ``select``) a caller may pass it.  The "-minus"
+#: entries are their engine without the clamp, run under a revise budget.
+ALGORITHMS = {
+    "bdac3": (_bdac3, {"weak": False}, "lifo"),
+    "wbdac3": (_bdac3, {"weak": True}, "lifo"),
+    "bdac1": (_bdac1, {}, "order"),
+    "pc1": (_pc1, {}, None),
+    "pc2": (_pc2, {}, "select"),
+    "bdac3-minus": (_bdac3, {"weak": False, "clamp": False}, "lifo"),
+    "bdac1-minus": (_bdac1, {"clamp": False}, "order"),
+    "pc2-minus": (_pc2, {"clamp": False}, "select"),
+}
+
+
+def run_algorithm(
+    name: str,
+    net: Tcsp,
+    *,
+    budget: int = 10000,
+    trace: Optional[Trace] = None,
+    **option,
+) -> RunReport:
+    """Run the algorithm ``ALGORITHMS`` lists as ``name`` on ``net``, in place.
+
+    ``budget`` bounds the "-minus" variants only; ``option`` is the entry's
+    queue option, if the caller sets it.
+    """
+    engine, settings, _ = ALGORITHMS[name]
+    if not settings.get("clamp", True):
+        settings = dict(settings, budget=budget)
+    return engine(net, trace=trace, alg=name, **settings, **option)
 
 
 def minus_variant(
@@ -424,17 +515,12 @@ def minus_variant(
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    base = alg[:-6] if alg.endswith("-minus") else alg
-    if base == "bdac3":
-        return _bdac3(net, weak=False, clamp=False, budget=budget, lifo=lifo,
-                      trace=trace, alg="bdac3-minus")
-    if base == "bdac1":
-        return _bdac1(net, clamp=False, budget=budget, order=order,
-                      trace=trace, alg="bdac1-minus")
-    if base == "pc2":
-        return _pc2(net, clamp=False, budget=budget, select=select,
-                    trace=trace, alg="pc2-minus")
-    raise ValueError(f"no minus variant for {alg!r}")
+    name = alg if alg.endswith("-minus") else alg + "-minus"
+    if name not in ALGORITHMS:
+        raise ValueError(f"no minus variant for {alg!r}")
+    option = ALGORITHMS[name][2]
+    given = {"lifo": lifo, "order": order, "select": select}[option]
+    return run_algorithm(name, net, budget=budget, trace=trace, **{option: given})
 
 
 def is_bd_arc_consistent(net: Tcsp) -> bool:

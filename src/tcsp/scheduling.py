@@ -299,11 +299,20 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
     pristine = root.copy()
     durations = [task.duration for task in inst.tasks]
     cliques = clique_cover(inst)
-    incumbent: list = [None, None]  # makespan, start tuple
+    best: Optional[Fraction] = None  # the incumbent's makespan
+    starts: Tuple[Fraction, ...] = ()  # and its start times
 
-    def visit(net: Tcsp, inherited: Optional[Fraction]):
-        if bdac3(net).outcome is not Outcome.CONSISTENT:
-            return
+    # depth first over (parent, branched pair, piece, parent's bound); a
+    # child is copied from its parent when popped and re-propagated only
+    # from the arcs reading the pair it branched on
+    stack: list = [(root, None, None, None)]
+    while stack:
+        net, changed, piece, inherited = stack.pop()
+        if piece is not None:
+            net = net.copy()
+            net.set_pair(*changed, piece)
+        if bdac3(net, changed=changed).outcome is not Outcome.CONSISTENT:
+            continue
         trouble = _closure_violation(net)
         if trouble is not None:
             raise RuntimeError(f"scheduler label forms broke down: {trouble}")
@@ -312,8 +321,8 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
         bound = max(olb(net, durations), head_bound(net, durations, cliques))
         if inherited is not None and bound < inherited:
             raise RuntimeError("completion bound decreased along a branch")
-        if incumbent[0] is not None and incumbent[0] <= bound:
-            return  # cannot beat what we already have
+        if best is not None and best <= bound:
+            continue  # cannot beat what we already have
         pair = _pick_disjunction(net)
         if pair is None:
             # every inter-task constraint is now one-sided, so after
@@ -322,27 +331,23 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
             # exceed it, so the bound is attained and no solution here beats
             # it.  Composing with a one-sided label yields a half-line, so no
             # domain here is fragmented either
-            incumbent[0] = bound
-            incumbent[1] = tuple(
+            best = bound
+            starts = tuple(
                 net.m[0][i].lower_bound()[0] for i in range(1, net.n_vars + 1)
             )
-            return
+            continue
         i, j = pair
-        for piece in net.m[i][j].convex_parts():  # the (-inf, a] order first
-            child = net.copy()
-            child.set_pair(i, j, piece)
-            visit(child, bound)
-
-    visit(root, None)
-    if incumbent[0] is None:
+        # pushed last to first, so the (-inf, a] order is explored first
+        for piece in reversed(net.m[i][j].convex_parts()):
+            stack.append((net, pair, piece, bound))
+    if best is None:
         return None
-    starts: Tuple[Fraction, ...] = incumbent[1]
     duration, latency = schedule_metrics(starts, durations)
-    if duration != incumbent[0]:
+    if duration != best:
         raise RuntimeError("schedule metrics disagree with the search bound")
     if not check_solution(pristine, (Fraction(0),) + starts):
         raise RuntimeError("optimal schedule fails its own network")
-    return Schedule(start_times=starts, makespan=incumbent[0], latency=latency)
+    return Schedule(start_times=starts, makespan=best, latency=latency)
 
 
 def schedule_metrics(

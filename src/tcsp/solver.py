@@ -37,17 +37,22 @@ def connect_x0(net: Tcsp) -> bool:
     Works lowest index first; each anchor pins the variable to [0, +inf)
     (a disconnected variable necessarily has a universal domain, so this
     only refines).  Returns False as soon as propagation finds a conflict.
+    The first anchor re-propagates from a full seed, since the input need
+    not be at a fixpoint; every later one only from the arcs it touched.
     """
     if not is_stp(net):
         raise NotAnStp("connect_x0 needs an all-convex network")
     anchor = IntervalUnion.span(0, None, True, False)
+    first = True
     while True:
         loose = disconnected_variables(net)
         if not loose:
             return True
         net.set_pair(0, loose[0], anchor)
-        if bdac3(net).outcome is not Outcome.CONSISTENT:
+        changed = None if first else (0, loose[0])
+        if bdac3(net, changed=changed).outcome is not Outcome.CONSISTENT:
             return False
+        first = False
 
 
 def _pick_value(domain: IntervalUnion) -> Fraction:
@@ -72,10 +77,11 @@ def backtrack_free(net: Tcsp) -> Tcsp:
     """Fix every variable of a connected, bdArc-consistent STP, in place.
 
     Each round pins the lowest-index unfixed variable to a value of its
-    current domain and re-propagates.  On a consistent input this never
-    hits a dead end; an input harboring a strict-zero-weight circuit (the
-    one inconsistency domain propagation cannot surface) dead-ends and
-    raises ExtractionDeadEnd.
+    current domain and re-propagates from the arcs that read that domain,
+    the network having been at the bdac3 fixpoint before the pin.  On a
+    consistent input this never hits a dead end; an input harboring a
+    strict-zero-weight circuit (the one inconsistency domain propagation
+    cannot surface) dead-ends and raises ExtractionDeadEnd.
     """
     if not is_stp(net):
         raise PreconditionViolated("not an all-convex network")
@@ -95,7 +101,7 @@ def backtrack_free(net: Tcsp) -> Tcsp:
             return net
         value = _pick_value(net.m[0][target])
         net.set_pair(0, target, IntervalUnion.point(value))
-        if bdac3(net).outcome is not Outcome.CONSISTENT:
+        if bdac3(net, changed=(0, target)).outcome is not Outcome.CONSISTENT:
             raise ExtractionDeadEnd(
                 f"fixing X{target} emptied a domain; the network has no solutions"
             )
@@ -127,30 +133,40 @@ def _search(net: Tcsp) -> Optional[Tuple[Tcsp, List[Fraction]]]:
     """Refine ``net`` (owned by the caller) into a solved connected leaf.
 
     Returns the anchored leaf together with an assignment extracted from
-    it, or None when no refinement has solutions.
+    it, or None when no refinement has solutions.  Depth first, with an
+    explicit stack of (parent, branched entry, piece) so that depth is not
+    limited by the interpreter's recursion limit.  A child is copied from
+    its parent when popped and re-propagated only from the arcs reading the
+    entry it branched on.  Its parent ended a wbdac3 run, which need not be
+    the wbdac3 fixpoint, so a child's domains may differ from those of a
+    full-seed run; both are sound, and the leaf's full bdac3 pass and
+    extraction decide the leaf either way.
     """
-    if wbdac3(net).outcome is not Outcome.CONSISTENT:
-        return None
-    target = _select_disjunctive(net)
-    if target is None:
-        # all-convex leaf: run the full-strength pass before anchoring
-        if bdac3(net).outcome is not Outcome.CONSISTENT:
-            return None
-        if not connect_x0(net):
-            return None
-        fixed = net.copy()
-        try:
-            backtrack_free(fixed)
-        except ExtractionDeadEnd:
-            return None  # a strict-zero circuit was hiding in this leaf
-        return net, extract_solution(fixed)
-    i, j = target
-    for piece in net.m[i][j].convex_parts():
-        child = net.copy()
-        child.set_pair(i, j, piece)
-        found = _search(child)
-        if found is not None:
-            return found
+    stack: list = [(net, None, None)]
+    while stack:
+        node, changed, piece = stack.pop()
+        if piece is not None:
+            node = node.copy()
+            node.set_pair(*changed, piece)
+        if wbdac3(node, changed=changed).outcome is not Outcome.CONSISTENT:
+            continue
+        target = _select_disjunctive(node)
+        if target is None:
+            # all-convex leaf: run the full-strength pass before anchoring
+            if bdac3(node).outcome is not Outcome.CONSISTENT:
+                continue
+            if not connect_x0(node):
+                continue
+            fixed = node.copy()
+            try:
+                backtrack_free(fixed)
+            except ExtractionDeadEnd:
+                continue  # a strict-zero circuit was hiding in this leaf
+            return node, extract_solution(fixed)
+        i, j = target
+        # pushed last to first, so the first piece is explored first
+        for piece in reversed(node.m[i][j].convex_parts()):
+            stack.append((node, target, piece))
     return None
 
 

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randnets import (
     chain_stp,
@@ -19,15 +21,21 @@ from randnets import (
 from tcsp import (
     DimensionMismatch,
     EmptyLabel,
+    Interval,
     IntervalUnion,
     NetworkFormatError,
     NotAnStp,
+    Outcome,
+    PathBounds,
     RootedDistanceGraph,
+    Tcsp,
+    ZERO,
     build_tcsp,
     check_solution,
     connectivity,
     convex_closure,
     disconnected_variables,
+    down_weight,
     graph_to_stp,
     is_refinement,
     is_stp,
@@ -36,10 +44,15 @@ from tcsp import (
     parse_union,
     path_bounds,
     path_range,
+    pc1,
     stp_to_graph,
+    up_weight,
+    w_add,
     w_leq,
+    w_less,
     weight,
 )
+from tcsp.weights import sort_key
 
 U = parse_union
 
@@ -250,6 +263,107 @@ def test_every_elementary_path_lies_within_the_bounds():
         for total in elementary_path_weights(net):
             assert w_leq(pb.path_lb, total)
             assert w_leq(total, pb.path_ub)
+
+
+def _reference_path_bounds(net) -> PathBounds:
+    """The bounds computed from scratch, piece by piece, on Weights."""
+    below, above = [], []
+    for i in range(net.n_vars + 1):
+        for j in range(i + 1, net.n_vars + 1):
+            ends = []
+            for piece in net.m[i][j].convex_parts():
+                ends += [w for w in (up_weight(piece), down_weight(piece)) if not w.is_inf()]
+            if not ends:
+                continue
+            low, high = min(ends, key=sort_key), max(ends, key=sort_key)
+            if w_less(low, ZERO):
+                below.append(low)
+            if not w_less(high, ZERO):
+                above.append(high)
+    below.sort(key=sort_key)
+    above.sort(key=sort_key, reverse=True)
+    lb = ub = ZERO
+    for w in below[:net.n_vars]:
+        lb = w_add(lb, w)
+    for w in above[:net.n_vars]:
+        ub = w_add(ub, w)
+    return PathBounds(lb, ub)
+
+
+def _rebuilt(net) -> Tcsp:
+    """A fresh network with the same entries, whose bounds nothing has cached."""
+    fresh = Tcsp(net.n_vars)
+    for i in range(net.n_vars + 1):
+        for j in range(i + 1, net.n_vars + 1):
+            fresh.set_pair(i, j, net.m[i][j])
+    return fresh
+
+
+@st.composite
+def _pieces(draw):
+    a = draw(st.integers(-6, 6))
+    b = a + draw(st.integers(0, 6))
+    lo = draw(st.sampled_from((None, a)))
+    hi = draw(st.sampled_from((None, b)))
+    if lo is not None and lo == hi:
+        return Interval(lo, hi)
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+_labels = st.one_of(
+    st.just(IntervalUnion.empty()),
+    st.just(IntervalUnion.universal()),
+    st.lists(_pieces(), min_size=1, max_size=3).map(IntervalUnion),
+)
+
+
+@st.composite
+def _writes(draw):
+    n = draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda p: p[0] != p[1])
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("set"), pair, _labels),
+            st.tuples(st.just("copy")),
+            st.tuples(st.just("bounds")),
+        ),
+        max_size=25,
+    ))
+    return n, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_writes())
+def test_maintained_path_bounds_equal_a_fresh_computation(case):
+    n, steps = case
+    net = Tcsp(n)
+    older = []
+    for step in steps:
+        if step[0] == "set":
+            (i, j), label = step[1], step[2]
+            net.set_pair(i, j, label)
+        elif step[0] == "copy":
+            older.append(net)
+            net = net.copy()
+        else:
+            assert path_bounds(net) == path_bounds(_rebuilt(net)) == _reference_path_bounds(net)
+    # a copy's writes never reach the network it was copied from
+    for earlier in older + [net]:
+        assert path_bounds(earlier) == _reference_path_bounds(earlier)
+
+
+def test_path_bounds_are_recomputed_after_pc1_rewrites_entries():
+    rng = random.Random(4407)
+    moved = 0
+    for _ in range(30):
+        net, _ = random_consistent_stp(rng)
+        before = path_bounds(net)
+        assert pc1(net).outcome is Outcome.CONSISTENT
+        after = path_bounds(net)
+        assert after == path_bounds(_rebuilt(net)) == _reference_path_bounds(net)
+        moved += after != before
+    # pc1 tightens entries toward the minimal network, so the bounds move
+    assert moved > 0
 
 
 # -- connectivity ------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from randnets import (
     fragmenting_tcsp,
     fw_minimal_domains,
     hidden_circuit_stp,
+    random_bounded_stp,
     random_consistent_stp,
+    random_disjunctive_tcsp,
 )
 from tcsp import (
     IntervalUnion,
@@ -545,3 +547,103 @@ def test_pc_algorithms_compute_the_minimal_network():
 
 def test_outcome_values_are_stable_text():
     assert [o.value for o in Outcome] == ["consistent", "empty-domain", "budget-exhausted"]
+
+
+# -- seeded re-propagation -------------------------------------------------------------
+
+
+def _differential_cases(rng):
+    """Networks of every kind the solver meets, consistent and inconsistent."""
+    yield chain_stp()
+    yield hidden_circuit_stp()
+    yield creeping_circuit_stp()
+    yield fragmenting_tcsp()
+    for _ in range(60):
+        yield random_consistent_stp(rng)[0]
+        yield random_bounded_stp(rng)
+        yield random_disjunctive_tcsp(rng)
+
+
+def _fixpoint(algorithm, net) -> bool:
+    """Run ``algorithm`` until a run changes nothing; False on any other verdict.
+
+    One bdac3 run ends at its fixpoint.  One wbdac3 run may not: its queue
+    skips the arc back through the variable just revised through, a rule
+    that is exact only for full-strength composition.
+    """
+    while True:
+        report = algorithm(net)
+        if report.outcome is not Outcome.CONSISTENT:
+            return False
+        if report.domain_updates == 0:
+            return True
+
+
+def _writes_after_a_fixpoint(rng, net, algorithm):
+    """(fixpoint network, written entry) pairs: the entry is narrowed after the run.
+
+    One write puts back a constraint that was held universal during the
+    run (the way an anchor or a branch narrows an entry), which on the
+    circuit networks reopens a divergence only the clamp stops; the other
+    pins a domain to one of its ends (the way extraction does).
+    """
+    pairs = sorted(tuple(sorted(group)) for group in net.constraint_mask)
+    if pairs:
+        i, j = rng.choice(pairs)
+        base = net.copy()
+        base.set_pair(i, j, IntervalUnion.universal())
+        if _fixpoint(algorithm, base):
+            written = base.m[i][j] & net.m[i][j]
+            base.set_pair(i, j, written)
+            yield base, rng.choice(((i, j), (j, i)))
+    base = net.copy()
+    if _fixpoint(algorithm, base) and net.n_vars:
+        j = rng.randint(1, net.n_vars)
+        domain = base.m[0][j]
+        for end in (domain.lower_bound(), domain.upper_bound()):
+            if end is not None and end[1]:
+                base.set_pair(0, j, IntervalUnion.point(end[0]))
+                yield base, rng.choice(((0, j), (j, 0)))
+                break
+
+
+@pytest.mark.parametrize("algorithm", [bdac3, wbdac3], ids=["bdac3", "wbdac3"])
+def test_seeding_from_the_written_entry_matches_a_full_seed(algorithm):
+    rng = random.Random(70211)
+    outcomes = set()
+    clamped = 0
+    for net in _differential_cases(rng):
+        for written, changed in _writes_after_a_fixpoint(rng, net, algorithm):
+            seeded, full = written.copy(), written.copy()
+            trace = []
+            a = algorithm(seeded, changed=changed, trace=trace)
+            b = algorithm(full)
+            assert a.outcome is b.outcome, (changed, written.m)
+            if a.outcome is Outcome.CONSISTENT:
+                assert seeded == full
+            outcomes.add(a.outcome)
+            clamped += any(entry.clamped for entry in trace)
+    # the corpus reaches both verdicts, some only through the clamp
+    assert outcomes == {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN}
+    assert clamped > 0
+
+
+def test_seeding_reads_only_the_arcs_through_the_written_entry():
+    net = chain_stp()
+    assert bdac3(net).outcome is Outcome.CONSISTENT
+    net.set_pair(0, 4, IntervalUnion.point(65))
+    full = net.copy()
+    trace = []
+    seeded = bdac3(net, changed=(0, 4), trace=trace)
+    # X3 is the one variable constrained with X4: the run starts at (3, 4)
+    # and then follows the chain back through X2 and X1
+    assert [e.target for e in trace] == [(3, 4), (2, 3), (1, 2)]
+    assert bdac3(full).revise_calls > seeded.revise_calls
+    assert net == full
+
+
+def test_changed_must_name_an_off_diagonal_entry():
+    with pytest.raises(ValueError):
+        bdac3(chain_stp(), changed=(2, 2))
+    with pytest.raises(IndexError):
+        wbdac3(chain_stp(), changed=(0, 9))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -415,3 +416,26 @@ def test_instance_json_with_no_tasks_is_well_formed_but_uncompilable():
     assert inst.tasks == ()
     with pytest.raises(InvalidInstance):
         compile_instance(inst)
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_branch_and_bound_depth_is_not_bound_by_the_recursion_limit():
+    # twelve unit tasks on one machine: 66 disjunctions, each one level of
+    # search down to the first leaf, whose makespan 12 meets the root's head
+    # bound, so every other branch is cut at once
+    tasks = [Task(Fraction(1)) for _ in range(12)]
+    pairs = list(itertools.combinations(range(1, 13), 2))
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 40)
+    try:
+        sched = optimum(_inst(tasks, disjunctions=pairs))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert sched.makespan == 12
+    assert sorted(sched.start_times) == [Fraction(k) for k in range(12)]

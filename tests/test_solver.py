@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -280,3 +281,27 @@ def test_solve_agrees_with_the_exhaustive_oracle():
             assert result.solution is None
     # the generator must exercise both verdicts for the comparison to mean much
     assert consistent_seen >= 10 and inconsistent_seen >= 5
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_depth_is_not_bound_by_the_recursion_limit():
+    # each inter-variable disjunction is one level of search, and the arc
+    # passes never rewrite an inter-variable label, so this search goes 80
+    # levels deep before its first leaf
+    depth = 80
+    net = build_tcsp(depth + 1, [(i, i + 1, U("{-1} u {1}")) for i in range(1, depth + 1)])
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 40)
+    try:
+        result = solve(net)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert result.consistent
+    # the first piece of every label is taken, and X1 is anchored at 0
+    assert result.solution == [Fraction(0)] + [Fraction(-k) for k in range(depth + 1)]
