@@ -86,11 +86,14 @@ def floyd_warshall(g: RootedDistanceGraph) -> RootedDistanceGraph:
         wk = w[k]
         for i in d.vertices():
             wik = w[i][k]
-            if wik.value is None:
+            if wik.value is None or i == k:
                 continue
             row = w[i]
             for j in d.vertices():
-                cand = w_add(wik, wk[j])
+                wkj = wk[j]
+                if wkj.value is None or j == k:
+                    continue  # +inf absorbs, and the zero diagonal adds nothing
+                cand = w_add(wik, wkj)
                 if w_less(cand, row[j]):
                     row[j] = cand
                     if i == j and w_less(cand, ZERO):

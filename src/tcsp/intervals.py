@@ -53,24 +53,17 @@ class Interval:
         self.lo_closed = False if self.lo is None else bool(lo_closed)
         self.hi_closed = False if self.hi is None else bool(hi_closed)
         if self.lo is not None and self.hi is not None:
-            if self.lo > self.hi or (
-                self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-            ):
+            c = _cmp(self.lo, self.hi)
+            if c > 0 or (c == 0 and not (self.lo_closed and self.hi_closed)):
                 raise ValueError(f"empty interval: {self._text()}")
 
-    # -- ordering keys: open/closed matters at equal values -------------------
+    # -- ordering key: open/closed matters at equal values --------------------
 
     def _lo_key(self):
         # -inf sorts first; at equal finite values a closed start comes first
         if self.lo is None:
             return (0, _RAT_ZERO, 0)
         return (1, self.lo, 0 if self.lo_closed else 1)
-
-    def _hi_key(self):
-        # +inf sorts last; at equal finite values an open end ends first
-        if self.hi is None:
-            return (1, _RAT_ZERO, 0)
-        return (0, self.hi, 1 if self.hi_closed else 0)
 
     def contains(self, x: RatLike) -> bool:
         x = as_rational(x)
@@ -95,10 +88,10 @@ class Interval:
         if not isinstance(other, Interval):
             return NotImplemented
         return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.lo_closed == other.lo_closed
+            self.lo_closed == other.lo_closed
             and self.hi_closed == other.hi_closed
+            and _same(self.lo, other.lo)
+            and _same(self.hi, other.hi)
         )
 
     def __hash__(self):
@@ -106,6 +99,64 @@ class Interval:
 
     def __repr__(self):
         return f"<Interval {self._text()}>"
+
+
+def _piece(lo, hi, lo_closed: bool, hi_closed: bool) -> Interval:
+    """An Interval from endpoints already known to be exact and to form a
+    nonempty piece (an infinite end must come with closed False); skips
+    the checks of the public constructor."""
+    piece = _new(Interval)
+    piece.lo = lo
+    piece.hi = hi
+    piece.lo_closed = lo_closed
+    piece.hi_closed = hi_closed
+    return piece
+
+
+def _cmp(x: Fraction, y: Fraction) -> int:
+    """The sign of ``x - y``, by integer cross-multiplication: Fraction's own
+    comparisons spend most of their time dispatching on the operand type."""
+    d = x.numerator * y.denominator - y.numerator * x.denominator
+    return (d > 0) - (d < 0)
+
+
+def _same(x: Optional[Fraction], y: Optional[Fraction]) -> bool:
+    """Are two endpoints (None for infinite) equal?  Fractions are kept in
+    lowest terms, so equal values have equal numerators and denominators."""
+    if x is None or y is None:
+        return x is y
+    return x.numerator == y.numerator and x.denominator == y.denominator
+
+
+def _plus(x: Fraction, y: Fraction) -> Fraction:
+    """``x + y``; integers, the common endpoints, skip Fraction's general add."""
+    if x.denominator == 1 == y.denominator:
+        return Fraction(x.numerator + y.numerator)
+    return x + y
+
+
+def _sum_piece(p: Interval, q: Interval) -> Interval:
+    """The set sum of two pieces: ends add, closed only when both ends are."""
+    if p.lo is None or q.lo is None:
+        lo, lo_closed = None, False
+    else:
+        lo, lo_closed = _plus(p.lo, q.lo), p.lo_closed and q.lo_closed
+    if p.hi is None or q.hi is None:
+        hi, hi_closed = None, False
+    else:
+        hi, hi_closed = _plus(p.hi, q.hi), p.hi_closed and q.hi_closed
+    return _piece(lo, hi, lo_closed, hi_closed)
+
+
+def _union(parts: Tuple[Interval, ...]) -> "IntervalUnion":
+    """An IntervalUnion whose ``parts`` are already in normal form."""
+    union = _new(IntervalUnion)
+    _set(union, "parts", parts)
+    return union
+
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _mergeable(a: Interval, b: Interval) -> bool:
@@ -126,13 +177,21 @@ def _fuse(a: Interval, b: Interval) -> Interval:
         hi, hi_closed = b.hi, b.hi_closed
     else:
         hi, hi_closed = a.hi, a.hi_closed or b.hi_closed
-    return Interval(a.lo, hi, a.lo_closed, hi_closed)
+    return _piece(a.lo, hi, a.lo_closed, hi_closed)
+
+
+def _apart(a: Interval, b: Interval) -> bool:
+    """Does ``a`` end before ``b`` starts, with a point of neither between?"""
+    if a.hi is None or b.lo is None:
+        return False
+    c = _cmp(a.hi, b.lo)
+    return c < 0 or (c == 0 and not (a.hi_closed or b.lo_closed))
 
 
 def _normalize(parts: Iterable[Interval]) -> Tuple[Interval, ...]:
     items = list(parts)
-    if len(items) < 2:
-        return tuple(items)
+    if len(items) < 2 or all(map(_apart, items, items[1:])):
+        return tuple(items)  # already sorted and apart
     items.sort(key=Interval._lo_key)
     out: list[Interval] = []
     for piece in items:
@@ -228,16 +287,16 @@ class IntervalUnion:
 
     def converse(self) -> "IntervalUnion":
         """The set of -a for a in this union."""
-        flipped = [
-            Interval(
+        # negation reverses the order of the pieces and keeps them apart
+        return _union(tuple(
+            _piece(
                 None if p.hi is None else -p.hi,
                 None if p.lo is None else -p.lo,
                 p.hi_closed,
                 p.lo_closed,
             )
-            for p in self.parts
-        ]
-        return IntervalUnion(flipped)
+            for p in reversed(self.parts)
+        ))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         """Exact set intersection (two-pointer sweep over sorted parts)."""
@@ -246,30 +305,23 @@ class IntervalUnion:
         if self.is_universal():
             return other
         a, b = self.parts, other.parts
+        if len(a) == 1 and len(b) == 1:
+            return _meet(self, other)
         out: list[Interval] = []
         i = j = 0
         while i < len(a) and j < len(b):
             p, q = a[i], b[j]
-            # later of the two starts
-            if p._lo_key() >= q._lo_key():
-                lo, lo_closed = p.lo, p.lo_closed
-            else:
-                lo, lo_closed = q.lo, q.lo_closed
-            # earlier of the two ends
-            pk, qk = p._hi_key(), q._hi_key()
-            if pk <= qk:
-                hi, hi_closed = p.hi, p.hi_closed
-            else:
-                hi, hi_closed = q.hi, q.hi_closed
-            try:
-                out.append(Interval(lo, hi, lo_closed, hi_closed))
-            except ValueError:
-                pass  # these two pieces do not meet
-            if pk <= qk:
+            order = _end_order(p, q)
+            # from the later of the two starts to the earlier of the two ends
+            piece = _overlap(q if _starts_after(q, p) else p, p if order <= 0 else q)
+            if piece is not None:
+                out.append(piece)
+            if order <= 0:
                 i += 1
-            if qk <= pk:
+            if order >= 0:
                 j += 1
-        return IntervalUnion(out)
+        # pieces cut from two normal forms stay sorted and apart
+        return _union(tuple(out))
 
     __and__ = intersect
 
@@ -279,27 +331,19 @@ class IntervalUnion:
         Piece endpoints add, a sum endpoint is closed only when both endpoints
         were closed, and an infinite endpoint absorbs.  Empty absorbs too.
         """
-        if not self.parts or not other.parts:
-            return IntervalUnion.empty()
+        a, b = self.parts, other.parts
+        if not a or not b:
+            return _EMPTY
+        if len(a) == 1 and len(b) == 1:
+            # convex + convex, unbounded ends included: one piece, in normal form
+            return _union((_sum_piece(a[0], b[0]),))
         if self.is_universal() or other.is_universal():
             return IntervalUnion.universal()  # sums sweep the whole line
-        if len(self.parts) == 1 and self.parts[0].lo == 0 == self.parts[0].hi:
+        if len(a) == 1 and a[0].lo == 0 == a[0].hi:
             return other  # {0} is the identity for set addition
-        if len(other.parts) == 1 and other.parts[0].lo == 0 == other.parts[0].hi:
+        if len(b) == 1 and b[0].lo == 0 == b[0].hi:
             return self
-        pieces = []
-        for p in self.parts:
-            for q in other.parts:
-                if p.lo is None or q.lo is None:
-                    lo, lo_closed = None, False
-                else:
-                    lo, lo_closed = p.lo + q.lo, p.lo_closed and q.lo_closed
-                if p.hi is None or q.hi is None:
-                    hi, hi_closed = None, False
-                else:
-                    hi, hi_closed = p.hi + q.hi, p.hi_closed and q.hi_closed
-                pieces.append(Interval(lo, hi, lo_closed, hi_closed))
-        return IntervalUnion(pieces)
+        return IntervalUnion([_sum_piece(p, q) for p in a for q in b])
 
     def convex_closure(self) -> "IntervalUnion":
         """Smallest convex superset: first lower endpoint to last upper endpoint."""
@@ -340,6 +384,56 @@ class IntervalUnion:
         return f"<IntervalUnion {format_union(self)}>"
 
 
+def _starts_after(q: Interval, p: Interval) -> bool:
+    """Does q's start sort strictly after p's?  -inf sorts first, and at one
+    value a closed start comes before an open one."""
+    if q.lo is None:
+        return False
+    if p.lo is None:
+        return True
+    c = _cmp(q.lo, p.lo)
+    return c > 0 or (c == 0 and p.lo_closed and not q.lo_closed)
+
+
+def _end_order(p: Interval, q: Interval) -> int:
+    """-1, 0 or 1 as p's end sorts before, level with or after q's.  +inf
+    sorts last, and at one value an open end comes before a closed one."""
+    if p.hi is None:
+        return 0 if q.hi is None else 1
+    if q.hi is None:
+        return -1
+    return _cmp(p.hi, q.hi) or p.hi_closed - q.hi_closed
+
+
+def _overlap(start: Interval, end: Interval) -> Optional[Interval]:
+    """The piece from ``start``'s start to ``end``'s end; None when empty."""
+    lo, hi = start.lo, end.hi
+    if lo is not None and hi is not None:
+        c = _cmp(lo, hi)
+        if c > 0 or (c == 0 and not (start.lo_closed and end.hi_closed)):
+            return None
+    return _piece(lo, hi, start.lo_closed, end.hi_closed)
+
+
+def _meet(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
+    """``x & y`` for two convex unions, neither empty nor universal.
+
+    Ties go to ``x`` exactly as in the general sweep, and when one operand
+    lies inside the other that operand itself is returned, so an
+    intersection that changes nothing hands back the same object.
+    """
+    p, q = x.parts[0], y.parts[0]
+    start = q if _starts_after(q, p) else p
+    end = p if _end_order(p, q) <= 0 else q
+    if start is end:
+        return x if start is p else y
+    piece = _overlap(start, end)
+    return _EMPTY if piece is None else _union((piece,))
+
+
+_EMPTY = IntervalUnion(())
+
+
 # -- text form -------------------------------------------------------------------
 #
 # Grammar (writer output shown; reader is slightly more tolerant):
@@ -367,6 +461,9 @@ def _endpoint(text: str, side: str, context: str) -> Optional[Fraction]:
         if side == "lower":
             raise UnionParseError(f"+inf cannot be a lower endpoint: {context!r}")
         return None
+    digits = t[1:] if t[0] in "+-" else t
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(t))  # an integer, without Fraction's text parser
     try:
         return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:

@@ -27,8 +27,22 @@ from .errors import (
     UnionParseError,
 )
 from .graph import RootedDistanceGraph, reachable_set
-from .intervals import Interval, IntervalUnion, RatLike, as_rational, format_union, parse_union
+from .intervals import (
+    Interval,
+    IntervalUnion,
+    RatLike,
+    _cmp,
+    _plus,
+    as_rational,
+    format_union,
+    parse_union,
+)
 from .weights import INF, ZERO, Weight, sort_key
+
+
+# labels are immutable, so every fresh matrix shares these two
+_ZERO_LABEL = IntervalUnion.point(0)
+_FULL_LABEL = IntervalUnion.universal()
 
 
 class Tcsp:
@@ -51,10 +65,8 @@ class Tcsp:
         if n_vars < 0:
             raise ValueError("n_vars must be >= 0")
         self.n_vars = n_vars
-        zero = IntervalUnion.point(0)
-        full = IntervalUnion.universal()
         size = n_vars + 1
-        self.m = [[zero if i == j else full for j in range(size)] for i in range(size)]
+        self.m = [[_ZERO_LABEL if i == j else _FULL_LABEL for j in range(size)] for i in range(size)]
         self.constraint_mask: set[frozenset[int]] = set()
         self._bounds_index: Optional[_BoundsIndex] = None
 
@@ -83,11 +95,11 @@ class Tcsp:
         return [self.m[0][i] for i in range(1, self.n_vars + 1)]
 
     def copy(self) -> "Tcsp":
-        dup = Tcsp(self.n_vars)
+        dup = object.__new__(Tcsp)  # skip building a matrix only to replace it
+        dup.n_vars = self.n_vars
         dup.m = [row[:] for row in self.m]
         dup.constraint_mask = set(self.constraint_mask)
-        if self._bounds_index is not None:
-            dup._bounds_index = self._bounds_index.copy()
+        dup._bounds_index = None if self._bounds_index is None else self._bounds_index.copy()
         return dup
 
     def __eq__(self, other) -> bool:
@@ -268,13 +280,29 @@ def _pair_keys(label: IntervalUnion) -> Tuple[Optional[_Key], Optional[_Key]]:
             ends.append((-piece.lo, piece.lo_closed))
     if not ends:
         return None, None
-    low, high = min(ends), max(ends)
-    return (low if low < _ZERO_KEY else None), (high if high >= _ZERO_KEY else None)
+    low = high = ends[0]
+    for key in ends[1:]:
+        if _key_order(key, low) < 0:
+            low = key
+        elif _key_order(key, high) > 0:
+            high = key
+    return (
+        low if _key_order(low, _ZERO_KEY) < 0 else None,
+        high if _key_order(high, _ZERO_KEY) >= 0 else None,
+    )
+
+
+def _key_order(a: _Key, b: _Key) -> int:
+    """-1, 0 or 1 as key a sorts before, with or after key b."""
+    return _cmp(a[0], b[0]) or a[1] - b[1]
 
 
 def _key_sum(keys: List[_Key]) -> Weight:
     """The weight of a path made of these edges (ZERO for none)."""
-    return Weight(sum((k[0] for k in keys), Fraction(0)), not all(k[1] for k in keys))
+    total = Fraction(0)
+    for value, _ in keys:
+        total = _plus(total, value)
+    return Weight(total, not all(k[1] for k in keys))
 
 
 class _BoundsIndex:

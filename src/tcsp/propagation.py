@@ -352,28 +352,54 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
     run = _Run(net, alg, clamp=False, trace=trace)
     grid = net.m
     size = net.n_vars + 1
+    sweep = size ** 3
+    # written[i][j] is the step (the revise_calls count) that last narrowed
+    # entry (i, j).  A step repeats one sweep later with the same two legs;
+    # entries only narrow, so its target already lies inside what those legs
+    # allowed then, and the step can narrow it only if a leg was written since.
+    written = [[0] * size for _ in range(size)]
+    step = 0
     while True:
         changed_any = False
         for k in range(size):
+            # row k and column k stay fixed while k is the middle variable:
+            # their triples run through the diagonal, which never narrows
+            via = grid[k]
+            via_written = written[k]
+            open_via = [label.is_universal() for label in via]
             for i in range(size):
                 row = grid[i]
+                row_written = written[i]
                 leg = row[k]
+                open_leg = i == k or leg.is_universal()
                 for j in range(size):
-                    run.revise_calls += 1
+                    step += 1
                     old = row[j]
-                    temp = old & leg.compose(grid[k][j])
+                    if open_leg or j == k or open_via[j] or (
+                        step > sweep
+                        and max(row_written[k], via_written[j]) <= step - sweep
+                    ):
+                        # a path through the pinned diagonal {0} or an
+                        # unconstrained leg, or legs as the step last read
+                        # them, cannot narrow old: temp is old
+                        if trace is not None:
+                            trace.append(TraceEntry(alg, (i, k, j), old, old, old, False, False))
+                        continue
+                    temp = old & leg.compose(via[j])
                     if temp.is_empty():
                         # inconsistency: report without writing the entry
                         if trace is not None:
                             trace.append(
                                 TraceEntry(alg, (i, k, j), old, temp, old, False, False)
                             )
+                        run.revise_calls = step
                         return run.report(Outcome.EMPTY_DOMAIN)
                     changed = temp != old
                     if changed:
                         # deliberately no mirror write: the sweep itself
                         # restores the converse entry before k advances
                         row[j] = temp
+                        row_written[j] = step
                         run.domain_updates += 1
                         changed_any = True
                     if trace is not None:
@@ -381,6 +407,7 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                             TraceEntry(alg, (i, k, j), old, temp, temp, False, changed)
                         )
         if not changed_any:
+            run.revise_calls = step
             return run.report(Outcome.CONSISTENT)
 
 
@@ -389,7 +416,10 @@ def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
 
     No clamp: composition through every triangle either converges or proves
     an empty entry.  The i == j steps are where inconsistency surfaces, since
-    the diagonal is pinned at {0}.
+    the diagonal is pinned at {0}.  Every step is counted and traced, but a
+    step that cannot narrow its entry -- its path runs through the diagonal
+    or an unconstrained leg, or its two legs are unchanged since it last
+    ran -- is not composed.
     """
     return _pc1(net, trace=trace)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .intervals import RatLike, as_rational
+from .intervals import RatLike, _cmp, _plus, as_rational
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def w_add(a: Weight, b: Weight) -> Weight:
     """Concatenate path weights: +inf absorbs, strictness propagates."""
     if a.value is None or b.value is None:
         return INF
-    return Weight(a.value + b.value, a.strict or b.strict)
+    return Weight(_plus(a.value, b.value), a.strict or b.strict)
 
 
 def w_less(a: Weight, b: Weight) -> bool:
@@ -60,9 +60,8 @@ def w_less(a: Weight, b: Weight) -> bool:
         return False
     if b.value is None:
         return True
-    if a.value != b.value:
-        return a.value < b.value
-    return a.strict and not b.strict
+    c = _cmp(a.value, b.value)
+    return c < 0 or (c == 0 and a.strict and not b.strict)
 
 
 def w_leq(a: Weight, b: Weight) -> bool:

@@ -303,6 +303,29 @@ def test_convex_parts_partition(u):
         assert p.is_convex() and p.issubset(u)
 
 
+def _deciding_points(*unions):
+    """Every endpoint, the midpoints between neighbours and one point past each end.
+
+    Membership in a union of pieces is constant between consecutive
+    endpoints, so two unions built from these endpoints are equal exactly
+    when they agree on these points.
+    """
+    ends = sorted({e for u in unions for p in u.parts for e in (p.lo, p.hi) if e is not None})
+    if not ends:
+        return [Fraction(0)]
+    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    return [ends[0] - 1, *ends, *mids, ends[-1] + 1]
+
+
+@given(unions(), unions())
+def test_intersection_membership_matches_both_operands(a, b):
+    both = a & b
+    # the result is in normal form: rebuilding it from its parts changes nothing
+    assert IntervalUnion(list(both.parts)).parts == both.parts
+    for x in _deciding_points(a, b):
+        assert both.contains(x) == (a.contains(x) and b.contains(x)), (str(a), str(b), x)
+
+
 # -- exhaustive membership oracle for compose ----------------------------------------
 #
 # With integer endpoints in [-20, 20], any nonempty slice u & (z - v) has

@@ -545,6 +545,54 @@ def test_pc_algorithms_compute_the_minimal_network():
                     assert worked.m[i][j] == minimal.m[i][j], (algorithm.__name__, i, j)
 
 
+def _pc1_composing_every_step(net):
+    """pc1 as specified: compose at every (i, k, j), sweep after sweep."""
+    size = net.n_vars + 1
+    trace, calls, updates = [], 0, 0
+    while True:
+        changed_any = False
+        for k in range(size):
+            for i in range(size):
+                for j in range(size):
+                    calls += 1
+                    old = net.m[i][j]
+                    temp = old & net.m[i][k].compose(net.m[k][j])
+                    if temp.is_empty():
+                        trace.append(((i, k, j), str(old), str(temp), str(old)))
+                        return Outcome.EMPTY_DOMAIN, calls, updates, trace
+                    if temp != old:
+                        net.m[i][j] = temp
+                        updates += 1
+                        changed_any = True
+                    trace.append(((i, k, j), str(old), str(temp), str(temp)))
+        if not changed_any:
+            return Outcome.CONSISTENT, calls, updates, trace
+
+
+def test_pc1_steps_it_does_not_compose_change_nothing():
+    rng = random.Random(52117)
+    nets = [chain_stp(), hidden_circuit_stp(), creeping_circuit_stp(), fragmenting_tcsp()]
+    nets += [random_consistent_stp(rng, n=rng.randint(2, 6))[0] for _ in range(15)]
+    nets += [random_bounded_stp(rng) for _ in range(15)]
+    nets += [random_disjunctive_tcsp(rng) for _ in range(200)]
+    outcomes, most_sweeps = set(), 0
+    for net in nets:
+        expected = net.copy()
+        outcome, calls, updates, want_trace = _pc1_composing_every_step(expected)
+        worked, trace = net.copy(), []
+        report = pc1(worked, trace=trace)
+        assert (report.outcome, report.revise_calls, report.domain_updates) == (
+            outcome, calls, updates
+        )
+        assert _rows(trace) == want_trace
+        assert worked == expected
+        outcomes.add(outcome)
+        most_sweeps = max(most_sweeps, -(-calls // (net.n_vars + 1) ** 3))
+    assert outcomes == {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN}
+    # a third sweep re-reads entries the second one wrote: the case the skip must get right
+    assert most_sweeps >= 3
+
+
 def test_outcome_values_are_stable_text():
     assert [o.value for o in Outcome] == ["consistent", "empty-domain", "budget-exhausted"]
 
