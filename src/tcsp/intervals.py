@@ -1,11 +1,17 @@
 """Exact interval-union algebra over the rationals.
 
 The values a temporal difference ``x_j - x_i`` may take are described by a
-finite union of convex intervals whose endpoints are exact rationals
-(:class:`fractions.Fraction`), each end independently open or closed, and
-either end possibly infinite.  :class:`IntervalUnion` keeps that union in a
-canonical normal form -- parts sorted, pairwise disjoint and non-mergeable --
-so structural equality *is* set equality.
+finite union of convex intervals whose endpoints are exact rationals, each
+end independently open or closed, and either end possibly infinite.
+:class:`IntervalUnion` keeps that union in a canonical normal form -- parts
+sorted, pairwise disjoint and non-mergeable -- so structural equality *is*
+set equality.
+
+Inside the kernel an end is stored in one exact form (see :func:`_exact`):
+a Python ``int`` when the value is whole and a :class:`fractions.Fraction`
+only when it is not, so the common integer traffic runs on native integer
+arithmetic.  Every public value -- ``Interval.lo``/``hi``, bounds, singleton
+values -- is still a ``Fraction``, converted at that boundary.
 
 Floats are rejected everywhere on purpose: the whole package computes exactly.
 """
@@ -20,16 +26,27 @@ from .errors import NotSingleton, UnionParseError
 
 RatLike = Union[Fraction, int, str]
 
-_RAT_ZERO = Fraction(0)
-
 
 def as_rational(value: RatLike) -> Fraction:
     """Coerce ``value`` to an exact Fraction; floats are refused."""
-    if type(value) is Fraction:  # hot path: endpoints circulate as Fractions
+    if type(value) is Fraction:
         return value
+    if type(value) is int:  # whole kernel values cross to the public side here
+        return Fraction(value)
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"exact rational required, got {value!r}")
     return Fraction(value)
+
+
+def _exact(value: RatLike) -> Union[int, Fraction]:
+    """The kernel's form of an exact value: an int when it is whole, else a
+    Fraction in lowest terms (so ``Fraction(4, 2)`` becomes ``4``).  Equal
+    values therefore have equal types.  Floats are refused."""
+    if type(value) is not int:
+        value = as_rational(value)
+        if value.denominator == 1:
+            return value.numerator
+    return value
 
 
 class Interval:
@@ -37,9 +54,11 @@ class Interval:
 
     ``lo``/``hi`` of ``None`` mean unbounded on that side (always open).
     Construction refuses empty intervals such as ``[5,3]`` or ``(a,a]``.
+    The ends are kept in ``_lo``/``_hi`` in the kernel's exact form
+    (:func:`_exact`); ``lo`` and ``hi`` give them as Fractions.
     """
 
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+    __slots__ = ("_lo", "_hi", "lo_closed", "hi_closed")
 
     def __init__(
         self,
@@ -48,40 +67,50 @@ class Interval:
         lo_closed: bool = True,
         hi_closed: bool = True,
     ):
-        self.lo = None if lo is None else as_rational(lo)
-        self.hi = None if hi is None else as_rational(hi)
-        self.lo_closed = False if self.lo is None else bool(lo_closed)
-        self.hi_closed = False if self.hi is None else bool(hi_closed)
-        if self.lo is not None and self.hi is not None:
-            c = _cmp(self.lo, self.hi)
+        self._lo = None if lo is None else _exact(lo)
+        self._hi = None if hi is None else _exact(hi)
+        self.lo_closed = False if self._lo is None else bool(lo_closed)
+        self.hi_closed = False if self._hi is None else bool(hi_closed)
+        if self._lo is not None and self._hi is not None:
+            c = _cmp(self._lo, self._hi)
             if c > 0 or (c == 0 and not (self.lo_closed and self.hi_closed)):
                 raise ValueError(f"empty interval: {self._text()}")
+
+    @property
+    def lo(self) -> Optional[Fraction]:
+        return None if self._lo is None else as_rational(self._lo)
+
+    @property
+    def hi(self) -> Optional[Fraction]:
+        return None if self._hi is None else as_rational(self._hi)
 
     # -- ordering key: open/closed matters at equal values --------------------
 
     def _lo_key(self):
         # -inf sorts first; at equal finite values a closed start comes first
-        if self.lo is None:
-            return (0, _RAT_ZERO, 0)
-        return (1, self.lo, 0 if self.lo_closed else 1)
+        if self._lo is None:
+            return (0, 0, 0)
+        return (1, self._lo, 0 if self.lo_closed else 1)
 
     def contains(self, x: RatLike) -> bool:
-        x = as_rational(x)
-        if self.lo is not None:
-            if x < self.lo or (x == self.lo and not self.lo_closed):
+        x = _exact(x)
+        if self._lo is not None:
+            c = _cmp(x, self._lo)
+            if c < 0 or (c == 0 and not self.lo_closed):
                 return False
-        if self.hi is not None:
-            if x > self.hi or (x == self.hi and not self.hi_closed):
+        if self._hi is not None:
+            c = _cmp(x, self._hi)
+            if c > 0 or (c == 0 and not self.hi_closed):
                 return False
         return True
 
     def is_degenerate(self) -> bool:
         """True for a single point ``{v}``."""
-        return self.lo is not None and self.lo == self.hi
+        return self._lo is not None and _same(self._lo, self._hi)
 
     def _text(self) -> str:
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "+inf" if self.hi is None else str(self.hi)
+        lo = "-inf" if self._lo is None else str(self._lo)
+        hi = "+inf" if self._hi is None else str(self._hi)
         return f"{'[' if self.lo_closed else '('}{lo},{hi}{']' if self.hi_closed else ')'}"
 
     def __eq__(self, other) -> bool:
@@ -90,61 +119,72 @@ class Interval:
         return (
             self.lo_closed == other.lo_closed
             and self.hi_closed == other.hi_closed
-            and _same(self.lo, other.lo)
-            and _same(self.hi, other.hi)
+            and _same(self._lo, other._lo)
+            and _same(self._hi, other._hi)
         )
 
     def __hash__(self):
-        return hash((self.lo, self.hi, self.lo_closed, self.hi_closed))
+        return hash((self._lo, self._hi, self.lo_closed, self.hi_closed))
 
     def __repr__(self):
         return f"<Interval {self._text()}>"
 
 
 def _piece(lo, hi, lo_closed: bool, hi_closed: bool) -> Interval:
-    """An Interval from endpoints already known to be exact and to form a
-    nonempty piece (an infinite end must come with closed False); skips
-    the checks of the public constructor."""
+    """An Interval from endpoints already in the kernel's exact form and
+    forming a nonempty piece (an infinite end must come with closed False);
+    skips the checks of the public constructor."""
     piece = _new(Interval)
-    piece.lo = lo
-    piece.hi = hi
+    piece._lo = lo
+    piece._hi = hi
     piece.lo_closed = lo_closed
     piece.hi_closed = hi_closed
     return piece
 
 
-def _cmp(x: Fraction, y: Fraction) -> int:
-    """The sign of ``x - y``, by integer cross-multiplication: Fraction's own
-    comparisons spend most of their time dispatching on the operand type."""
+# The three endpoint helpers take exact values (int or Fraction; both have
+# numerator and denominator).  Two ints use native operators; otherwise they
+# work on numerators and denominators, because Fraction's own operators
+# spend most of their time dispatching on the operand type.
+
+
+def _cmp(x, y) -> int:
+    """The sign of ``x - y``."""
+    if type(x) is int is type(y):
+        return (x > y) - (x < y)
     d = x.numerator * y.denominator - y.numerator * x.denominator
     return (d > 0) - (d < 0)
 
 
-def _same(x: Optional[Fraction], y: Optional[Fraction]) -> bool:
+def _same(x, y) -> bool:
     """Are two endpoints (None for infinite) equal?  Fractions are kept in
     lowest terms, so equal values have equal numerators and denominators."""
+    if type(x) is int is type(y):
+        return x == y
     if x is None or y is None:
         return x is y
     return x.numerator == y.numerator and x.denominator == y.denominator
 
 
-def _plus(x: Fraction, y: Fraction) -> Fraction:
-    """``x + y``; integers, the common endpoints, skip Fraction's general add."""
-    if x.denominator == 1 == y.denominator:
-        return Fraction(x.numerator + y.numerator)
-    return x + y
+def _plus(x, y):
+    """``x + y`` in the kernel's exact form (a whole sum is an int)."""
+    if type(x) is int is type(y):
+        return x + y
+    if x.denominator == 1 == y.denominator:  # whole Fractions: Weight values
+        return x.numerator + y.numerator
+    return _exact(x + y)
 
 
 def _sum_piece(p: Interval, q: Interval) -> Interval:
     """The set sum of two pieces: ends add, closed only when both ends are."""
-    if p.lo is None or q.lo is None:
+    if p._lo is None or q._lo is None:
         lo, lo_closed = None, False
     else:
-        lo, lo_closed = _plus(p.lo, q.lo), p.lo_closed and q.lo_closed
-    if p.hi is None or q.hi is None:
+        lo, lo_closed = _plus(p._lo, q._lo), p.lo_closed and q.lo_closed
+    if p._hi is None or q._hi is None:
         hi, hi_closed = None, False
     else:
-        hi, hi_closed = _plus(p.hi, q.hi), p.hi_closed and q.hi_closed
+        hi, hi_closed = _plus(p._hi, q._hi), p.hi_closed and q.hi_closed
     return _piece(lo, hi, lo_closed, hi_closed)
 
 
@@ -161,30 +201,31 @@ _set = object.__setattr__
 
 def _mergeable(a: Interval, b: Interval) -> bool:
     """Can ``b`` (starting at or after ``a``) be fused with ``a`` into one piece?"""
-    if a.hi is None or b.lo is None:
+    if a._hi is None or b._lo is None:
         return True
-    if b.lo < a.hi:
-        return True
-    return b.lo == a.hi and (b.lo_closed or a.hi_closed)
+    c = _cmp(b._lo, a._hi)
+    return c < 0 or (c == 0 and (b.lo_closed or a.hi_closed))
 
 
 def _fuse(a: Interval, b: Interval) -> Interval:
-    if a.hi is None or b.hi is None:
+    if a._hi is None or b._hi is None:
         hi, hi_closed = None, False
-    elif a.hi > b.hi:
-        hi, hi_closed = a.hi, a.hi_closed
-    elif b.hi > a.hi:
-        hi, hi_closed = b.hi, b.hi_closed
     else:
-        hi, hi_closed = a.hi, a.hi_closed or b.hi_closed
-    return _piece(a.lo, hi, a.lo_closed, hi_closed)
+        c = _cmp(a._hi, b._hi)
+        if c > 0:
+            hi, hi_closed = a._hi, a.hi_closed
+        elif c < 0:
+            hi, hi_closed = b._hi, b.hi_closed
+        else:
+            hi, hi_closed = a._hi, a.hi_closed or b.hi_closed
+    return _piece(a._lo, hi, a.lo_closed, hi_closed)
 
 
 def _apart(a: Interval, b: Interval) -> bool:
     """Does ``a`` end before ``b`` starts, with a point of neither between?"""
-    if a.hi is None or b.lo is None:
+    if a._hi is None or b._lo is None:
         return False
-    c = _cmp(a.hi, b.lo)
+    c = _cmp(a._hi, b._lo)
     return c < 0 or (c == 0 and not (a.hi_closed or b.lo_closed))
 
 
@@ -222,16 +263,16 @@ class IntervalUnion:
 
     @staticmethod
     def empty() -> "IntervalUnion":
-        return IntervalUnion(())
+        return _EMPTY  # unions are immutable, so one instance serves
 
     @staticmethod
     def universal() -> "IntervalUnion":
-        return IntervalUnion((Interval(None, None),))
+        return _UNIVERSAL
 
     @staticmethod
     def point(value: RatLike) -> "IntervalUnion":
-        v = as_rational(value)
-        return IntervalUnion((Interval(v, v),))
+        v = _exact(value)
+        return _union((_piece(v, v, True, True),))
 
     @staticmethod
     def span(
@@ -248,14 +289,14 @@ class IntervalUnion:
         return not self.parts
 
     def is_universal(self) -> bool:
-        return len(self.parts) == 1 and self.parts[0].lo is None and self.parts[0].hi is None
+        return len(self.parts) == 1 and self.parts[0]._lo is None and self.parts[0]._hi is None
 
     def is_convex(self) -> bool:
         """Empty and single-piece unions count as convex."""
         return len(self.parts) <= 1
 
     def contains(self, x: RatLike) -> bool:
-        x = as_rational(x)
+        x = _exact(x)
         return any(p.contains(x) for p in self.parts)
 
     def issubset(self, other: "IntervalUnion") -> bool:
@@ -265,22 +306,22 @@ class IntervalUnion:
 
     def lower_bound(self) -> Optional[Tuple[Fraction, bool]]:
         """(value, is_closed) of the least endpoint, or None if empty/unbounded below."""
-        if not self.parts or self.parts[0].lo is None:
+        if not self.parts or self.parts[0]._lo is None:
             return None
         first = self.parts[0]
-        return (first.lo, first.lo_closed)
+        return (as_rational(first._lo), first.lo_closed)
 
     def upper_bound(self) -> Optional[Tuple[Fraction, bool]]:
         """(value, is_closed) of the greatest endpoint, or None if empty/unbounded above."""
-        if not self.parts or self.parts[-1].hi is None:
+        if not self.parts or self.parts[-1]._hi is None:
             return None
         last = self.parts[-1]
-        return (last.hi, last.hi_closed)
+        return (as_rational(last._hi), last.hi_closed)
 
     def singleton_value(self) -> Fraction:
         """The v of a one-point union {v}; raises NotSingleton otherwise."""
         if len(self.parts) == 1 and self.parts[0].is_degenerate():
-            return self.parts[0].lo
+            return as_rational(self.parts[0]._lo)
         raise NotSingleton(f"not a single point: {self}")
 
     # -- algebra -----------------------------------------------------------------
@@ -290,8 +331,8 @@ class IntervalUnion:
         # negation reverses the order of the pieces and keeps them apart
         return _union(tuple(
             _piece(
-                None if p.hi is None else -p.hi,
-                None if p.lo is None else -p.lo,
+                None if p._hi is None else -p._hi,
+                None if p._lo is None else -p._lo,
                 p.hi_closed,
                 p.lo_closed,
             )
@@ -338,21 +379,19 @@ class IntervalUnion:
             # convex + convex, unbounded ends included: one piece, in normal form
             return _union((_sum_piece(a[0], b[0]),))
         if self.is_universal() or other.is_universal():
-            return IntervalUnion.universal()  # sums sweep the whole line
-        if len(a) == 1 and a[0].lo == 0 == a[0].hi:
+            return _UNIVERSAL  # sums sweep the whole line
+        if len(a) == 1 and a[0]._lo == 0 == a[0]._hi:
             return other  # {0} is the identity for set addition
-        if len(b) == 1 and b[0].lo == 0 == b[0].hi:
+        if len(b) == 1 and b[0]._lo == 0 == b[0]._hi:
             return self
         return IntervalUnion([_sum_piece(p, q) for p in a for q in b])
 
     def convex_closure(self) -> "IntervalUnion":
         """Smallest convex superset: first lower endpoint to last upper endpoint."""
-        if not self.parts:
-            return IntervalUnion.empty()
+        if len(self.parts) <= 1:
+            return self
         first, last = self.parts[0], self.parts[-1]
-        return IntervalUnion(
-            (Interval(first.lo, last.hi, first.lo_closed, last.hi_closed),)
-        )
+        return _union((_piece(first._lo, last._hi, first.lo_closed, last.hi_closed),))
 
     def weak_compose(self, other: "IntervalUnion") -> "IntervalUnion":
         """Compose the convex closures; always yields a convex result."""
@@ -387,27 +426,27 @@ class IntervalUnion:
 def _starts_after(q: Interval, p: Interval) -> bool:
     """Does q's start sort strictly after p's?  -inf sorts first, and at one
     value a closed start comes before an open one."""
-    if q.lo is None:
+    if q._lo is None:
         return False
-    if p.lo is None:
+    if p._lo is None:
         return True
-    c = _cmp(q.lo, p.lo)
+    c = _cmp(q._lo, p._lo)
     return c > 0 or (c == 0 and p.lo_closed and not q.lo_closed)
 
 
 def _end_order(p: Interval, q: Interval) -> int:
     """-1, 0 or 1 as p's end sorts before, level with or after q's.  +inf
     sorts last, and at one value an open end comes before a closed one."""
-    if p.hi is None:
-        return 0 if q.hi is None else 1
-    if q.hi is None:
+    if p._hi is None:
+        return 0 if q._hi is None else 1
+    if q._hi is None:
         return -1
-    return _cmp(p.hi, q.hi) or p.hi_closed - q.hi_closed
+    return _cmp(p._hi, q._hi) or p.hi_closed - q.hi_closed
 
 
 def _overlap(start: Interval, end: Interval) -> Optional[Interval]:
     """The piece from ``start``'s start to ``end``'s end; None when empty."""
-    lo, hi = start.lo, end.hi
+    lo, hi = start._lo, end._hi
     if lo is not None and hi is not None:
         c = _cmp(lo, hi)
         if c > 0 or (c == 0 and not (start.lo_closed and end.hi_closed)):
@@ -432,6 +471,7 @@ def _meet(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
 
 
 _EMPTY = IntervalUnion(())
+_UNIVERSAL = IntervalUnion((Interval(None, None),))
 
 
 # -- text form -------------------------------------------------------------------
@@ -449,7 +489,7 @@ _INF_LOW = {"-inf"}
 _INF_HIGH = {"+inf", "inf"}
 
 
-def _endpoint(text: str, side: str, context: str) -> Optional[Fraction]:
+def _endpoint(text: str, side: str, context: str) -> Union[None, int, Fraction]:
     t = text.strip()
     if not t:
         raise UnionParseError(f"missing {side} endpoint in {context!r}")
@@ -463,7 +503,7 @@ def _endpoint(text: str, side: str, context: str) -> Optional[Fraction]:
         return None
     digits = t[1:] if t[0] in "+-" else t
     if digits.isascii() and digits.isdigit():
-        return Fraction(int(t))  # an integer, without Fraction's text parser
+        return int(t)  # an integer, without Fraction's text parser
     try:
         return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
@@ -519,7 +559,7 @@ def format_union(u: IntervalUnion) -> str:
     rendered = []
     for p in u.parts:
         if p.is_degenerate():
-            rendered.append("{%s}" % p.lo)
+            rendered.append("{%s}" % p._lo)
         else:
             rendered.append(p._text())
     return " u ".join(rendered)

@@ -17,7 +17,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -32,12 +32,12 @@ from .intervals import (
     IntervalUnion,
     RatLike,
     _cmp,
+    _exact,
     _plus,
-    as_rational,
     format_union,
     parse_union,
 )
-from .weights import INF, ZERO, Weight, sort_key
+from .weights import INF, ZERO, Weight
 
 
 # labels are immutable, so every fresh matrix shares these two
@@ -176,20 +176,18 @@ def first_empty_entry(net: Tcsp) -> Optional[Tuple[int, int]]:
 
 def up_weight(label: IntervalUnion) -> Weight:
     """Upper endpoint as a bound on x_j - x_i: b, b~ for open, +inf if unbounded."""
-    hi = label.upper_bound()
-    if hi is None:
+    if not label.parts or label.parts[-1]._hi is None:
         return INF
-    value, closed = hi
-    return Weight(value, not closed)
+    last = label.parts[-1]
+    return Weight(last._hi, not last.hi_closed)
 
 
 def down_weight(label: IntervalUnion) -> Weight:
     """Lower endpoint as a bound on x_i - x_j: -a, (-a)~ for open, +inf if unbounded."""
-    lo = label.lower_bound()
-    if lo is None:
+    if not label.parts or label.parts[0]._lo is None:
         return INF
-    value, closed = lo
-    return Weight(-value, not closed)
+    first = label.parts[0]
+    return Weight(-first._lo, not first.lo_closed)
 
 
 def stp_to_graph(net: Tcsp) -> RootedDistanceGraph:
@@ -258,8 +256,8 @@ class PathBounds:
     path_ub: Weight
 
 
-_Key = Tuple[Fraction, bool]  # weights.sort_key of a finite weight
-_ZERO_KEY = sort_key(ZERO)
+_Key = Tuple[Union[int, Fraction], bool]  # weights.sort_key of a finite weight
+_ZERO_KEY = (0, True)
 
 
 def _pair_keys(label: IntervalUnion) -> Tuple[Optional[_Key], Optional[_Key]]:
@@ -270,14 +268,15 @@ def _pair_keys(label: IntervalUnion) -> Tuple[Optional[_Key], Optional[_Key]]:
     is the most negative such weight, kept only when negative; ``above`` is
     the largest, kept only when nonnegative.  The keys are those of
     :func:`~tcsp.weights.sort_key`, read straight off the pieces: (value,
-    closed), with False == 0 for a strict weight and True == 1 otherwise.
+    closed), with False == 0 for a strict weight and True == 1 otherwise,
+    and the value in the kernel's exact form, so integer keys sort natively.
     """
     ends = []
     for piece in label.parts:
-        if piece.hi is not None:
-            ends.append((piece.hi, piece.hi_closed))
-        if piece.lo is not None:
-            ends.append((-piece.lo, piece.lo_closed))
+        if piece._hi is not None:
+            ends.append((piece._hi, piece.hi_closed))
+        if piece._lo is not None:
+            ends.append((-piece._lo, piece.lo_closed))
     if not ends:
         return None, None
     low = high = ends[0]
@@ -299,7 +298,7 @@ def _key_order(a: _Key, b: _Key) -> int:
 
 def _key_sum(keys: List[_Key]) -> Weight:
     """The weight of a path made of these edges (ZERO for none)."""
-    total = Fraction(0)
+    total = 0
     for value, _ in keys:
         total = _plus(total, value)
     return Weight(total, not all(k[1] for k in keys))
@@ -459,7 +458,7 @@ def check_solution(net: Tcsp, values: Sequence[RatLike]) -> bool:
         raise DimensionMismatch(
             f"expected {net.n_vars + 1} values, got {len(values)}"
         )
-    vals = [as_rational(v) for v in values]
+    vals = [_exact(v) for v in values]
     for i in range(net.n_vars + 1):
         for j in range(i + 1, net.n_vars + 1):
             if not net.m[i][j].contains(vals[j] - vals[i]):

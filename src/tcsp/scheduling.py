@@ -28,7 +28,7 @@ from .errors import (
     MalformedDomain,
     NetworkFormatError,
 )
-from .intervals import Interval, IntervalUnion, RatLike, as_rational
+from .intervals import Interval, IntervalUnion, RatLike, _exact, as_rational
 from .network import Tcsp, build_tcsp, check_solution
 from .propagation import Outcome, bdac3
 
@@ -132,20 +132,20 @@ def olb(net: Tcsp, durations: Sequence[RatLike]) -> Fraction:
         )
     if net.n_vars == 0:
         raise InvalidInstance("no tasks to bound")
-    best: Optional[Fraction] = None
+    best = None
     for i in range(1, net.n_vars + 1):
-        if as_rational(durations[i - 1]) <= 0:
+        duration = _exact(durations[i - 1])
+        if duration <= 0:
             raise InvalidInstance(f"task {i} needs a positive duration")
-        domain = net.m[0][i]
-        lo = domain.lower_bound()
-        if lo is None or not lo[1]:
+        parts = net.m[0][i].parts
+        if not parts or parts[0]._lo is None or not parts[0].lo_closed:
             raise MalformedDomain(
                 f"domain of task {i} needs a closed finite lower endpoint"
             )
-        finish = lo[0] + as_rational(durations[i - 1])
+        finish = parts[0]._lo + duration
         if best is None or finish > best:
             best = finish
-    return best
+    return Fraction(best)
 
 
 def clique_cover(inst: SchedulingInstance) -> Tuple[Tuple[int, ...], ...]:
@@ -192,15 +192,15 @@ def head_bound(
     earliest starts rise, and when starting every task at its earliest
     start is a schedule it is at most that schedule's makespan, ``olb``.
     """
-    best = Fraction(0)
+    best = 0
     for clique in cliques:
-        est = {i: net.m[0][i].lower_bound()[0] for i in clique}
-        tail = Fraction(0)
+        est = {i: net.m[0][i].parts[0]._lo for i in clique}
+        tail = 0
         for i in sorted(clique, key=est.__getitem__, reverse=True):
-            tail += as_rational(durations[i - 1])
+            tail += _exact(durations[i - 1])
             if est[i] + tail > best:
                 best = est[i] + tail
-    return best
+    return Fraction(best)
 
 
 def _closure_violation(net: Tcsp) -> Optional[str]:
@@ -218,11 +218,11 @@ def _closure_violation(net: Tcsp) -> Optional[str]:
         if domain.is_empty():
             return f"domain of task {i} is empty"
         for p in domain.parts:
-            if p.lo is None or not p.lo_closed:
+            if p._lo is None or not p.lo_closed:
                 return f"domain of task {i} lost a closed start: {domain}"
-            if p.hi is not None and not p.hi_closed:
+            if p._hi is not None and not p.hi_closed:
                 return f"domain of task {i} has an open upper end: {domain}"
-        if domain.parts[0].lo < 0:
+        if domain.parts[0]._lo < 0:
             return f"domain of task {i} starts before the origin: {domain}"
     for i in range(1, net.n_vars + 1):
         for j in range(i + 1, net.n_vars + 1):
@@ -232,7 +232,7 @@ def _closure_violation(net: Tcsp) -> Optional[str]:
             parts = label.parts
             before = after = None
             if len(parts) == 1:
-                if parts[0].lo is None:
+                if parts[0]._lo is None:
                     before = parts[0]
                 else:
                     after = parts[0]
@@ -241,14 +241,14 @@ def _closure_violation(net: Tcsp) -> Optional[str]:
             else:
                 return f"entry ({i}, {j}) has {len(parts)} pieces: {label}"
             if before is not None and not (
-                before.lo is None
-                and before.hi is not None
+                before._lo is None
+                and before._hi is not None
                 and before.hi_closed
-                and before.hi < 0
+                and before._hi < 0
             ):
                 return f"entry ({i}, {j}) is not in ordering form: {label}"
             if after is not None and not (
-                after.hi is None and after.lo is not None and after.lo_closed and after.lo > 0
+                after._hi is None and after._lo is not None and after.lo_closed and after._lo > 0
             ):
                 return f"entry ({i}, {j}) is not in ordering form: {label}"
     return None
@@ -262,16 +262,16 @@ def _pick_disjunction(net: Tcsp) -> Optional[Tuple[int, int]]:
     lo(X_i) + b; the gap between those two earliest continuations is the
     regret.  Ties fall to the lexicographically first pair.
     """
-    best: Optional[Tuple[Fraction, Tuple[int, int]]] = None
+    best = None
     for i in range(1, net.n_vars + 1):
         for j in range(i + 1, net.n_vars + 1):
             label = net.m[i][j]
             if label.is_convex():
                 continue
-            a = label.parts[0].hi
-            b = label.parts[1].lo
-            j_first = net.m[0][j].lower_bound()[0] - a
-            i_first = net.m[0][i].lower_bound()[0] + b
+            a = label.parts[0]._hi
+            b = label.parts[1]._lo
+            j_first = net.m[0][j].parts[0]._lo - a
+            i_first = net.m[0][i].parts[0]._lo + b
             regret = abs(j_first - i_first)
             if best is None or regret > best[0]:
                 best = (regret, (i, j))

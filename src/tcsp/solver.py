@@ -55,18 +55,20 @@ def connect_x0(net: Tcsp) -> bool:
         first = False
 
 
-def _pick_value(domain: IntervalUnion) -> Fraction:
-    """A deterministic member of a nonempty convex domain."""
+def _pick_value(domain: IntervalUnion):
+    """A deterministic member of a nonempty convex domain, as an exact value
+    (int or Fraction) for :meth:`IntervalUnion.point`."""
     piece = domain.parts[0]
-    if piece.lo is not None:
+    lo, hi = piece._lo, piece._hi
+    if lo is not None:
         if piece.lo_closed:
-            return piece.lo
-        if piece.hi is not None:
-            return (piece.lo + piece.hi) / 2
-        return piece.lo + 1
-    if piece.hi is not None:
-        return piece.hi if piece.hi_closed else piece.hi - 1
-    return Fraction(0)
+            return lo
+        if hi is not None:
+            return Fraction(lo + hi, 2)  # the exact midpoint, never a float
+        return lo + 1
+    if hi is not None:
+        return hi if piece.hi_closed else hi - 1
+    return 0
 
 
 def _is_point(label: IntervalUnion) -> bool:

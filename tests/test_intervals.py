@@ -363,3 +363,132 @@ def test_compose_membership_matches_pointwise_sums():
         for z in half_grid:
             expected = any(z - x in in_v for x in in_u)
             assert w.contains(z) == expected, (str(u), str(v), str(z))
+
+
+# -- mixed endpoint forms: whole ends are ints inside the kernel ---------------------
+#
+# A whole end is stored as an int and any other as a Fraction.  The properties
+# below mix both forms (halves, thirds, and whole values passed as Fractions
+# such as Fraction(4, 2)) and check each operation against a reference that
+# does all its arithmetic on the public Fraction ends.
+
+mixed_ends = st.one_of(
+    st.integers(-12, 12),
+    st.integers(-12, 12).map(lambda k: Fraction(2 * k, 2)),
+    st.integers(-24, 24).map(lambda k: Fraction(k, 2)),
+    st.integers(-36, 36).map(lambda k: Fraction(k, 3)),
+)
+
+
+@st.composite
+def mixed_unions(draw, max_parts: int = 3):
+    pieces = []
+    for _ in range(draw(st.integers(0, max_parts))):
+        lo = draw(st.one_of(st.none(), mixed_ends))
+        hi = draw(st.one_of(st.none(), mixed_ends))
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+        if lo is not None and lo == hi:
+            lo_closed = hi_closed = True
+        pieces.append(Interval(lo, hi, lo_closed, hi_closed))
+    return IntervalUnion(pieces)
+
+
+def _assert_exact_form(u: IntervalUnion):
+    for p in u.parts:
+        for end in (p._lo, p._hi):
+            assert end is None or type(end) is int or (
+                type(end) is Fraction and end.denominator != 1
+            ), (str(u), end)
+
+
+def _in_piece(x, lo, hi, lo_closed, hi_closed) -> bool:
+    return (lo is None or x > lo or (x == lo and lo_closed)) and (
+        hi is None or x < hi or (x == hi and hi_closed)
+    )
+
+
+def _reference_sum(u: IntervalUnion, v: IntervalUnion):
+    """The pieces of u + v, from the public ends with Fraction arithmetic."""
+    return [
+        (
+            None if p.lo is None or q.lo is None else p.lo + q.lo,
+            None if p.hi is None or q.hi is None else p.hi + q.hi,
+            p.lo_closed and q.lo_closed,
+            p.hi_closed and q.hi_closed,
+        )
+        for p in u.parts
+        for q in v.parts
+    ]
+
+
+def _reference_hull(u: IntervalUnion) -> IntervalUnion:
+    if not u.parts:
+        return u
+    first, last = u.parts[0], u.parts[-1]
+    return IntervalUnion((Interval(first.lo, last.hi, first.lo_closed, last.hi_closed),))
+
+
+def _check_sum(result: IntervalUnion, u: IntervalUnion, v: IntervalUnion):
+    _assert_exact_form(result)
+    pieces = _reference_sum(u, v)
+    ends = {e for piece in pieces for e in piece[:2] if e is not None}
+    points = _deciding_points(result, IntervalUnion(Interval(e, e) for e in ends))
+    for x in points:
+        want = any(_in_piece(x, *piece) for piece in pieces)
+        assert result.contains(x) == want, (str(u), str(v), x)
+
+
+@given(mixed_unions(), mixed_unions())
+def test_mixed_compose_matches_a_fraction_reference(u, v):
+    _check_sum(u.compose(v), u, v)
+
+
+@given(mixed_unions(), mixed_unions())
+def test_mixed_weak_compose_matches_a_fraction_reference(u, v):
+    _check_sum(u.weak_compose(v), _reference_hull(u), _reference_hull(v))
+
+
+@given(mixed_unions(), mixed_unions())
+def test_mixed_intersection_matches_membership(a, b):
+    both = a & b
+    _assert_exact_form(both)
+    for x in _deciding_points(a, b):
+        assert both.contains(x) == (a.contains(x) and b.contains(x)), (str(a), str(b), x)
+
+
+@given(mixed_unions())
+def test_mixed_converse_matches_membership(u):
+    flipped = u.converse()
+    _assert_exact_form(flipped)
+    for x in _deciding_points(u, flipped):
+        assert flipped.contains(x) == u.contains(-x), (str(u), x)
+
+
+def test_whole_fraction_ends_equal_int_ends():
+    a, b = Interval(Fraction(3), 5), Interval(3, 5)
+    assert a == b and hash(a) == hash(b)
+    assert IntervalUnion((a,)) == IntervalUnion((b,))
+    assert hash(IntervalUnion((a,))) == hash(IntervalUnion((b,)))
+    assert type(Interval(Fraction(4, 2), 5)._lo) is int
+    assert type(U("[4/2,2.0]").parts[0]._hi) is int
+
+
+def test_a_whole_sum_of_non_whole_ends_is_stored_as_an_int():
+    half = U("{1/2}")
+    total = half.compose(half)
+    assert type(total.parts[0]._lo) is int and total == U("{1}")
+    # and stays on the native path for the next step
+    nxt = total.compose(U("[2,3]"))
+    assert type(nxt.parts[0]._lo) is int and type(nxt.parts[0]._hi) is int
+    assert str(U("[1/3,2/3]").compose(U("[2/3,4/3)"))) == "[1,2)"
+
+
+def test_convex_closure_of_a_convex_union_is_itself():
+    for text in ("{}", "[1,2]", "(-inf,+inf)", "(1/2,+inf)"):
+        u = U(text)
+        assert u.convex_closure() is u
+    assert str(U("[1,2] u (3,7/2)").convex_closure()) == "[1,7/2)"
+    assert IntervalUnion.empty() is IntervalUnion.empty()
+    assert IntervalUnion.universal() is IntervalUnion.universal()
