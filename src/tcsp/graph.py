@@ -13,6 +13,7 @@ import re
 from typing import Iterator, List, Set, Tuple
 
 from .errors import NegativeCircuit, NegativeCircuitReachable, NetworkFormatError
+from .intervals import _cmp, _exact, _plus, _same
 from .weights import INF, ZERO, Weight, format_weight, parse_weight, w_add, w_less
 
 
@@ -80,24 +81,44 @@ def floyd_warshall(g: RootedDistanceGraph) -> RootedDistanceGraph:
     A circuit of weight 0~ (zero reached only with a strict edge) counts as
     negative: no assignment can satisfy it.
     """
-    d = g.copy()
-    w = d.w
-    for k in d.vertices():
-        wk = w[k]
-        for i in d.vertices():
-            wik = w[i][k]
-            if wik.value is None or i == k:
+    # relax on raw matrices -- values in the kernel's exact form (None for
+    # +inf) and strictness flags -- and build a Weight only where an entry
+    # ends up shorter than in g
+    given = [[None if w.value is None else _exact(w.value) for w in row] for row in g.w]
+    value = [row[:] for row in given]
+    strict = [[w.strict for w in row] for row in g.w]
+    size = g.n_vars + 1
+    for k in range(size):
+        vk, sk = value[k], strict[k]
+        for i in range(size):
+            vik = value[i][k]
+            if vik is None or i == k:
                 continue
-            row = w[i]
-            for j in d.vertices():
-                wkj = wk[j]
-                if wkj.value is None or j == k:
+            sik = strict[i][k]
+            vi, si = value[i], strict[i]
+            for j in range(size):
+                vkj = vk[j]
+                if vkj is None or j == k:
                     continue  # +inf absorbs, and the zero diagonal adds nothing
-                cand = w_add(wik, wkj)
-                if w_less(cand, row[j]):
-                    row[j] = cand
-                    if i == j and w_less(cand, ZERO):
+                cand = _plus(vik, vkj)
+                cur = vi[j]
+                c = -1 if cur is None else _cmp(cand, cur)
+                if c > 0:
+                    continue
+                cs = sik or sk[j]  # a path is strict when any of its edges is
+                if c == 0 and (si[j] or not cs):
+                    continue
+                vi[j], si[j] = cand, cs
+                if i == j:
+                    c = _cmp(cand, 0)
+                    if c < 0 or (c == 0 and cs):
                         raise NegativeCircuit(i)
+    d = g.copy()
+    for i in range(size):
+        vi, si, row = value[i], strict[i], d.w[i]
+        for j in range(size):
+            if si[j] != row[j].strict or not _same(vi[j], given[i][j]):
+                row[j] = Weight(vi[j], si[j])
     return d
 
 

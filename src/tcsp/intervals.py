@@ -470,6 +470,49 @@ def _meet(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
     return _EMPTY if piece is None else _union((piece,))
 
 
+def narrow(
+    old: IntervalUnion, x: IntervalUnion, y: IntervalUnion, weak: bool = False
+) -> IntervalUnion:
+    """``old & x.compose(y)``, or ``old & x.weak_compose(y)`` when ``weak``.
+
+    Returns ``old`` itself whenever the result equals it.  When ``old`` is
+    one piece and the sum is convex, the sum's ends are computed without
+    building it and compared with ``old``'s, with ``&``'s tie rules: a tie
+    goes to ``old``, and at one value a closed end is wider than an open
+    one.  A piece is built only when an end moves.
+    """
+    o, a, b = old.parts, x.parts, y.parts
+    if len(o) != 1 or not a or not b or not (weak or len(a) == 1 == len(b)):
+        temp = old & (x.weak_compose(y) if weak else x.compose(y))
+        return old if temp == old else temp
+    p = o[0]
+    lo, lo_closed, hi, hi_closed = p._lo, p.lo_closed, p._hi, p.hi_closed
+    moved = False
+    # the sum's lower end comes from the first pieces, its upper end from
+    # the last: for a convex sum they are one piece, for a weak one the hulls
+    first, then = a[0], b[0]
+    if first._lo is not None and then._lo is not None:
+        s = _plus(first._lo, then._lo)
+        closed = first.lo_closed and then.lo_closed
+        c = 1 if lo is None else _cmp(s, lo)
+        if c > 0 or (c == 0 and lo_closed and not closed):
+            lo, lo_closed, moved = s, closed, True
+    last, end = a[-1], b[-1]
+    if last._hi is not None and end._hi is not None:
+        s = _plus(last._hi, end._hi)
+        closed = last.hi_closed and end.hi_closed
+        c = -1 if hi is None else _cmp(s, hi)
+        if c < 0 or (c == 0 and hi_closed and not closed):
+            hi, hi_closed, moved = s, closed, True
+    if not moved:
+        return old
+    if lo is not None and hi is not None:
+        c = _cmp(lo, hi)
+        if c > 0 or (c == 0 and not (lo_closed and hi_closed)):
+            return _EMPTY
+    return _union((_piece(lo, hi, lo_closed, hi_closed),))
+
+
 _EMPTY = IntervalUnion(())
 _UNIVERSAL = IntervalUnion((Interval(None, None),))
 
@@ -502,9 +545,9 @@ def _endpoint(text: str, side: str, context: str) -> Union[None, int, Fraction]:
             raise UnionParseError(f"+inf cannot be a lower endpoint: {context!r}")
         return None
     digits = t[1:] if t[0] in "+-" else t
-    if digits.isascii() and digits.isdigit():
-        return int(t)  # an integer, without Fraction's text parser
     try:
+        if digits.isascii() and digits.isdigit():
+            return int(t)  # an integer, without Fraction's text parser
         return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise UnionParseError(f"bad rational {t!r} in {context!r}: {exc}") from None

@@ -13,8 +13,11 @@ terminate on inconsistent inputs with unbounded labels.  ``minus_variant``
 re-runs an algorithm without the clamp under a hard call budget; that is
 how the divergence the clamp prevents is made observable in tests.
 
-Every revise/composition step can be recorded: pass a list as ``trace=``
-and one :class:`TraceEntry` per call is appended.
+Every revise step -- arc or path, in a worklist or in ``pc1``'s sweep --
+narrows its entry through one kernel, :func:`~tcsp.intervals.narrow`
+(``old & x.compose(y)``, handing back ``old`` itself when nothing
+narrows).  Every step can be recorded: pass a list as ``trace=`` and one
+:class:`TraceEntry` per call is appended.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .intervals import IntervalUnion, format_union
+from .intervals import IntervalUnion, format_union, narrow
 from .network import PathBounds, Tcsp, down_weight, first_empty_entry, path_bounds, up_weight
 from .weights import w_less
 
@@ -123,45 +126,29 @@ class _Run:
         lb = self.bounds.path_lb
         return w_less(down_weight(temp), lb) or w_less(up_weight(temp), lb)
 
-    def revise_domain(self, k: int, m: int) -> bool:
-        """Tighten the binarized domain of X_k through its constraint with X_m."""
-        self.revise_calls += 1
-        grid = self.net.m
-        old = grid[0][k]
-        if self.weak:
-            temp = old & grid[0][m].weak_compose(grid[m][k])
-        else:
-            temp = old & grid[0][m].compose(grid[m][k])
-        clamped = False
-        new = temp
-        if self.clamp and temp != old and not temp.is_empty() and self._clamp_to_empty(temp):
-            new = IntervalUnion.empty()
-            clamped = True
-        changed = new != old
-        if changed:
-            self.net.set_pair(0, k, new)
-            self.domain_updates += 1
-        if self.trace is not None:
-            self.trace.append(TraceEntry(self.alg, (k, m), old, temp, new, clamped, changed))
-        return changed
+    def revise(self, i: int, j: int, x: IntervalUnion, y: IntervalUnion, target) -> bool:
+        """Tighten entry (i, j) through the path of legs ``x`` and ``y``.
 
-    def revise_entry(self, i: int, k: int, j: int) -> bool:
-        """Tighten entry (i, j) through the path over X_k; mirrors the write."""
+        An arc step narrows the binarized domain of X_k through X_m, entry
+        (0, k) by m[0][m] and m[m][k], and is traced as (k, m); a path step
+        narrows (i, j) by m[i][k] and m[k][j], and is traced as (i, k, j).
+        The write goes through set_pair, so it is mirrored.
+        """
         self.revise_calls += 1
-        grid = self.net.m
-        old = grid[i][j]
-        temp = old & grid[i][k].compose(grid[k][j])
+        old = self.net.m[i][j]
+        temp = narrow(old, x, y, self.weak)
         clamped = False
         new = temp
-        if self.clamp and temp != old and not temp.is_empty() and self._clamp_to_empty(temp):
+        if self.clamp and temp is not old and not temp.is_empty() and self._clamp_to_empty(temp):
             new = IntervalUnion.empty()
             clamped = True
-        changed = new != old
+        # narrow hands back old itself when nothing narrows
+        changed = new is not old
         if changed:
             self.net.set_pair(i, j, new)
             self.domain_updates += 1
         if self.trace is not None:
-            self.trace.append(TraceEntry(self.alg, (i, k, j), old, temp, new, clamped, changed))
+            self.trace.append(TraceEntry(self.alg, target, old, temp, new, clamped, changed))
         return changed
 
 
@@ -177,7 +164,7 @@ def revise(
 ) -> bool:
     """One arc step on its own: returns whether the domain of X_k changed."""
     run = _Run(net, "revise", weak=weak, clamp=clamp, trace=trace, bounds=bounds)
-    return run.revise_domain(k, m)
+    return run.revise(0, k, net.m[0][m], net.m[m][k], (k, m))
 
 
 def _mask_pairs(net: Tcsp) -> List[_Pair]:
@@ -230,14 +217,15 @@ def _bdac3(
     queue = deque(seed)
     queued = set(seed)
     mask = net.constraint_mask
+    grid = net.m
     while queue:
         if run.out_of_budget():
             return run.report(Outcome.BUDGET_EXHAUSTED)
         pair = queue.pop() if lifo else queue.popleft()
         queued.discard(pair)
         k, m = pair
-        if run.revise_domain(k, m):
-            if net.m[0][k].is_empty():
+        if run.revise(0, k, grid[0][m], grid[m][k], pair):
+            if grid[0][k].is_empty():
                 return run.report(Outcome.EMPTY_DOMAIN)
             for i in range(1, net.n_vars + 1):
                 if i == k or i == m:
@@ -318,14 +306,15 @@ def _bdac1(
         if sorted(pairs) != _mask_pairs(net):
             raise ValueError("order must be a permutation of the constrained ordered pairs")
     run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
+    grid = net.m
     while True:
         changed_any = False
         for k, m in pairs:
             if run.out_of_budget():
                 return run.report(Outcome.BUDGET_EXHAUSTED)
-            if run.revise_domain(k, m):
+            if run.revise(0, k, grid[0][m], grid[m][k], (k, m)):
                 changed_any = True
-                if net.m[0][k].is_empty():
+                if grid[0][k].is_empty():
                     return run.report(Outcome.EMPTY_DOMAIN)
         if not changed_any:
             return run.report(Outcome.CONSISTENT)
@@ -385,7 +374,7 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                         if trace is not None:
                             trace.append(TraceEntry(alg, (i, k, j), old, old, old, False, False))
                         continue
-                    temp = old & leg.compose(via[j])
+                    temp = narrow(old, leg, via[j])
                     if temp.is_empty():
                         # inconsistency: report without writing the entry
                         if trace is not None:
@@ -394,7 +383,7 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                             )
                         run.revise_calls = step
                         return run.report(Outcome.EMPTY_DOMAIN)
-                    changed = temp != old
+                    changed = temp is not old
                     if changed:
                         # deliberately no mirror write: the sweep itself
                         # restores the converse entry before k advances
@@ -457,7 +446,7 @@ def _pc2(
                 raise ValueError(f"select returned {triple!r}, which is not pending")
         del pending[triple]
         i, k, j = triple
-        if run.revise_entry(i, k, j):
+        if run.revise(i, j, grid[i][k], grid[k][j], triple):
             if grid[i][j].is_empty():
                 return run.report(Outcome.EMPTY_DOMAIN)
             # paths that run through the tightened pair, targets canonical;

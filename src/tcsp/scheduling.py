@@ -137,15 +137,19 @@ def olb(net: Tcsp, durations: Sequence[RatLike]) -> Fraction:
         duration = _exact(durations[i - 1])
         if duration <= 0:
             raise InvalidInstance(f"task {i} needs a positive duration")
-        parts = net.m[0][i].parts
-        if not parts or parts[0]._lo is None or not parts[0].lo_closed:
-            raise MalformedDomain(
-                f"domain of task {i} needs a closed finite lower endpoint"
-            )
-        finish = parts[0]._lo + duration
+        finish = _earliest_start(net, i) + duration
         if best is None or finish > best:
             best = finish
     return Fraction(best)
+
+
+def _earliest_start(net: Tcsp, i: int):
+    """The lower end of task i's domain, in the kernel's exact form; it must
+    be closed and finite, or MalformedDomain is raised."""
+    parts = net.m[0][i].parts
+    if not parts or parts[0]._lo is None or not parts[0].lo_closed:
+        raise MalformedDomain(f"domain of task {i} needs a closed finite lower endpoint")
+    return parts[0]._lo
 
 
 def clique_cover(inst: SchedulingInstance) -> Tuple[Tuple[int, ...], ...]:
@@ -191,10 +195,12 @@ def head_bound(
     earliest starts, or 0 when there is no clique.  It never decreases as
     earliest starts rise, and when starting every task at its earliest
     start is a schedule it is at most that schedule's makespan, ``olb``.
+    Like ``olb`` it raises MalformedDomain unless every domain it reads has
+    a closed finite lower endpoint.
     """
     best = 0
     for clique in cliques:
-        est = {i: net.m[0][i].parts[0]._lo for i in clique}
+        est = {i: _earliest_start(net, i) for i in clique}
         tail = 0
         for i in sorted(clique, key=est.__getitem__, reverse=True):
             tail += _exact(durations[i - 1])

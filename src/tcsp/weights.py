@@ -96,4 +96,7 @@ def parse_weight(text: str) -> Weight:
         t = t[:-1].strip()
     if not t:
         raise ValueError(f"bad weight text: {text!r}")
-    return Weight(Fraction(t), strict)
+    try:
+        return Weight(Fraction(t), strict)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weight text: {text!r}") from None

@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randnets import chain_stp, fragmenting_tcsp, hidden_circuit_stp
 from tcsp import (
+    NetworkFormatError,
+    UnionParseError,
     bdac3,
     build_tcsp,
     format_trace_line,
     network_to_json,
     parse_union,
+    read_edge_list,
     stp_to_graph,
     write_edge_list,
 )
@@ -245,6 +251,18 @@ def test_shortest_paths_rejects_a_bad_source(capsys, appb_edges):
     assert err == "source 9 is not a vertex of the graph\n"
 
 
+def test_shortest_paths_rejects_a_zero_denominator_without_a_traceback(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("# vertices 2\n0 1 1/0\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "tcsp.cli", "shortest-paths", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: line 2: zero denominator in weight text: '1/0'\n"
+
+
 # -- schedule --------------------------------------------------------------------
 
 
@@ -355,6 +373,49 @@ def test_unknown_algorithm_is_a_usage_error(capsys, appb):
     with pytest.raises(SystemExit) as excinfo:
         main(["check", appb, "--algorithm", "dijkstra"])
     assert excinfo.value.code == 2
+
+
+# Fuzzed reader input.  Literals stay short: a run of four or more digits
+# could make a huge vertex count (the graph is allocated up front) or a huge
+# exponent such as 1e99999999 (Fraction expands the power).
+_LITERALS = ("0", "-3", "7/2", "1/0", "-1/0", "2.5", "1e3", "1E-2", "+inf", "-inf", "inf", "x", "")
+
+_literal = st.sampled_from(_LITERALS)
+_edge_line = st.builds(
+    lambda i, j, w, tilde: f"{i} {j} {w}{tilde}",
+    st.sampled_from(("0", "1", "2", "a")),
+    st.sampled_from(("0", "1", "2", "3", "-1")),
+    _literal,
+    st.sampled_from(("", "~", " ~")),
+)
+_header = st.sampled_from(("# vertices 3", "# vertices 0", "# vertices x", "#vertices 2", "# note"))
+_union_piece = st.builds(
+    lambda open_, lo, hi, close: f"{open_}{lo},{hi}{close}",
+    st.sampled_from("[("),
+    _literal,
+    _literal,
+    st.sampled_from("])"),
+) | _literal.map(lambda v: "{" + v + "}")
+_short_numbers = st.text().filter(lambda t: not re.search(r"\d[\d_]{3}", t))
+_reader_text = st.one_of(
+    _short_numbers,
+    st.lists(st.one_of(_header, _edge_line), max_size=5).map("\n".join),
+    st.lists(st.one_of(_header, _edge_line, _short_numbers), max_size=5).map("\n".join),
+    st.lists(_union_piece, min_size=1, max_size=3).map(" u ".join),
+)
+
+
+@settings(max_examples=300)
+@given(_reader_text)
+def test_readers_raise_only_their_format_errors(text):
+    try:
+        read_edge_list(text)
+    except NetworkFormatError:
+        pass
+    try:
+        parse_union(text)
+    except UnionParseError:
+        pass
 
 
 def test_console_script_entry_point(appb_edges):

@@ -13,6 +13,7 @@ from randnets import oracle_makespan, random_instance
 from tcsp import (
     DimensionMismatch,
     EmptyLabel,
+    IntervalUnion,
     InvalidInstance,
     MalformedDomain,
     NetworkFormatError,
@@ -33,6 +34,7 @@ from tcsp import (
 )
 
 U = parse_union
+span = IntervalUnion.span
 
 
 def _inst(tasks, precedences=(), disjunctions=()):
@@ -187,6 +189,20 @@ def test_head_bound_sums_the_tasks_that_cannot_start_earlier():
     assert head_bound(net, (1, 2, 1), [(1, 2, 3)]) == 7
     assert head_bound(net, (1, 2, 1), [(1, 3)]) == 7  # 6 + 1; task 2 is not in it
     assert head_bound(net, (1, 2, 1), []) == 0
+
+
+def test_head_bound_refuses_a_domain_without_a_closed_finite_start_like_olb():
+    net = build_tcsp(2, [(0, 1, span(None, 5, False, True)), (0, 2, span(0, 3))])
+    with pytest.raises(MalformedDomain):
+        olb(net, (1, 1))
+    with pytest.raises(MalformedDomain):
+        head_bound(net, (1, 1), [(1, 2)])
+    assert head_bound(net, (1, 1), []) == 0  # no clique reads the domain
+    for label in ["(0,5]", "{}"]:
+        bad = build_tcsp(2, [(0, 1, U("[1,2]")), (0, 2, U("[0,3]"))])
+        bad.set_pair(0, 1, U(label))
+        with pytest.raises(MalformedDomain):
+            head_bound(bad, (1, 1), [(1, 2)])
 
 
 def _inter_task_convex(net) -> bool:

@@ -213,6 +213,60 @@ def test_floyd_warshall_keeps_plain_zero_circuits():
     assert fw.w[0][1] == weight(5) and fw.w[1][0] == weight(-5)
 
 
+def _reference_floyd_warshall(g: RootedDistanceGraph) -> RootedDistanceGraph:
+    """Floyd-Warshall relaxing on Weight objects with w_add and w_less."""
+    d = g.copy()
+    w = d.w
+    for k in d.vertices():
+        for i in d.vertices():
+            if w[i][k].is_inf() or i == k:
+                continue
+            for j in d.vertices():
+                if w[k][j].is_inf() or j == k:
+                    continue
+                cand = w_add(w[i][k], w[k][j])
+                if w_less(cand, w[i][j]):
+                    w[i][j] = cand
+                    if i == j and w_less(cand, ZERO):
+                        raise NegativeCircuit(i)
+    return d
+
+
+def _random_weighted_graph(rng: random.Random) -> RootedDistanceGraph:
+    """Edges off a hidden potential by a small slack: a circuit's weight is
+    its slacks' sum, so negative, 0~ and plain-zero circuits all occur."""
+    n = rng.randint(1, 6)
+    pot = [Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3))) for _ in range(n + 1)]
+    g = RootedDistanceGraph(n)
+    density = rng.uniform(0.2, 0.9)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i != j and rng.random() < density:
+                slack = rng.choice((-1, 0, 0, 0, Fraction(1, 2), Fraction(2, 3), 1, 4))
+                g.set_edge(i, j, Weight(pot[j] - pot[i] + slack, rng.random() < 0.3))
+    return g
+
+
+def test_floyd_warshall_matches_a_weight_level_reference():
+    rng = random.Random(27183)
+    outcomes = {"shortest": 0, "circuit": 0}
+    for _ in range(800):
+        g = _random_weighted_graph(rng)
+        try:
+            want = _reference_floyd_warshall(g)
+        except NegativeCircuit as exc:
+            with pytest.raises(NegativeCircuit) as err:
+                floyd_warshall(g)
+            assert err.value.vertex == exc.vertex
+            outcomes["circuit"] += 1
+            continue
+        got = floyd_warshall(g)
+        assert got == want
+        assert all(w.value is None or type(w.value) is Fraction for row in got.w for w in row)
+        outcomes["shortest"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 # -- single source ----------------------------------------------------------------------
 
 
