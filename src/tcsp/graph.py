@@ -4,7 +4,9 @@ A network on variables X0..Xn turns into a complete digraph on vertices
 0..n where the weight of (i, j) bounds ``x_j - x_i`` from above.  Upper
 endpoints of labels become forward weights, lower endpoints become negated
 backward weights, and open endpoints become strict weights, so shortest
-paths computed here are exact including open/closed distinctions.
+paths computed here are exact including open/closed distinctions.  These
+are the bounds the interval kernel already stores (``_up`` and ``_down``,
+see :mod:`tcsp.intervals`), and Floyd-Warshall relaxes on them directly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from typing import Iterator, List, Set, Tuple
 
 from .errors import NegativeCircuit, NegativeCircuitReachable, NetworkFormatError
-from .intervals import _cmp, _exact, _plus, _same
+from .intervals import _CLOSED_ZERO, _add, _exact
 from .weights import INF, ZERO, Weight, format_weight, parse_weight, w_add, w_less
 
 
@@ -81,44 +83,35 @@ def floyd_warshall(g: RootedDistanceGraph) -> RootedDistanceGraph:
     A circuit of weight 0~ (zero reached only with a strict edge) counts as
     negative: no assignment can satisfy it.
     """
-    # relax on raw matrices -- values in the kernel's exact form (None for
-    # +inf) and strictness flags -- and build a Weight only where an entry
-    # ends up shorter than in g
-    given = [[None if w.value is None else _exact(w.value) for w in row] for row in g.w]
-    value = [row[:] for row in given]
-    strict = [[w.strict for w in row] for row in g.w]
+    # relax on bounds -- (value, closed) in the kernel's exact form, None
+    # for +inf -- and build a Weight only where an entry ends up shorter
+    given = [
+        [None if w.value is None else (_exact(w.value), not w.strict) for w in row] for row in g.w
+    ]
+    dist = [row[:] for row in given]
     size = g.n_vars + 1
     for k in range(size):
-        vk, sk = value[k], strict[k]
+        dk = dist[k]
         for i in range(size):
-            vik = value[i][k]
-            if vik is None or i == k:
+            dik = dist[i][k]
+            if dik is None or i == k:
                 continue
-            sik = strict[i][k]
-            vi, si = value[i], strict[i]
+            di = dist[i]
             for j in range(size):
-                vkj = vk[j]
-                if vkj is None or j == k:
+                dkj = dk[j]
+                if dkj is None or j == k:
                     continue  # +inf absorbs, and the zero diagonal adds nothing
-                cand = _plus(vik, vkj)
-                cur = vi[j]
-                c = -1 if cur is None else _cmp(cand, cur)
-                if c > 0:
-                    continue
-                cs = sik or sk[j]  # a path is strict when any of its edges is
-                if c == 0 and (si[j] or not cs):
-                    continue
-                vi[j], si[j] = cand, cs
-                if i == j:
-                    c = _cmp(cand, 0)
-                    if c < 0 or (c == 0 and cs):
+                cand = _add(dik, dkj)
+                cur = di[j]
+                if cur is None or cand < cur:
+                    di[j] = cand
+                    if i == j and cand < _CLOSED_ZERO:
                         raise NegativeCircuit(i)
     d = g.copy()
     for i in range(size):
-        vi, si, row = value[i], strict[i], d.w[i]
-        for j in range(size):
-            if si[j] != row[j].strict or not _same(vi[j], given[i][j]):
-                row[j] = Weight(vi[j], si[j])
+        for j, bound in enumerate(dist[i]):
+            if bound is not given[i][j]:
+                d.w[i][j] = Weight(bound[0], not bound[1])
     return d
 
 
@@ -205,7 +198,10 @@ def read_edge_list(text: str) -> RootedDistanceGraph:
             m = _HEADER.match(line)
             if m:
                 if n_vertices is None:
-                    n_vertices = int(m.group(1))
+                    try:
+                        n_vertices = int(m.group(1))
+                    except ValueError as exc:  # past the integer digit limit
+                        raise NetworkFormatError(f"line {lineno}: {exc}") from None
             elif re.match(r"#\s*vertices\b", line):
                 raise NetworkFormatError(
                     f"line {lineno}: malformed header {raw.strip()!r}; "

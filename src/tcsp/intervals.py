@@ -7,9 +7,16 @@ end independently open or closed, and either end possibly infinite.
 sorted, pairwise disjoint and non-mergeable -- so structural equality *is*
 set equality.
 
-Inside the kernel an end is stored in one exact form (see :func:`_exact`):
-a Python ``int`` when the value is whole and a :class:`fractions.Fraction`
-only when it is not, so the common integer traffic runs on native integer
+Inside the kernel a piece keeps its two ends as the two edges of a distance
+graph (Dechter, Meiri & Pearl 1991): ``_up = (b, closed)`` bounds x from
+above and ``_down = (-a, closed)`` bounds -x, with None for an infinite end.
+A bound is a tuple ``(value, closed)``, so Python's tuple order is the order
+of path weights: ``(v, False)``, the open bound v~, sorts just below
+``(v, True)``.  Ends add with :func:`_add`, and a piece is nonempty exactly
+when ``_up + _down >= (0, True)``, the test Floyd-Warshall uses for a
+negative circuit.  A value is stored in one exact form (see :func:`_exact`):
+a Python ``int`` when it is whole and a :class:`fractions.Fraction` only
+when it is not, so the common integer traffic runs on native integer
 arithmetic.  Every public value -- ``Interval.lo``/``hi``, bounds, singleton
 values -- is still a ``Fraction``, converted at that boundary.
 
@@ -19,12 +26,16 @@ Floats are rejected everywhere on purpose: the whole package computes exactly.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import NotSingleton, UnionParseError
 
 RatLike = Union[Fraction, int, str]
+Exact = Union[int, Fraction]
+#: One end of a piece: (value, closed), None when the end is infinite.
+Bound = Optional[Tuple[Exact, bool]]
 
 
 def as_rational(value: RatLike) -> Fraction:
@@ -38,7 +49,7 @@ def as_rational(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
-def _exact(value: RatLike) -> Union[int, Fraction]:
+def _exact(value: RatLike) -> Exact:
     """The kernel's form of an exact value: an int when it is whole, else a
     Fraction in lowest terms (so ``Fraction(4, 2)`` becomes ``4``).  Equal
     values therefore have equal types.  Floats are refused."""
@@ -49,16 +60,49 @@ def _exact(value: RatLike) -> Union[int, Fraction]:
     return value
 
 
+def _plus(x: Exact, y: Exact) -> Exact:
+    """``x + y`` in the kernel's exact form (a whole sum is an int).  Two ints
+    add natively; otherwise the sum goes through numerators and
+    denominators, because Fraction's own operators spend most of their time
+    dispatching on the operand type."""
+    if type(x) is int is type(y):
+        return x + y
+    if x.denominator == 1 == y.denominator:  # whole Fractions: Weight values
+        return x.numerator + y.numerator
+    return _exact(x + y)
+
+
+def _add(a: Bound, b: Bound) -> Bound:
+    """The bound of a sum: values add, the sum is closed only when both
+    bounds are, and an infinite bound absorbs."""
+    if a is None or b is None:
+        return None
+    return (_plus(a[0], b[0]), a[1] and b[1])
+
+
+def _least(a: Bound, b: Bound) -> Bound:
+    """The tighter of two bounds (None is no bound at all); a tie goes to ``a``."""
+    return a if b is None or (a is not None and a <= b) else b
+
+
+_CLOSED_ZERO = (0, True)
+
+
+def _nonempty(down: Bound, up: Bound) -> bool:
+    """Do these two ends leave a point between them?"""
+    return down is None or up is None or _add(up, down) >= _CLOSED_ZERO
+
+
 class Interval:
     """One convex piece: endpoints in Q, each end open/closed, either end infinite.
 
     ``lo``/``hi`` of ``None`` mean unbounded on that side (always open).
     Construction refuses empty intervals such as ``[5,3]`` or ``(a,a]``.
-    The ends are kept in ``_lo``/``_hi`` in the kernel's exact form
-    (:func:`_exact`); ``lo`` and ``hi`` give them as Fractions.
+    The ends are kept as bounds in ``_down``/``_up`` (see the module
+    docstring); ``lo``, ``hi``, ``lo_closed`` and ``hi_closed`` read them.
     """
 
-    __slots__ = ("_lo", "_hi", "lo_closed", "hi_closed")
+    __slots__ = ("_down", "_up")
 
     def __init__(
         self,
@@ -67,125 +111,61 @@ class Interval:
         lo_closed: bool = True,
         hi_closed: bool = True,
     ):
-        self._lo = None if lo is None else _exact(lo)
-        self._hi = None if hi is None else _exact(hi)
-        self.lo_closed = False if self._lo is None else bool(lo_closed)
-        self.hi_closed = False if self._hi is None else bool(hi_closed)
-        if self._lo is not None and self._hi is not None:
-            c = _cmp(self._lo, self._hi)
-            if c > 0 or (c == 0 and not (self.lo_closed and self.hi_closed)):
-                raise ValueError(f"empty interval: {self._text()}")
+        self._down = None if lo is None else (-_exact(lo), bool(lo_closed))
+        self._up = None if hi is None else (_exact(hi), bool(hi_closed))
+        if not _nonempty(self._down, self._up):
+            raise ValueError(f"empty interval: {self._text()}")
 
     @property
     def lo(self) -> Optional[Fraction]:
-        return None if self._lo is None else as_rational(self._lo)
+        return None if self._down is None else as_rational(-self._down[0])
 
     @property
     def hi(self) -> Optional[Fraction]:
-        return None if self._hi is None else as_rational(self._hi)
+        return None if self._up is None else as_rational(self._up[0])
 
-    # -- ordering key: open/closed matters at equal values --------------------
+    @property
+    def lo_closed(self) -> bool:
+        return self._down is not None and self._down[1]
 
-    def _lo_key(self):
-        # -inf sorts first; at equal finite values a closed start comes first
-        if self._lo is None:
-            return (0, 0, 0)
-        return (1, self._lo, 0 if self.lo_closed else 1)
+    @property
+    def hi_closed(self) -> bool:
+        return self._up is not None and self._up[1]
 
     def contains(self, x: RatLike) -> bool:
         x = _exact(x)
-        if self._lo is not None:
-            c = _cmp(x, self._lo)
-            if c < 0 or (c == 0 and not self.lo_closed):
-                return False
-        if self._hi is not None:
-            c = _cmp(x, self._hi)
-            if c > 0 or (c == 0 and not self.hi_closed):
-                return False
-        return True
+        up, down = self._up, self._down
+        return (up is None or (x, True) <= up) and (down is None or (-x, True) <= down)
 
     def is_degenerate(self) -> bool:
         """True for a single point ``{v}``."""
-        return self._lo is not None and _same(self._lo, self._hi)
+        return _add(self._up, self._down) == _CLOSED_ZERO
 
     def _text(self) -> str:
-        lo = "-inf" if self._lo is None else str(self._lo)
-        hi = "+inf" if self._hi is None else str(self._hi)
+        down, up = self._down, self._up
+        lo = "-inf" if down is None else str(-down[0])
+        hi = "+inf" if up is None else str(up[0])
         return f"{'[' if self.lo_closed else '('}{lo},{hi}{']' if self.hi_closed else ')'}"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
-        return (
-            self.lo_closed == other.lo_closed
-            and self.hi_closed == other.hi_closed
-            and _same(self._lo, other._lo)
-            and _same(self._hi, other._hi)
-        )
+        return self._down == other._down and self._up == other._up
 
     def __hash__(self):
-        return hash((self._lo, self._hi, self.lo_closed, self.hi_closed))
+        return hash((self._down, self._up))
 
     def __repr__(self):
         return f"<Interval {self._text()}>"
 
 
-def _piece(lo, hi, lo_closed: bool, hi_closed: bool) -> Interval:
-    """An Interval from endpoints already in the kernel's exact form and
-    forming a nonempty piece (an infinite end must come with closed False);
-    skips the checks of the public constructor."""
+def _piece(down: Bound, up: Bound) -> Interval:
+    """An Interval from bounds already in the kernel's exact form and
+    forming a nonempty piece; skips the checks of the public constructor."""
     piece = _new(Interval)
-    piece._lo = lo
-    piece._hi = hi
-    piece.lo_closed = lo_closed
-    piece.hi_closed = hi_closed
+    piece._down = down
+    piece._up = up
     return piece
-
-
-# The three endpoint helpers take exact values (int or Fraction; both have
-# numerator and denominator).  Two ints use native operators; otherwise they
-# work on numerators and denominators, because Fraction's own operators
-# spend most of their time dispatching on the operand type.
-
-
-def _cmp(x, y) -> int:
-    """The sign of ``x - y``."""
-    if type(x) is int is type(y):
-        return (x > y) - (x < y)
-    d = x.numerator * y.denominator - y.numerator * x.denominator
-    return (d > 0) - (d < 0)
-
-
-def _same(x, y) -> bool:
-    """Are two endpoints (None for infinite) equal?  Fractions are kept in
-    lowest terms, so equal values have equal numerators and denominators."""
-    if type(x) is int is type(y):
-        return x == y
-    if x is None or y is None:
-        return x is y
-    return x.numerator == y.numerator and x.denominator == y.denominator
-
-
-def _plus(x, y):
-    """``x + y`` in the kernel's exact form (a whole sum is an int)."""
-    if type(x) is int is type(y):
-        return x + y
-    if x.denominator == 1 == y.denominator:  # whole Fractions: Weight values
-        return x.numerator + y.numerator
-    return _exact(x + y)
-
-
-def _sum_piece(p: Interval, q: Interval) -> Interval:
-    """The set sum of two pieces: ends add, closed only when both ends are."""
-    if p._lo is None or q._lo is None:
-        lo, lo_closed = None, False
-    else:
-        lo, lo_closed = _plus(p._lo, q._lo), p.lo_closed and q.lo_closed
-    if p._hi is None or q._hi is None:
-        hi, hi_closed = None, False
-    else:
-        hi, hi_closed = _plus(p._hi, q._hi), p.hi_closed and q.hi_closed
-    return _piece(lo, hi, lo_closed, hi_closed)
 
 
 def _union(parts: Tuple[Interval, ...]) -> "IntervalUnion":
@@ -199,47 +179,31 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _mergeable(a: Interval, b: Interval) -> bool:
-    """Can ``b`` (starting at or after ``a``) be fused with ``a`` into one piece?"""
-    if a._hi is None or b._lo is None:
-        return True
-    c = _cmp(b._lo, a._hi)
-    return c < 0 or (c == 0 and (b.lo_closed or a.hi_closed))
-
-
-def _fuse(a: Interval, b: Interval) -> Interval:
-    if a._hi is None or b._hi is None:
-        hi, hi_closed = None, False
-    else:
-        c = _cmp(a._hi, b._hi)
-        if c > 0:
-            hi, hi_closed = a._hi, a.hi_closed
-        elif c < 0:
-            hi, hi_closed = b._hi, b.hi_closed
-        else:
-            hi, hi_closed = a._hi, a.hi_closed or b.hi_closed
-    return _piece(a._lo, hi, a.lo_closed, hi_closed)
-
-
 def _apart(a: Interval, b: Interval) -> bool:
-    """Does ``a`` end before ``b`` starts, with a point of neither between?"""
-    if a._hi is None or b._lo is None:
-        return False
-    c = _cmp(a._hi, b._lo)
-    return c < 0 or (c == 0 and not (a.hi_closed or b.lo_closed))
+    """Does ``a`` end before ``b`` starts, with a point of neither between?
+
+    The points below ``b``'s start (-v, closed) are those within the upper
+    bound (v, not closed); ``a`` is apart from ``b`` when its own upper
+    bound lies strictly under that one.
+    """
+    up, down = a._up, b._down
+    return up is not None and down is not None and up < (-down[0], not down[1])
 
 
 def _normalize(parts: Iterable[Interval]) -> Tuple[Interval, ...]:
     items = list(parts)
     if len(items) < 2 or all(map(_apart, items, items[1:])):
         return tuple(items)  # already sorted and apart
-    items.sort(key=Interval._lo_key)
+    # by start: an infinite start first, then the loosest _down first
+    items.sort(key=lambda p: (p._down is None, p._down), reverse=True)
     out: list[Interval] = []
     for piece in items:
-        if out and _mergeable(out[-1], piece):
-            out[-1] = _fuse(out[-1], piece)
-        else:
+        if not out or _apart(out[-1], piece):
             out.append(piece)
+            continue
+        last = out[-1]
+        if last._up is not None and (piece._up is None or piece._up > last._up):
+            out[-1] = _piece(last._down, piece._up)
     return tuple(out)
 
 
@@ -272,7 +236,7 @@ class IntervalUnion:
     @staticmethod
     def point(value: RatLike) -> "IntervalUnion":
         v = _exact(value)
-        return _union((_piece(v, v, True, True),))
+        return _union((_piece((-v, True), (v, True)),))
 
     @staticmethod
     def span(
@@ -289,7 +253,7 @@ class IntervalUnion:
         return not self.parts
 
     def is_universal(self) -> bool:
-        return len(self.parts) == 1 and self.parts[0]._lo is None and self.parts[0]._hi is None
+        return len(self.parts) == 1 and self.parts[0]._down is None and self.parts[0]._up is None
 
     def is_convex(self) -> bool:
         """Empty and single-piece unions count as convex."""
@@ -306,38 +270,31 @@ class IntervalUnion:
 
     def lower_bound(self) -> Optional[Tuple[Fraction, bool]]:
         """(value, is_closed) of the least endpoint, or None if empty/unbounded below."""
-        if not self.parts or self.parts[0]._lo is None:
+        if not self.parts or self.parts[0]._down is None:
             return None
-        first = self.parts[0]
-        return (as_rational(first._lo), first.lo_closed)
+        value, closed = self.parts[0]._down
+        return (as_rational(-value), closed)
 
     def upper_bound(self) -> Optional[Tuple[Fraction, bool]]:
         """(value, is_closed) of the greatest endpoint, or None if empty/unbounded above."""
-        if not self.parts or self.parts[-1]._hi is None:
+        if not self.parts or self.parts[-1]._up is None:
             return None
-        last = self.parts[-1]
-        return (as_rational(last._hi), last.hi_closed)
+        value, closed = self.parts[-1]._up
+        return (as_rational(value), closed)
 
     def singleton_value(self) -> Fraction:
         """The v of a one-point union {v}; raises NotSingleton otherwise."""
         if len(self.parts) == 1 and self.parts[0].is_degenerate():
-            return as_rational(self.parts[0]._lo)
+            return as_rational(self.parts[0]._up[0])
         raise NotSingleton(f"not a single point: {self}")
 
     # -- algebra -----------------------------------------------------------------
 
     def converse(self) -> "IntervalUnion":
         """The set of -a for a in this union."""
-        # negation reverses the order of the pieces and keeps them apart
-        return _union(tuple(
-            _piece(
-                None if p._hi is None else -p._hi,
-                None if p._lo is None else -p._lo,
-                p.hi_closed,
-                p.lo_closed,
-            )
-            for p in reversed(self.parts)
-        ))
+        # negation swaps the two bounds of every piece (sharing them), and
+        # reverses the order of the pieces, keeping them apart
+        return _union(tuple(_piece(p._up, p._down) for p in reversed(self.parts)))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         """Exact set intersection (two-pointer sweep over sorted parts)."""
@@ -352,14 +309,13 @@ class IntervalUnion:
         i = j = 0
         while i < len(a) and j < len(b):
             p, q = a[i], b[j]
-            order = _end_order(p, q)
             # from the later of the two starts to the earlier of the two ends
-            piece = _overlap(q if _starts_after(q, p) else p, p if order <= 0 else q)
-            if piece is not None:
-                out.append(piece)
-            if order <= 0:
+            down, up = _least(p._down, q._down), _least(p._up, q._up)
+            if _nonempty(down, up):
+                out.append(_piece(down, up))
+            if up == p._up:
                 i += 1
-            if order >= 0:
+            if up == q._up:
                 j += 1
         # pieces cut from two normal forms stay sorted and apart
         return _union(tuple(out))
@@ -380,9 +336,9 @@ class IntervalUnion:
             return _union((_sum_piece(a[0], b[0]),))
         if self.is_universal() or other.is_universal():
             return _UNIVERSAL  # sums sweep the whole line
-        if len(a) == 1 and a[0]._lo == 0 == a[0]._hi:
+        if len(a) == 1 and a[0]._down == _CLOSED_ZERO == a[0]._up:
             return other  # {0} is the identity for set addition
-        if len(b) == 1 and b[0]._lo == 0 == b[0]._hi:
+        if len(b) == 1 and b[0]._down == _CLOSED_ZERO == b[0]._up:
             return self
         return IntervalUnion([_sum_piece(p, q) for p in a for q in b])
 
@@ -390,8 +346,7 @@ class IntervalUnion:
         """Smallest convex superset: first lower endpoint to last upper endpoint."""
         if len(self.parts) <= 1:
             return self
-        first, last = self.parts[0], self.parts[-1]
-        return _union((_piece(first._lo, last._hi, first.lo_closed, last.hi_closed),))
+        return _union((_piece(self.parts[0]._down, self.parts[-1]._up),))
 
     def weak_compose(self, other: "IntervalUnion") -> "IntervalUnion":
         """Compose the convex closures; always yields a convex result."""
@@ -423,51 +378,25 @@ class IntervalUnion:
         return f"<IntervalUnion {format_union(self)}>"
 
 
-def _starts_after(q: Interval, p: Interval) -> bool:
-    """Does q's start sort strictly after p's?  -inf sorts first, and at one
-    value a closed start comes before an open one."""
-    if q._lo is None:
-        return False
-    if p._lo is None:
-        return True
-    c = _cmp(q._lo, p._lo)
-    return c > 0 or (c == 0 and p.lo_closed and not q.lo_closed)
-
-
-def _end_order(p: Interval, q: Interval) -> int:
-    """-1, 0 or 1 as p's end sorts before, level with or after q's.  +inf
-    sorts last, and at one value an open end comes before a closed one."""
-    if p._hi is None:
-        return 0 if q._hi is None else 1
-    if q._hi is None:
-        return -1
-    return _cmp(p._hi, q._hi) or p.hi_closed - q.hi_closed
-
-
-def _overlap(start: Interval, end: Interval) -> Optional[Interval]:
-    """The piece from ``start``'s start to ``end``'s end; None when empty."""
-    lo, hi = start._lo, end._hi
-    if lo is not None and hi is not None:
-        c = _cmp(lo, hi)
-        if c > 0 or (c == 0 and not (start.lo_closed and end.hi_closed)):
-            return None
-    return _piece(lo, hi, start.lo_closed, end.hi_closed)
+def _sum_piece(p: Interval, q: Interval) -> Interval:
+    """The set sum of two pieces: their bounds add."""
+    return _piece(_add(p._down, q._down), _add(p._up, q._up))
 
 
 def _meet(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
     """``x & y`` for two convex unions, neither empty nor universal.
 
-    Ties go to ``x`` exactly as in the general sweep, and when one operand
-    lies inside the other that operand itself is returned, so an
+    Each side keeps the tighter bound, a tie going to ``x``; when one
+    operand lies inside the other that operand itself is returned, so an
     intersection that changes nothing hands back the same object.
     """
     p, q = x.parts[0], y.parts[0]
-    start = q if _starts_after(q, p) else p
-    end = p if _end_order(p, q) <= 0 else q
-    if start is end:
-        return x if start is p else y
-    piece = _overlap(start, end)
-    return _EMPTY if piece is None else _union((piece,))
+    down, up = _least(p._down, q._down), _least(p._up, q._up)
+    if down is p._down and up is p._up:
+        return x
+    if down is q._down and up is q._up:
+        return y
+    return _union((_piece(down, up),)) if _nonempty(down, up) else _EMPTY
 
 
 def narrow(
@@ -476,41 +405,22 @@ def narrow(
     """``old & x.compose(y)``, or ``old & x.weak_compose(y)`` when ``weak``.
 
     Returns ``old`` itself whenever the result equals it.  When ``old`` is
-    one piece and the sum is convex, the sum's ends are computed without
-    building it and compared with ``old``'s, with ``&``'s tie rules: a tie
-    goes to ``old``, and at one value a closed end is wider than an open
-    one.  A piece is built only when an end moves.
+    one piece and the sum is convex, the sum's bounds are added without
+    building it, and each side keeps the tighter of ``old``'s bound and the
+    sum's, a tie going to ``old``.  A piece is built only when a bound moves.
     """
     o, a, b = old.parts, x.parts, y.parts
     if len(o) != 1 or not a or not b or not (weak or len(a) == 1 == len(b)):
         temp = old & (x.weak_compose(y) if weak else x.compose(y))
         return old if temp == old else temp
     p = o[0]
-    lo, lo_closed, hi, hi_closed = p._lo, p.lo_closed, p._hi, p.hi_closed
-    moved = False
     # the sum's lower end comes from the first pieces, its upper end from
     # the last: for a convex sum they are one piece, for a weak one the hulls
-    first, then = a[0], b[0]
-    if first._lo is not None and then._lo is not None:
-        s = _plus(first._lo, then._lo)
-        closed = first.lo_closed and then.lo_closed
-        c = 1 if lo is None else _cmp(s, lo)
-        if c > 0 or (c == 0 and lo_closed and not closed):
-            lo, lo_closed, moved = s, closed, True
-    last, end = a[-1], b[-1]
-    if last._hi is not None and end._hi is not None:
-        s = _plus(last._hi, end._hi)
-        closed = last.hi_closed and end.hi_closed
-        c = -1 if hi is None else _cmp(s, hi)
-        if c < 0 or (c == 0 and hi_closed and not closed):
-            hi, hi_closed, moved = s, closed, True
-    if not moved:
+    down = _least(p._down, _add(a[0]._down, b[0]._down))
+    up = _least(p._up, _add(a[-1]._up, b[-1]._up))
+    if down is p._down and up is p._up:
         return old
-    if lo is not None and hi is not None:
-        c = _cmp(lo, hi)
-        if c > 0 or (c == 0 and not (lo_closed and hi_closed)):
-            return _EMPTY
-    return _union((_piece(lo, hi, lo_closed, hi_closed),))
+    return _union((_piece(down, up),)) if _nonempty(down, up) else _EMPTY
 
 
 _EMPTY = IntervalUnion(())
@@ -531,8 +441,44 @@ _UNIVERSAL = IntervalUnion((Interval(None, None),))
 _INF_LOW = {"-inf"}
 _INF_HIGH = {"+inf", "inf"}
 
+# Fraction's own grammar for a decimal literal with an exponent
+_EXPONENT = re.compile(
+    r"([-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?)[eE]([-+]?\d+(?:_\d+)*)"
+)
 
-def _endpoint(text: str, side: str, context: str) -> Union[None, int, Fraction]:
+
+def _parse_rational(text: str) -> Exact:
+    """The exact value of a literal ``Fraction`` accepts ("3", "-7/2", "2.5",
+    "1e3"), in the kernel's exact form.
+
+    Raises what ``Fraction`` raises on malformed text (ValueError, or
+    ZeroDivisionError for a zero denominator), and ValueError for a value
+    whose numerator or denominator would need more than
+    ``sys.get_int_max_str_digits()`` digits, so could not be printed.
+    """
+    t = text.strip()
+    digits = t[1:] if t[:1] in "+-" else t
+    if digits.isascii() and digits.isdigit():
+        return int(t)  # an integer, without Fraction's text parser
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.fullmatch(t) if limit else None
+    if exponent and abs(int(exponent.group(2))) > 2 * limit:
+        # Fraction reads the mantissa's digit strings within the limit, so a
+        # nonzero mantissa lies between 10**-limit and 10**limit and this
+        # power overflows: decide without expanding it
+        value = 0
+        too_long = Fraction(exponent.group(1)) != 0
+    else:
+        value = _exact(Fraction(t))
+        n = max(abs(value.numerator), value.denominator)
+        # below 8**limit a number never needs more than limit digits
+        too_long = limit and n.bit_length() > 3 * limit and n >= 10**limit
+    if too_long:
+        raise ValueError(f"{t!r} has a numerator or denominator of more than {limit} digits")
+    return value
+
+
+def _endpoint(text: str, side: str, context: str) -> Optional[Exact]:
     t = text.strip()
     if not t:
         raise UnionParseError(f"missing {side} endpoint in {context!r}")
@@ -544,11 +490,8 @@ def _endpoint(text: str, side: str, context: str) -> Union[None, int, Fraction]:
         if side == "lower":
             raise UnionParseError(f"+inf cannot be a lower endpoint: {context!r}")
         return None
-    digits = t[1:] if t[0] in "+-" else t
     try:
-        if digits.isascii() and digits.isdigit():
-            return int(t)  # an integer, without Fraction's text parser
-        return Fraction(t)
+        return _parse_rational(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise UnionParseError(f"bad rational {t!r} in {context!r}: {exc}") from None
 
@@ -602,7 +545,7 @@ def format_union(u: IntervalUnion) -> str:
     rendered = []
     for p in u.parts:
         if p.is_degenerate():
-            rendered.append("{%s}" % p._lo)
+            rendered.append("{%s}" % p._up[0])
         else:
             rendered.append(p._text())
     return " u ".join(rendered)

@@ -28,10 +28,10 @@ from .errors import (
 )
 from .graph import RootedDistanceGraph, reachable_set
 from .intervals import (
+    _CLOSED_ZERO,
     Interval,
     IntervalUnion,
     RatLike,
-    _cmp,
     _exact,
     _plus,
     format_union,
@@ -176,18 +176,18 @@ def first_empty_entry(net: Tcsp) -> Optional[Tuple[int, int]]:
 
 def up_weight(label: IntervalUnion) -> Weight:
     """Upper endpoint as a bound on x_j - x_i: b, b~ for open, +inf if unbounded."""
-    if not label.parts or label.parts[-1]._hi is None:
+    if not label.parts or label.parts[-1]._up is None:
         return INF
-    last = label.parts[-1]
-    return Weight(last._hi, not last.hi_closed)
+    value, closed = label.parts[-1]._up
+    return Weight(value, not closed)
 
 
 def down_weight(label: IntervalUnion) -> Weight:
     """Lower endpoint as a bound on x_i - x_j: -a, (-a)~ for open, +inf if unbounded."""
-    if not label.parts or label.parts[0]._lo is None:
+    if not label.parts or label.parts[0]._down is None:
         return INF
-    first = label.parts[0]
-    return Weight(-first._lo, not first.lo_closed)
+    value, closed = label.parts[0]._down
+    return Weight(value, not closed)
 
 
 def stp_to_graph(net: Tcsp) -> RootedDistanceGraph:
@@ -257,7 +257,6 @@ class PathBounds:
 
 
 _Key = Tuple[Union[int, Fraction], bool]  # weights.sort_key of a finite weight
-_ZERO_KEY = (0, True)
 
 
 def _pair_keys(label: IntervalUnion) -> Tuple[Optional[_Key], Optional[_Key]]:
@@ -266,34 +265,16 @@ def _pair_keys(label: IntervalUnion) -> Tuple[Optional[_Key], Optional[_Key]]:
     Every finite end of every piece is an edge weight: an upper end b gives
     b forward, a lower end a gives -a backward, open ends strict.  ``below``
     is the most negative such weight, kept only when negative; ``above`` is
-    the largest, kept only when nonnegative.  The keys are those of
-    :func:`~tcsp.weights.sort_key`, read straight off the pieces: (value,
-    closed), with False == 0 for a strict weight and True == 1 otherwise,
-    and the value in the kernel's exact form, so integer keys sort natively.
+    the largest, kept only when nonnegative.  The keys are the pieces' own
+    bounds, (value, closed), which order as :func:`~tcsp.weights.sort_key`
+    does, with the value in the kernel's exact form, so integer keys sort
+    natively.
     """
-    ends = []
-    for piece in label.parts:
-        if piece._hi is not None:
-            ends.append((piece._hi, piece.hi_closed))
-        if piece._lo is not None:
-            ends.append((-piece._lo, piece.lo_closed))
+    ends = [end for piece in label.parts for end in (piece._up, piece._down) if end is not None]
     if not ends:
         return None, None
-    low = high = ends[0]
-    for key in ends[1:]:
-        if _key_order(key, low) < 0:
-            low = key
-        elif _key_order(key, high) > 0:
-            high = key
-    return (
-        low if _key_order(low, _ZERO_KEY) < 0 else None,
-        high if _key_order(high, _ZERO_KEY) >= 0 else None,
-    )
-
-
-def _key_order(a: _Key, b: _Key) -> int:
-    """-1, 0 or 1 as key a sorts before, with or after key b."""
-    return _cmp(a[0], b[0]) or a[1] - b[1]
+    low, high = min(ends), max(ends)
+    return (low if low < _CLOSED_ZERO else None, high if high >= _CLOSED_ZERO else None)
 
 
 def _key_sum(keys: List[_Key]) -> Weight:

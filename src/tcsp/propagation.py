@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .intervals import IntervalUnion, format_union, narrow
-from .network import PathBounds, Tcsp, down_weight, first_empty_entry, path_bounds, up_weight
-from .weights import w_less
+from .intervals import IntervalUnion, _exact, format_union, narrow
+from .network import PathBounds, Tcsp, first_empty_entry, path_bounds
 
 
 class Outcome(Enum):
@@ -82,10 +81,6 @@ _Pair = Tuple[int, int]
 _Triple = Tuple[int, int, int]
 
 
-def _informative(label: IntervalUnion) -> bool:
-    return not label.is_universal()
-
-
 class _Run:
     """Shared mutable state of one algorithm invocation."""
 
@@ -124,7 +119,9 @@ class _Run:
     def _clamp_to_empty(self, temp: IntervalUnion) -> bool:
         """True when either endpoint weight of temp sinks below path_lb."""
         lb = self.bounds.path_lb
-        return w_less(down_weight(temp), lb) or w_less(up_weight(temp), lb)
+        floor = (_exact(lb.value), not lb.strict)
+        down, up = temp.parts[0]._down, temp.parts[-1]._up
+        return (down is not None and down < floor) or (up is not None and up < floor)
 
     def revise(self, i: int, j: int, x: IntervalUnion, y: IntervalUnion, target) -> bool:
         """Tighten entry (i, j) through the path of legs ``x`` and ``y``.
@@ -431,7 +428,7 @@ def _pc2(
     for i in range(size):
         for j in range(i + 1, size):
             for k in range(size):
-                if k != i and k != j and _informative(grid[i][k]) and _informative(grid[k][j]):
+                if k != i and k != j and not (grid[i][k].is_universal() or grid[k][j].is_universal()):
                     pending[(i, k, j)] = None
     # seed in lexicographic order regardless of discovery order above
     pending = dict.fromkeys(sorted(pending))
@@ -453,16 +450,16 @@ def _pc2(
             # the write changed both orientations, so legs reading the
             # mirror (j, i) went stale too -- all four patterns re-enter
             for m in range(size):
-                if m > i and m != j and _informative(grid[j][m]):
+                if m > i and m != j and not grid[j][m].is_universal():
                     pending.setdefault((i, j, m), None)
             for m in range(size):
-                if m < j and m != i and _informative(grid[m][i]):
+                if m < j and m != i and not grid[m][i].is_universal():
                     pending.setdefault((m, i, j), None)
             for m in range(size):
-                if m > j and _informative(grid[i][m]):
+                if m > j and not grid[i][m].is_universal():
                     pending.setdefault((j, i, m), None)
             for m in range(size):
-                if m < i and _informative(grid[m][j]):
+                if m < i and not grid[m][j].is_universal():
                     pending.setdefault((m, j, i), None)
     return run.report(Outcome.CONSISTENT)
 

@@ -28,7 +28,9 @@ from .errors import (
     MalformedDomain,
     NetworkFormatError,
 )
-from .intervals import Interval, IntervalUnion, RatLike, _exact, as_rational
+from .intervals import (
+    _CLOSED_ZERO, Interval, IntervalUnion, RatLike, _exact, _parse_rational, as_rational,
+)
 from .network import Tcsp, build_tcsp, check_solution
 from .propagation import Outcome, bdac3
 
@@ -147,9 +149,9 @@ def _earliest_start(net: Tcsp, i: int):
     """The lower end of task i's domain, in the kernel's exact form; it must
     be closed and finite, or MalformedDomain is raised."""
     parts = net.m[0][i].parts
-    if not parts or parts[0]._lo is None or not parts[0].lo_closed:
+    if not parts or parts[0]._down is None or not parts[0]._down[1]:
         raise MalformedDomain(f"domain of task {i} needs a closed finite lower endpoint")
-    return parts[0]._lo
+    return -parts[0]._down[0]
 
 
 def clique_cover(inst: SchedulingInstance) -> Tuple[Tuple[int, ...], ...]:
@@ -224,11 +226,11 @@ def _closure_violation(net: Tcsp) -> Optional[str]:
         if domain.is_empty():
             return f"domain of task {i} is empty"
         for p in domain.parts:
-            if p._lo is None or not p.lo_closed:
+            if p._down is None or not p._down[1]:
                 return f"domain of task {i} lost a closed start: {domain}"
-            if p._hi is not None and not p.hi_closed:
+            if p._up is not None and not p._up[1]:
                 return f"domain of task {i} has an open upper end: {domain}"
-        if domain.parts[0]._lo < 0:
+        if domain.parts[0]._down > _CLOSED_ZERO:  # its closed start lo has -lo > 0
             return f"domain of task {i} starts before the origin: {domain}"
     for i in range(1, net.n_vars + 1):
         for j in range(i + 1, net.n_vars + 1):
@@ -238,7 +240,7 @@ def _closure_violation(net: Tcsp) -> Optional[str]:
             parts = label.parts
             before = after = None
             if len(parts) == 1:
-                if parts[0]._lo is None:
+                if parts[0]._down is None:
                     before = parts[0]
                 else:
                     after = parts[0]
@@ -246,15 +248,16 @@ def _closure_violation(net: Tcsp) -> Optional[str]:
                 before, after = parts
             else:
                 return f"entry ({i}, {j}) has {len(parts)} pieces: {label}"
+            # (-inf,a] with a < 0 has the closed upper bound (a, True) below
+            # (0, True), and [b,+inf) with b > 0 the closed lower bound (-b, True)
             if before is not None and not (
-                before._lo is None
-                and before._hi is not None
-                and before.hi_closed
-                and before._hi < 0
+                before._down is None and before._up is not None
+                and before._up[1] and before._up < _CLOSED_ZERO
             ):
                 return f"entry ({i}, {j}) is not in ordering form: {label}"
             if after is not None and not (
-                after._hi is None and after._lo is not None and after.lo_closed and after._lo > 0
+                after._up is None and after._down is not None
+                and after._down[1] and after._down < _CLOSED_ZERO
             ):
                 return f"entry ({i}, {j}) is not in ordering form: {label}"
     return None
@@ -274,10 +277,10 @@ def _pick_disjunction(net: Tcsp) -> Optional[Tuple[int, int]]:
             label = net.m[i][j]
             if label.is_convex():
                 continue
-            a = label.parts[0]._hi
-            b = label.parts[1]._lo
-            j_first = net.m[0][j].parts[0]._lo - a
-            i_first = net.m[0][i].parts[0]._lo + b
+            a = label.parts[0]._up[0]
+            minus_b = label.parts[1]._down[0]
+            j_first = -net.m[0][j].parts[0]._down[0] - a
+            i_first = -net.m[0][i].parts[0]._down[0] - minus_b
             regret = abs(j_first - i_first)
             if best is None or regret > best[0]:
                 best = (regret, (i, j))
@@ -393,7 +396,7 @@ def _rational_field(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return as_rational(_parse_rational(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise NetworkFormatError(f"{where}: bad rational {value!r}: {exc}") from None
     raise NetworkFormatError(f"{where}: expected a number, got {type(value).__name__}")

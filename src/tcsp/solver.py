@@ -58,16 +58,15 @@ def connect_x0(net: Tcsp) -> bool:
 def _pick_value(domain: IntervalUnion):
     """A deterministic member of a nonempty convex domain, as an exact value
     (int or Fraction) for :meth:`IntervalUnion.point`."""
-    piece = domain.parts[0]
-    lo, hi = piece._lo, piece._hi
-    if lo is not None:
-        if piece.lo_closed:
-            return lo
-        if hi is not None:
-            return Fraction(lo + hi, 2)  # the exact midpoint, never a float
-        return lo + 1
-    if hi is not None:
-        return hi if piece.hi_closed else hi - 1
+    down, up = domain.parts[0]._down, domain.parts[0]._up
+    if down is not None:
+        if down[1]:
+            return -down[0]
+        if up is not None:
+            return Fraction(up[0] - down[0], 2)  # the exact midpoint, never a float
+        return 1 - down[0]
+    if up is not None:
+        return up[0] if up[1] else up[0] - 1
     return 0
 
 

@@ -4,7 +4,9 @@ Distance-graph edges carry weights of the form ``a`` (at most a) or ``a~``
 (strictly below a, written a-minus), plus +infinity for "no constraint".
 Strictness tracks open interval endpoints through shortest-path arithmetic:
 adding weights ORs strictness, infinity absorbs, and the order puts ``a~``
-just below ``a``.
+just below ``a``.  A finite weight is the public form of the kernel's bound
+(value, closed) with closed = not strict (see :mod:`tcsp.intervals`), and
+:func:`sort_key` maps it back, so weights order as their bounds do.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .intervals import RatLike, _cmp, _plus, as_rational
+from .intervals import RatLike, _parse_rational, _plus, as_rational
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,9 @@ def w_add(a: Weight, b: Weight) -> Weight:
 
 def w_less(a: Weight, b: Weight) -> bool:
     """Total order: finite < +inf, by value, and a~ < a at equal values."""
-    if a.value is None:
-        return False
-    if b.value is None:
-        return True
-    c = _cmp(a.value, b.value)
-    return c < 0 or (c == 0 and a.strict and not b.strict)
+    if a.value is None or b.value is None:
+        return b.value is None and a.value is not None
+    return sort_key(a) < sort_key(b)
 
 
 def w_leq(a: Weight, b: Weight) -> bool:
@@ -97,6 +96,6 @@ def parse_weight(text: str) -> Weight:
     if not t:
         raise ValueError(f"bad weight text: {text!r}")
     try:
-        return Weight(Fraction(t), strict)
+        return Weight(_parse_rational(t), strict)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in weight text: {text!r}") from None

@@ -355,6 +355,35 @@ def test_convert_refuses_a_disjunctive_network(capsys, frag):
 # -- errors and plumbing -----------------------------------------------------------
 
 
+_TOO_LONG = f"has a numerator or denominator of more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("check", "net.json", '{"variables": 1, "constraints": [{"i": 0, "j": 1, "label": "[0,1e5000]"}]}'),
+        ("check", "net.json", '{"variables": 1, "constraints": [{"i": 0, "j": 1, "label": "[0,1e99999999]"}]}'),
+        ("shortest-paths", "g.edges", "# vertices 2\n0 1 1e5000\n"),
+        ("schedule", "inst.json", '{"tasks": [{"d": "1e999999"}]}'),
+    ],
+    ids=["check", "check-huge-exponent", "shortest-paths", "schedule"],
+)
+def test_a_literal_past_the_digit_limit_is_a_format_error(capsys, tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith(f"{_TOO_LONG}\n") and err.count("\n") == 1
+
+
+def test_an_edge_list_header_past_the_digit_limit_is_a_format_error(capsys, tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("# vertices " + "9" * (sys.get_int_max_str_digits() + 1) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "shortest-paths", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+
 def test_unparseable_input_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json", encoding="utf-8")
@@ -375,10 +404,14 @@ def test_unknown_algorithm_is_a_usage_error(capsys, appb):
     assert excinfo.value.code == 2
 
 
-# Fuzzed reader input.  Literals stay short: a run of four or more digits
-# could make a huge vertex count (the graph is allocated up front) or a huge
-# exponent such as 1e99999999 (Fraction expands the power).
-_LITERALS = ("0", "-3", "7/2", "1/0", "-1/0", "2.5", "1e3", "1E-2", "+inf", "-inf", "inf", "x", "")
+# Fuzzed reader input.  Free text keeps its digit runs short: a run of four
+# or more digits could make a huge vertex count, and the graph is allocated
+# up front.  Exponent literals may be huge: the readers weigh them against
+# the digit limit before expanding the power.
+_LITERALS = (
+    "0", "-3", "7/2", "1/0", "-1/0", "2.5", "1e3", "1E-2", "+inf", "-inf", "inf", "x", "",
+    "1e5000", "-2.5E-5000", "1e99999999", "1.5e-99999999", "0e99999999", "1_0e1_0",
+)
 
 _literal = st.sampled_from(_LITERALS)
 _edge_line = st.builds(

@@ -399,9 +399,9 @@ def mixed_unions(draw, max_parts: int = 3):
 
 def _assert_exact_form(u: IntervalUnion):
     for p in u.parts:
-        for end in (p._lo, p._hi):
-            assert end is None or type(end) is int or (
-                type(end) is Fraction and end.denominator != 1
+        for end in (p._down, p._up):
+            assert end is None or type(end[0]) is int or (
+                type(end[0]) is Fraction and end[0].denominator != 1
             ), (str(u), end)
 
 
@@ -468,22 +468,51 @@ def test_mixed_converse_matches_membership(u):
         assert flipped.contains(x) == u.contains(-x), (str(u), x)
 
 
+@st.composite
+def loose_pieces(draw):
+    """Pieces in mixed form and in any order, their ends drawn mostly from a
+    few shared values, so that tied starts (closed and open at one value),
+    touching ends and -inf starts are common."""
+    shared = st.sampled_from(draw(st.lists(mixed_ends, min_size=1, max_size=2)))
+    end = st.one_of(st.none(), shared, shared, shared, mixed_ends)
+    pieces = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo, hi = draw(end), draw(end)
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+        if lo is not None and lo == hi:
+            lo_closed = hi_closed = True
+        pieces.append(Interval(lo, hi, lo_closed, hi_closed))
+    return draw(st.permutations(pieces))
+
+
+@settings(max_examples=300)
+@given(loose_pieces())
+def test_normalization_keeps_membership(pieces):
+    u = IntervalUnion(pieces)
+    _assert_exact_form(u)
+    for x in _deciding_points(u, *(IntervalUnion((p,)) for p in pieces)):
+        want = any(_in_piece(x, p.lo, p.hi, p.lo_closed, p.hi_closed) for p in pieces)
+        assert u.contains(x) == want, ([str(p) for p in pieces], x)
+
+
 def test_whole_fraction_ends_equal_int_ends():
     a, b = Interval(Fraction(3), 5), Interval(3, 5)
     assert a == b and hash(a) == hash(b)
     assert IntervalUnion((a,)) == IntervalUnion((b,))
     assert hash(IntervalUnion((a,))) == hash(IntervalUnion((b,)))
-    assert type(Interval(Fraction(4, 2), 5)._lo) is int
-    assert type(U("[4/2,2.0]").parts[0]._hi) is int
+    assert type(Interval(Fraction(4, 2), 5)._down[0]) is int
+    assert type(U("[4/2,2.0]").parts[0]._up[0]) is int
 
 
 def test_a_whole_sum_of_non_whole_ends_is_stored_as_an_int():
     half = U("{1/2}")
     total = half.compose(half)
-    assert type(total.parts[0]._lo) is int and total == U("{1}")
+    assert type(total.parts[0]._down[0]) is int and total == U("{1}")
     # and stays on the native path for the next step
     nxt = total.compose(U("[2,3]"))
-    assert type(nxt.parts[0]._lo) is int and type(nxt.parts[0]._hi) is int
+    assert type(nxt.parts[0]._down[0]) is int and type(nxt.parts[0]._up[0]) is int
     assert str(U("[1/3,2/3]").compose(U("[2/3,4/3)"))) == "[1,2)"
 
 
