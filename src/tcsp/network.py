@@ -26,7 +26,7 @@ from .errors import (
     NotAnStp,
     UnionParseError,
 )
-from .graph import RootedDistanceGraph, reachable_set
+from .graph import RootedDistanceGraph
 from .intervals import (
     _CLOSED_ZERO,
     Interval,
@@ -48,9 +48,15 @@ _FULL_LABEL = IntervalUnion.universal()
 class Tcsp:
     """A constraint network; ``m[i][j]`` bounds ``x_j - x_i``.
 
-    ``constraint_mask`` remembers which pairs were explicitly constrained;
-    the worklist algorithms seed their queues from it.  Structural equality
-    compares sizes and matrices only, never the mask.
+    The constraint structure records which pairs were explicitly
+    constrained: ``neighbours[i]`` is the sorted tuple of the variables
+    constrained with X_i, and ``constraint_mask`` reads the same pairs as a
+    frozenset of two-variable frozensets.  The worklist algorithms seed and
+    re-enqueue from it.  :func:`build_tcsp` and :func:`graph_to_stp` fix it
+    once, at assembly; it never changes afterwards (later writes narrow
+    labels, they do not declare constraints), so :meth:`copy` shares it.
+    Structural equality compares sizes and matrices only, never the
+    structure.
 
     Writes go through :meth:`set_pair`, which keeps the mirror invariant and
     tells the network's path-bounds index (built by the first
@@ -59,7 +65,7 @@ class Tcsp:
     therefore drops the index, so the next ``path_bounds`` rebuilds it.
     """
 
-    __slots__ = ("n_vars", "m", "constraint_mask", "_bounds_index")
+    __slots__ = ("n_vars", "m", "neighbours", "_bounds_index")
 
     def __init__(self, n_vars: int):
         if n_vars < 0:
@@ -67,8 +73,15 @@ class Tcsp:
         self.n_vars = n_vars
         size = n_vars + 1
         self.m = [[_ZERO_LABEL if i == j else _FULL_LABEL for j in range(size)] for i in range(size)]
-        self.constraint_mask: set[frozenset[int]] = set()
+        self.neighbours: Tuple[Tuple[int, ...], ...] = ((),) * size
         self._bounds_index: Optional[_BoundsIndex] = None
+
+    @property
+    def constraint_mask(self) -> frozenset:
+        """The explicitly constrained pairs, as two-variable frozensets."""
+        return frozenset(
+            frozenset((i, j)) for i, row in enumerate(self.neighbours) for j in row if i < j
+        )
 
     def _check(self, i: int, j: int):
         if not (0 <= i <= self.n_vars and 0 <= j <= self.n_vars):
@@ -98,7 +111,7 @@ class Tcsp:
         dup = object.__new__(Tcsp)  # skip building a matrix only to replace it
         dup.n_vars = self.n_vars
         dup.m = [row[:] for row in self.m]
-        dup.constraint_mask = set(self.constraint_mask)
+        dup.neighbours = self.neighbours
         dup._bounds_index = None if self._bounds_index is None else self._bounds_index.copy()
         return dup
 
@@ -144,8 +157,17 @@ def build_tcsp(n_vars: int, constraints: Iterable[Constraint]) -> Tcsp:
         gathered[key] = label
     for (i, j), label in gathered.items():
         net.set_pair(i, j, label)
-        net.constraint_mask.add(frozenset((i, j)))
+    _fix_structure(net, gathered)
     return net
+
+
+def _fix_structure(net: Tcsp, pairs: Iterable[Tuple[int, int]]):
+    """Record ``pairs`` as the network's constrained pairs, once, at assembly."""
+    adjacent: List[List[int]] = [[] for _ in range(net.n_vars + 1)]
+    for i, j in pairs:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    net.neighbours = tuple(tuple(sorted(row)) for row in adjacent)
 
 
 def is_stp(net: Tcsp) -> bool:
@@ -214,6 +236,7 @@ def graph_to_stp(g: RootedDistanceGraph) -> Tcsp:
     Crossing bounds -- a negative two-cycle -- raise EmptyLabel.
     """
     net = Tcsp(g.n_vars)
+    pairs = []
     for i in range(g.n_vars + 1):
         for j in range(i + 1, g.n_vars + 1):
             fwd, back = g.w[i][j], g.w[j][i]
@@ -230,7 +253,8 @@ def graph_to_stp(g: RootedDistanceGraph) -> Tcsp:
                     f"negative two-cycle between vertices {i} and {j}"
                 ) from None
             net.set_pair(i, j, IntervalUnion((piece,)))
-            net.constraint_mask.add(frozenset((i, j)))
+            pairs.append((i, j))
+    _fix_structure(net, pairs)
     return net
 
 
@@ -403,13 +427,33 @@ def path_range(net: Tcsp) -> Fraction:
 def connectivity(net: Tcsp) -> List[bool]:
     """For each variable, whether a finite-weight path links it with X0.
 
-    Either direction counts.  Computed on the convex closure's distance
-    graph; index 0 is True by definition.
+    Either direction counts; index 0 is True by definition.  The paths are
+    those of the convex closure's distance graph, whose edge u -> v is
+    finite exactly when m[u][v] has a finite upper end, so they are read
+    straight off the labels.  An empty entry raises EmptyLabel.
     """
-    g = stp_to_graph(convex_closure(net))
-    forward = reachable_set(g, 0)
-    backward = reachable_set(g, 0, reverse=True)
-    return [i in forward or i in backward for i in range(net.n_vars + 1)]
+    where = first_empty_entry(net)
+    if where is not None:
+        raise EmptyLabel(f"entry {where} is empty")
+    # by the mirror invariant m[v][u] has a finite upper end exactly when
+    # m[u][v] has a finite lower end, so both searches read rows only
+    forward = _reached(net, lambda label: label.parts[-1]._up is not None)
+    backward = _reached(net, lambda label: label.parts[0]._down is not None)
+    return [a or b for a, b in zip(forward, backward)]
+
+
+def _reached(net: Tcsp, finite) -> List[bool]:
+    """Which variables X0 reaches over the entries (u, v) with ``finite`` labels."""
+    seen = [False] * (net.n_vars + 1)
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for v, label in enumerate(net.m[u]):
+            if not seen[v] and finite(label):
+                seen[v] = True
+                frontier.append(v)
+    return seen
 
 
 def disconnected_variables(net: Tcsp) -> List[int]:
@@ -480,6 +524,8 @@ def network_from_json(text: str) -> Tcsp:
         raise NetworkFormatError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise NetworkFormatError(str(exc)) from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be an object")
     n = doc.get("variables")

@@ -165,15 +165,8 @@ def revise(
 
 
 def _mask_pairs(net: Tcsp) -> List[_Pair]:
-    """Both orientations of every explicitly constrained pair off the origin."""
-    pairs = []
-    for group in net.constraint_mask:
-        a, b = sorted(group)
-        if a >= 1:
-            pairs.append((a, b))
-            pairs.append((b, a))
-    pairs.sort()
-    return pairs
+    """Both orientations of every explicitly constrained pair off the origin, sorted."""
+    return [(a, b) for a in range(1, net.n_vars + 1) for b in net.neighbours[a] if b]
 
 
 def _arcs_reading(net: Tcsp, changed: _Pair) -> List[_Pair]:
@@ -189,10 +182,9 @@ def _arcs_reading(net: Tcsp, changed: _Pair) -> List[_Pair]:
     if i == j:
         raise ValueError("diagonal entries are fixed at {0}")
     i, j = min(i, j), max(i, j)
-    mask = net.constraint_mask
     if i == 0:
-        return [(k, j) for k in range(1, net.n_vars + 1) if frozenset((k, j)) in mask]
-    return [(i, j), (j, i)] if frozenset((i, j)) in mask else []
+        return [(k, j) for k in net.neighbours[j] if k]
+    return [(i, j), (j, i)] if j in net.neighbours[i] else []
 
 
 def _bdac3(
@@ -204,16 +196,20 @@ def _bdac3(
     lifo: bool = False,
     trace: Optional[Trace] = None,
     alg: str = "bdac3",
-    seed: Optional[Sequence[_Pair]] = None,
+    changed: Optional[_Pair] = None,
 ) -> RunReport:
-    if first_empty_entry(net) is not None:
-        return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
-    run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace)
-    if seed is None:
+    if changed is None:
+        if first_empty_entry(net) is not None:
+            return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
         seed = _mask_pairs(net)
+    else:
+        seed = _arcs_reading(net, changed)
+        if net.m[changed[0]][changed[1]].is_empty():
+            return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
+    run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace)
     queue = deque(seed)
     queued = set(seed)
-    mask = net.constraint_mask
+    neighbours = net.neighbours
     grid = net.m
     while queue:
         if run.out_of_budget():
@@ -224,10 +220,8 @@ def _bdac3(
         if run.revise(0, k, grid[0][m], grid[m][k], pair):
             if grid[0][k].is_empty():
                 return run.report(Outcome.EMPTY_DOMAIN)
-            for i in range(1, net.n_vars + 1):
-                if i == k or i == m:
-                    continue
-                if frozenset((i, k)) in mask and (i, k) not in queued:
+            for i in neighbours[k]:
+                if i and i != m and (i, k) not in queued:
                     queue.append((i, k))
                     queued.add((i, k))
     return run.report(Outcome.CONSISTENT)
@@ -251,11 +245,14 @@ def bdac3(
     whose revise reads that entry -- for i == 0 every constrained (k, j),
     otherwise (i, j) and (j, i) -- and ends with the same outcome, and when
     consistent the same domains, as a full seed, in fewer revise calls.
-    Without the precondition it may stop short of the fixpoint.  The
-    default, None, seeds every constrained arc.
+    The precondition also means that no entry other than (i, j) is empty:
+    a run that ends CONSISTENT never writes an empty entry.  So a seeded run
+    checks only the written entry, where a full run first scans the whole
+    matrix for an empty one.  Without the precondition it may stop short of
+    the fixpoint or miss an empty entry.  The default, None, seeds every
+    constrained arc.
     """
-    seed = None if changed is None else _arcs_reading(net, changed)
-    return _bdac3(net, lifo=lifo, trace=trace, seed=seed)
+    return _bdac3(net, lifo=lifo, trace=trace, changed=changed)
 
 
 def wbdac3(
@@ -268,15 +265,17 @@ def wbdac3(
     """Like bdac3 but composing convex closures, so domains stay convex-ish cheap.
 
     ``changed=(i, j)`` seeds only the arcs reading entry (i, j), as in
-    :func:`bdac3`, with the same precondition and the same guarantee.  Note
+    :func:`bdac3`, with the same precondition (the network was at the end of
+    a CONSISTENT wbdac3 run before (i, j) was narrowed, so no other entry is
+    empty) and the same guarantee; a seeded run checks only (i, j) for
+    emptiness.  Note
     that one wbdac3 run need not end at the wbdac3 fixpoint: after revising
     X_k through X_m the queue skips the arc back, which is exact only for
     full-strength composition.  Seeded from such a network the run still
     removes only values no solution uses, but its domains may differ from a
     full run's.
     """
-    seed = None if changed is None else _arcs_reading(net, changed)
-    return _bdac3(net, weak=True, lifo=lifo, trace=trace, alg="wbdac3", seed=seed)
+    return _bdac3(net, weak=True, lifo=lifo, trace=trace, alg="wbdac3", changed=changed)
 
 
 def _bdac1(
@@ -296,7 +295,7 @@ def _bdac1(
         pairs = [(int(k), int(m)) for k, m in order]
         for k, m in pairs:
             net._check(k, m)
-            if k < 1 or m < 1 or k == m or frozenset((k, m)) not in net.constraint_mask:
+            if k < 1 or m < 1 or m not in net.neighbours[k]:
                 raise ValueError(f"({k}, {m}) is not a constrained off-origin pair")
         # a pass must visit every ordered pair exactly once, or the quiet-pass
         # termination test would be unsound
@@ -424,19 +423,21 @@ def _pc2(
     run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
     grid = net.m
     size = net.n_vars + 1
-    pending: dict[_Triple, None] = {}
-    for i in range(size):
-        for j in range(i + 1, size):
-            for k in range(size):
-                if k != i and k != j and not (grid[i][k].is_universal() or grid[k][j].is_universal()):
-                    pending[(i, k, j)] = None
-    # seed in lexicographic order regardless of discovery order above
-    pending = dict.fromkeys(sorted(pending))
+    informative = [[not label.is_universal() for label in row] for row in grid]
+    # seeded in lexicographic order; the dict is the pending set, in the
+    # order select sees it, and the deque the FIFO order, so the default
+    # pop is O(1), not a scan past the dict's deleted head entries
+    pending = {
+        (i, k, j): None
+        for i in range(size) for k in range(size) if k != i and informative[i][k]
+        for j in range(i + 1, size) if j != k and informative[k][j]
+    }
+    fifo = deque(pending) if select is None else None
     while pending:
         if run.out_of_budget():
             return run.report(Outcome.BUDGET_EXHAUSTED)
-        if select is None:
-            triple = next(iter(pending))
+        if fifo is not None:
+            triple = fifo.popleft()
         else:
             triple = select(tuple(pending))
             if triple not in pending:
@@ -449,18 +450,16 @@ def _pc2(
             # paths that run through the tightened pair, targets canonical;
             # the write changed both orientations, so legs reading the
             # mirror (j, i) went stale too -- all four patterns re-enter
-            for m in range(size):
-                if m > i and m != j and not grid[j][m].is_universal():
-                    pending.setdefault((i, j, m), None)
-            for m in range(size):
-                if m < j and m != i and not grid[m][i].is_universal():
-                    pending.setdefault((m, i, j), None)
-            for m in range(size):
-                if m > j and not grid[i][m].is_universal():
-                    pending.setdefault((j, i, m), None)
-            for m in range(size):
-                if m < i and not grid[m][j].is_universal():
-                    pending.setdefault((m, j, i), None)
+            for again in (
+                [(i, j, m) for m in range(i + 1, size) if m != j and not grid[j][m].is_universal()]
+                + [(m, i, j) for m in range(j) if m != i and not grid[m][i].is_universal()]
+                + [(j, i, m) for m in range(j + 1, size) if not grid[i][m].is_universal()]
+                + [(m, j, i) for m in range(i) if not grid[m][j].is_universal()]
+            ):
+                if again not in pending:
+                    pending[again] = None
+                    if fifo is not None:
+                        fifo.append(again)
     return run.report(Outcome.CONSISTENT)
 
 
@@ -541,11 +540,7 @@ def minus_variant(
 
 def is_bd_arc_consistent(net: Tcsp) -> bool:
     """Is every binarized domain supported through every explicit constraint?"""
-    for group in net.constraint_mask:
-        a, b = sorted(group)
-        if a < 1:
-            continue
-        for k, m in ((a, b), (b, a)):
-            if not net.m[0][k].issubset(net.m[0][m].compose(net.m[m][k])):
-                return False
-    return True
+    domains = net.m[0]
+    return all(
+        domains[k].issubset(domains[m].compose(net.m[m][k])) for k, m in _mask_pairs(net)
+    )

@@ -425,6 +425,8 @@ def instance_from_json(text: str) -> SchedulingInstance:
         raise NetworkFormatError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise NetworkFormatError(str(exc)) from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be an object")
     raw_tasks = doc.get("tasks")

@@ -376,6 +376,22 @@ def test_a_literal_past_the_digit_limit_is_a_format_error(capsys, tmp_path, comm
     assert err.startswith("error: ") and err.endswith(f"{_TOO_LONG}\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("check", "net.json", '{"variables": %s, "constraints": []}'),
+        ("schedule", "inst.json", '{"tasks": [{"d": %s}]}'),
+    ],
+    ids=["check", "schedule"],
+)
+def test_a_json_integer_past_the_digit_limit_is_a_format_error(capsys, tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text % ("9" * 5000), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_an_edge_list_header_past_the_digit_limit_is_a_format_error(capsys, tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# vertices " + "9" * (sys.get_int_max_str_digits() + 1) + "\n", encoding="utf-8")

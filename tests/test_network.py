@@ -45,6 +45,7 @@ from tcsp import (
     path_bounds,
     path_range,
     pc1,
+    reachable_set,
     stp_to_graph,
     up_weight,
     w_add,
@@ -109,6 +110,22 @@ def test_set_pair_keeps_the_mirror_invariant():
     assert net.entry(2, 1) == U("[-7,0)")
     # and the mask is about declared constraints, not later edits
     assert frozenset({1, 2}) not in net.constraint_mask
+
+
+def test_the_constraint_structure_is_fixed_at_assembly_and_shared_by_copy():
+    net = chain_stp()
+    assert net.neighbours == ((1, 4), (0, 2), (1, 3), (2, 4), (0, 3))
+    with pytest.raises(AttributeError):
+        net.constraint_mask.add(frozenset({1, 3}))
+    with pytest.raises(AttributeError):
+        net.constraint_mask = frozenset()
+    twin = net.copy()
+    assert twin.neighbours is net.neighbours
+    assert twin.constraint_mask == net.constraint_mask
+    # graph_to_stp fixes the structure of the pairs it writes
+    back = graph_to_stp(stp_to_graph(net))
+    assert back.constraint_mask == net.constraint_mask
+    assert back.neighbours == net.neighbours
 
 
 def test_copy_and_equality():
@@ -379,6 +396,57 @@ def test_disconnected_variable_is_reported():
     net = build_tcsp(2, [(0, 1, U("[1,2]"))])
     assert connectivity(net) == [True, True, False]
     assert disconnected_variables(net) == [2]
+
+
+def _reference_connectivity(net):
+    g = stp_to_graph(convex_closure(net))
+    forward = reachable_set(g, 0)
+    backward = reachable_set(g, 0, reverse=True)
+    return [i in forward or i in backward for i in range(net.n_vars + 1)]
+
+
+def _random_label(rng):
+    """Universal, one-sided, two-sided or multi-piece, ends open or closed at random."""
+    a = rng.randint(-9, 9)
+    b = a + rng.randint(1, 6)
+    shape = rng.randrange(5)
+    if shape == 0:
+        return IntervalUnion.universal()
+    if shape == 1:
+        return IntervalUnion.span(a, None, rng.random() < 0.5, False)
+    if shape == 2:
+        return IntervalUnion.span(None, b, False, rng.random() < 0.5)
+    if shape == 3:
+        return IntervalUnion.span(a, b, rng.random() < 0.5, rng.random() < 0.5)
+    low = None if rng.random() < 0.3 else a - rng.randint(0, 4)
+    high = None if rng.random() < 0.3 else b + 4 + rng.randint(0, 4)
+    return IntervalUnion(
+        (Interval(low, a + 1, low is not None, rng.random() < 0.5),
+         Interval(b + 3, high, rng.random() < 0.5, high is not None))
+    )
+
+
+def test_connectivity_matches_the_distance_graph_of_the_convex_closure():
+    rng = random.Random(4471)
+    disconnected = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        net = Tcsp(n)
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                if rng.random() < 0.35:
+                    net.set_pair(i, j, _random_label(rng))
+        flags = connectivity(net)
+        assert flags == _reference_connectivity(net), network_to_json(net)
+        disconnected += not all(flags)
+    assert 0 < disconnected < 300
+
+
+def test_connectivity_rejects_an_empty_entry():
+    net = chain_stp()
+    net.set_pair(2, 4, IntervalUnion.empty())
+    with pytest.raises(EmptyLabel, match=r"\(2, 4\)"):
+        connectivity(net)
 
 
 # -- refinement and solutions ----------------------------------------------------------------

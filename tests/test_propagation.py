@@ -27,6 +27,7 @@ from randnets import (
 from tcsp import (
     IntervalUnion,
     Outcome,
+    RunReport,
     Tcsp,
     bdac1,
     bdac3,
@@ -545,6 +546,16 @@ def test_pc_algorithms_compute_the_minimal_network():
                     assert worked.m[i][j] == minimal.m[i][j], (algorithm.__name__, i, j)
 
 
+@pytest.mark.slow
+def test_pc2_reaches_the_minimal_network_at_sixty_variables():
+    # the default pop is O(1), so pc2 at this size takes a second or so,
+    # not the minutes a pop that scans the pending queue would take
+    net, _ = random_consistent_stp(random.Random(60), n=60)
+    minimal = graph_to_stp(floyd_warshall(stp_to_graph(net)))
+    assert pc2(net).outcome is Outcome.CONSISTENT
+    assert net == minimal
+
+
 def _pc1_composing_every_step(net):
     """pc1 as specified: compose at every (i, k, j), sweep after sweep."""
     size = net.n_vars + 1
@@ -632,8 +643,10 @@ def _writes_after_a_fixpoint(rng, net, algorithm):
 
     One write puts back a constraint that was held universal during the
     run (the way an anchor or a branch narrows an entry), which on the
-    circuit networks reopens a divergence only the clamp stops; the other
-    pins a domain to one of its ends (the way extraction does).
+    circuit networks reopens a divergence only the clamp stops; another
+    pins a domain to one of its ends (the way extraction does); the last
+    empties that domain, which a seeded run sees without scanning the
+    matrix.
     """
     pairs = sorted(tuple(sorted(group)) for group in net.constraint_mask)
     if pairs:
@@ -650,9 +663,12 @@ def _writes_after_a_fixpoint(rng, net, algorithm):
         domain = base.m[0][j]
         for end in (domain.lower_bound(), domain.upper_bound()):
             if end is not None and end[1]:
-                base.set_pair(0, j, IntervalUnion.point(end[0]))
-                yield base, rng.choice(((0, j), (j, 0)))
+                pinned = base.copy()
+                pinned.set_pair(0, j, IntervalUnion.point(end[0]))
+                yield pinned, rng.choice(((0, j), (j, 0)))
                 break
+        base.set_pair(0, j, IntervalUnion.empty())
+        yield base, (j, 0)
 
 
 @pytest.mark.parametrize("algorithm", [bdac3, wbdac3], ids=["bdac3", "wbdac3"])
@@ -688,6 +704,16 @@ def test_seeding_reads_only_the_arcs_through_the_written_entry():
     assert [e.target for e in trace] == [(3, 4), (2, 3), (1, 2)]
     assert bdac3(full).revise_calls > seeded.revise_calls
     assert net == full
+
+
+@pytest.mark.parametrize("algorithm", [bdac3, wbdac3], ids=["bdac3", "wbdac3"])
+@pytest.mark.parametrize("written", [(0, 3), (2, 3)])
+def test_a_seeded_run_reports_an_emptied_entry_without_revising(algorithm, written):
+    net = chain_stp()
+    assert algorithm(net).outcome is Outcome.CONSISTENT
+    net.set_pair(*written, IntervalUnion.empty())
+    report = algorithm(net, changed=written)
+    assert report == RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
 
 
 def test_changed_must_name_an_off_diagonal_entry():
