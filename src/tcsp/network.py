@@ -517,7 +517,8 @@ def network_to_json(net: Tcsp) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def network_from_json(text: str) -> Tcsp:
+def _json_object(text: str) -> dict:
+    """``text`` read as a JSON object; any way that fails is a NetworkFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -526,8 +527,15 @@ def network_from_json(text: str) -> Tcsp:
         ) from None
     except ValueError as exc:  # an integer literal past int()'s digit limit
         raise NetworkFormatError(str(exc)) from None
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise NetworkFormatError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be an object")
+    return doc
+
+
+def network_from_json(text: str) -> Tcsp:
+    doc = _json_object(text)
     n = doc.get("variables")
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise NetworkFormatError('"variables" must be a nonnegative integer')

@@ -7,17 +7,22 @@ Two families operate in place on a :class:`~tcsp.network.Tcsp`:
 * path-style passes -- ``pc1`` (full sweeps) and ``pc2`` (worklist) --
   which tighten arbitrary entries through composition.
 
-The clamped variants cut any domain whose endpoint weights fall below the
-fixed path-derived lower bound straight to empty, which is what makes them
-terminate on inconsistent inputs with unbounded labels.  ``minus_variant``
-re-runs an algorithm without the clamp under a hard call budget; that is
-how the divergence the clamp prevents is made observable in tests.
+Every step is a path step (i, k, j), narrowing entry (i, j) through X_k;
+revising the domain of X_k through X_m is the step (0, m, k).  So the two
+worklist algorithms share one loop and differ only in their seed and in
+the steps a write puts back on the queue.
 
-Every revise step -- arc or path, in a worklist or in ``pc1``'s sweep --
-narrows its entry through one kernel, :func:`~tcsp.intervals.narrow`
-(``old & x.compose(y)``, handing back ``old`` itself when nothing
-narrows).  Every step can be recorded: pass a list as ``trace=`` and one
-:class:`TraceEntry` per call is appended.
+The clamped variants cut any domain whose endpoint weights fall below the
+network's path-derived lower bound straight to empty, which is what makes
+them terminate on inconsistent inputs with unbounded labels; ``pc1`` needs
+no clamp.  ``minus_variant`` re-runs an algorithm without the clamp under a
+hard call budget; that is how the divergence the clamp prevents is made
+observable in tests.
+
+Every step narrows its entry through one kernel,
+:func:`~tcsp.intervals.narrow` (``old & x.compose(y)``, handing back
+``old`` itself when nothing narrows).  Every step can be recorded: pass a
+list as ``trace=`` and one :class:`TraceEntry` per call is appended.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .intervals import IntervalUnion, _exact, format_union, narrow
-from .network import PathBounds, Tcsp, first_empty_entry, path_bounds
+from .network import Tcsp, first_empty_entry, path_bounds
 
 
 class Outcome(Enum):
@@ -82,58 +87,49 @@ _Triple = Tuple[int, int, int]
 
 
 class _Run:
-    """Shared mutable state of one algorithm invocation."""
+    """Shared mutable state of one algorithm invocation.
 
-    __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "bounds",
+    With ``arcs`` a step (0, m, k) is traced as the arc (k, m).  ``floor``,
+    path_lb as a (value, closed) bound, is read at the first clamp check:
+    every write but a final empty one follows a clamp check, so the network
+    is still the one the run started on.
+    """
+
+    __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor",
                  "revise_calls", "domain_updates")
 
-    def __init__(
-        self,
-        net: Tcsp,
-        alg: str,
-        *,
-        weak: bool = False,
-        clamp: bool = True,
-        budget: Optional[int] = None,
-        trace: Optional[Trace] = None,
-        bounds: Optional[PathBounds] = None,
-    ):
+    def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
+                 budget: Optional[int] = None, trace: Optional[Trace] = None,
+                 arcs: bool = False):
         self.net = net
         self.alg = alg
         self.weak = weak
         self.clamp = clamp
         self.budget = budget
         self.trace = trace
-        # The band of elementary-path weights is computed once, up front,
-        # and held fixed for the entire run.
-        self.bounds = bounds if bounds is not None else (path_bounds(net) if clamp else None)
+        self.arcs = arcs
+        self.floor = None
         self.revise_calls = 0
         self.domain_updates = 0
-
-    def out_of_budget(self) -> bool:
-        return self.budget is not None and self.revise_calls >= self.budget
 
     def report(self, outcome: Outcome) -> RunReport:
         return RunReport(outcome, self.revise_calls, self.domain_updates)
 
     def _clamp_to_empty(self, temp: IntervalUnion) -> bool:
         """True when either endpoint weight of temp sinks below path_lb."""
-        lb = self.bounds.path_lb
-        floor = (_exact(lb.value), not lb.strict)
+        floor = self.floor
+        if floor is None:
+            lb = path_bounds(self.net).path_lb
+            floor = self.floor = (_exact(lb.value), not lb.strict)
         down, up = temp.parts[0]._down, temp.parts[-1]._up
         return (down is not None and down < floor) or (up is not None and up < floor)
 
-    def revise(self, i: int, j: int, x: IntervalUnion, y: IntervalUnion, target) -> bool:
-        """Tighten entry (i, j) through the path of legs ``x`` and ``y``.
-
-        An arc step narrows the binarized domain of X_k through X_m, entry
-        (0, k) by m[0][m] and m[m][k], and is traced as (k, m); a path step
-        narrows (i, j) by m[i][k] and m[k][j], and is traced as (i, k, j).
-        The write goes through set_pair, so it is mirrored.
-        """
+    def revise(self, i: int, k: int, j: int) -> bool:
+        """Step (i, k, j): narrow entry (i, j) by m[i][k] and m[k][j], mirrored."""
         self.revise_calls += 1
-        old = self.net.m[i][j]
-        temp = narrow(old, x, y, self.weak)
+        grid = self.net.m
+        old = grid[i][j]
+        temp = narrow(old, grid[i][k], grid[k][j], self.weak)
         clamped = False
         new = temp
         if self.clamp and temp is not old and not temp.is_empty() and self._clamp_to_empty(temp):
@@ -145,23 +141,58 @@ class _Run:
             self.net.set_pair(i, j, new)
             self.domain_updates += 1
         if self.trace is not None:
+            target = (j, k) if self.arcs else (i, k, j)
             self.trace.append(TraceEntry(self.alg, target, old, temp, new, clamped, changed))
         return changed
 
 
 def revise(
-    net: Tcsp,
-    k: int,
-    m: int,
-    *,
-    weak: bool = False,
-    clamp: bool = True,
-    bounds: Optional[PathBounds] = None,
-    trace: Optional[Trace] = None,
+    net: Tcsp, k: int, m: int, *, weak: bool = False, trace: Optional[Trace] = None
 ) -> bool:
     """One arc step on its own: returns whether the domain of X_k changed."""
-    run = _Run(net, "revise", weak=weak, clamp=clamp, trace=trace, bounds=bounds)
-    return run.revise(0, k, net.m[0][m], net.m[m][k], (k, m))
+    return _Run(net, "revise", weak=weak, trace=trace, arcs=True).revise(0, m, k)
+
+
+def _worklist(
+    run: _Run,
+    seed: Sequence[_Triple],
+    again: Callable[[int, int, int], List[_Triple]],
+    *,
+    lifo: bool = False,
+    select: Optional[Callable[[Tuple[_Triple, ...]], _Triple]] = None,
+) -> RunReport:
+    """Run steps (i, k, j) from ``seed`` until none is pending, budget checked first.
+
+    A step that empties entry (i, j) ends the run; one that narrows it queues
+    the steps of ``again(i, k, j)`` not yet pending.  The pending dict keeps
+    insertion order, which ``select`` sees; the deque beside it makes a FIFO
+    or LIFO pop O(1) (under ``select`` it has length 0 and drops pushes).
+    """
+    pending = dict.fromkeys(seed)
+    queue = deque(pending, maxlen=None if select is None else 0)
+    if select is None:
+        pop = queue.pop if lifo else queue.popleft
+    else:
+        def pop() -> _Triple:
+            step = select(tuple(pending))
+            if step not in pending:
+                raise ValueError(f"select returned {step!r}, which is not pending")
+            return step
+    push, revise, grid, budget = queue.append, run.revise, run.net.m, run.budget
+    while pending:
+        if budget is not None and run.revise_calls >= budget:
+            return run.report(Outcome.BUDGET_EXHAUSTED)
+        step = pop()
+        del pending[step]
+        i, k, j = step
+        if revise(i, k, j):
+            if grid[i][j].is_empty():
+                return run.report(Outcome.EMPTY_DOMAIN)
+            for later in again(i, k, j):
+                if later not in pending:
+                    pending[later] = None
+                    push(later)
+    return run.report(Outcome.CONSISTENT)
 
 
 def _mask_pairs(net: Tcsp) -> List[_Pair]:
@@ -169,13 +200,14 @@ def _mask_pairs(net: Tcsp) -> List[_Pair]:
     return [(a, b) for a in range(1, net.n_vars + 1) for b in net.neighbours[a] if b]
 
 
-def _arcs_reading(net: Tcsp, changed: _Pair) -> List[_Pair]:
+def _arcs_reading(net: Tcsp, changed: _Pair) -> List[_Triple]:
     """The constrained arcs whose revise reads entry ``changed`` (either way round).
 
     A binarized domain m[0][j] is read by every arc (k, j) into X_j; an
     inter-variable entry (i, j) by the arcs (i, j) and (j, i).  Arcs out of
     X_j read m[0][j] only as the domain being narrowed, and narrowing a
-    supported domain leaves it supported, so they need no revisit.
+    supported domain leaves it supported, so they need no revisit.  Each arc
+    (k, m) comes back as its step (0, m, k).
     """
     i, j = changed
     net._check(i, j)
@@ -183,8 +215,8 @@ def _arcs_reading(net: Tcsp, changed: _Pair) -> List[_Pair]:
         raise ValueError("diagonal entries are fixed at {0}")
     i, j = min(i, j), max(i, j)
     if i == 0:
-        return [(k, j) for k in net.neighbours[j] if k]
-    return [(i, j), (j, i)] if j in net.neighbours[i] else []
+        return [(0, j, k) for k in net.neighbours[j] if k]
+    return [(0, j, i), (0, i, j)] if j in net.neighbours[i] else []
 
 
 def _bdac3(
@@ -201,30 +233,20 @@ def _bdac3(
     if changed is None:
         if first_empty_entry(net) is not None:
             return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
-        seed = _mask_pairs(net)
+        seed = [(0, m, k) for k, m in _mask_pairs(net)]
     else:
         seed = _arcs_reading(net, changed)
         if net.m[changed[0]][changed[1]].is_empty():
             return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
-    run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace)
-    queue = deque(seed)
-    queued = set(seed)
+
     neighbours = net.neighbours
-    grid = net.m
-    while queue:
-        if run.out_of_budget():
-            return run.report(Outcome.BUDGET_EXHAUSTED)
-        pair = queue.pop() if lifo else queue.popleft()
-        queued.discard(pair)
-        k, m = pair
-        if run.revise(0, k, grid[0][m], grid[m][k], pair):
-            if grid[0][k].is_empty():
-                return run.report(Outcome.EMPTY_DOMAIN)
-            for i in neighbours[k]:
-                if i and i != m and (i, k) not in queued:
-                    queue.append((i, k))
-                    queued.add((i, k))
-    return run.report(Outcome.CONSISTENT)
+
+    def again(_: int, m: int, k: int) -> List[_Triple]:
+        # every arc (a, k) reads the domain of X_k; the arc back, (m, k), stays out
+        return [(0, k, a) for a in neighbours[k] if a and a != m]
+
+    run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace, arcs=True)
+    return _worklist(run, seed, again, lifo=lifo)
 
 
 def bdac3(
@@ -301,14 +323,14 @@ def _bdac1(
         # termination test would be unsound
         if sorted(pairs) != _mask_pairs(net):
             raise ValueError("order must be a permutation of the constrained ordered pairs")
-    run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
+    run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace, arcs=True)
     grid = net.m
     while True:
         changed_any = False
         for k, m in pairs:
-            if run.out_of_budget():
+            if budget is not None and run.revise_calls >= budget:
                 return run.report(Outcome.BUDGET_EXHAUSTED)
-            if run.revise(0, k, grid[0][m], grid[m][k], (k, m)):
+            if run.revise(0, m, k):
                 changed_any = True
                 if grid[0][k].is_empty():
                     return run.report(Outcome.EMPTY_DOMAIN)
@@ -420,47 +442,28 @@ def _pc2(
 ) -> RunReport:
     if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
-    run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
     grid = net.m
     size = net.n_vars + 1
     informative = [[not label.is_universal() for label in row] for row in grid]
-    # seeded in lexicographic order; the dict is the pending set, in the
-    # order select sees it, and the deque the FIFO order, so the default
-    # pop is O(1), not a scan past the dict's deleted head entries
-    pending = {
-        (i, k, j): None
+    seed = [
+        (i, k, j)
         for i in range(size) for k in range(size) if k != i and informative[i][k]
         for j in range(i + 1, size) if j != k and informative[k][j]
-    }
-    fifo = deque(pending) if select is None else None
-    while pending:
-        if run.out_of_budget():
-            return run.report(Outcome.BUDGET_EXHAUSTED)
-        if fifo is not None:
-            triple = fifo.popleft()
-        else:
-            triple = select(tuple(pending))
-            if triple not in pending:
-                raise ValueError(f"select returned {triple!r}, which is not pending")
-        del pending[triple]
-        i, k, j = triple
-        if run.revise(i, j, grid[i][k], grid[k][j], triple):
-            if grid[i][j].is_empty():
-                return run.report(Outcome.EMPTY_DOMAIN)
-            # paths that run through the tightened pair, targets canonical;
-            # the write changed both orientations, so legs reading the
-            # mirror (j, i) went stale too -- all four patterns re-enter
-            for again in (
-                [(i, j, m) for m in range(i + 1, size) if m != j and not grid[j][m].is_universal()]
-                + [(m, i, j) for m in range(j) if m != i and not grid[m][i].is_universal()]
-                + [(j, i, m) for m in range(j + 1, size) if not grid[i][m].is_universal()]
-                + [(m, j, i) for m in range(i) if not grid[m][j].is_universal()]
-            ):
-                if again not in pending:
-                    pending[again] = None
-                    if fifo is not None:
-                        fifo.append(again)
-    return run.report(Outcome.CONSISTENT)
+    ]
+
+    def again(i: int, _: int, j: int) -> List[_Triple]:
+        # paths that run through the tightened pair, targets canonical; the
+        # write changed both orientations, so legs reading the mirror (j, i)
+        # went stale too -- all four patterns re-enter
+        return (
+            [(i, j, m) for m in range(i + 1, size) if m != j and not grid[j][m].is_universal()]
+            + [(m, i, j) for m in range(j) if m != i and not grid[m][i].is_universal()]
+            + [(j, i, m) for m in range(j + 1, size) if not grid[i][m].is_universal()]
+            + [(m, j, i) for m in range(i) if not grid[m][j].is_universal()]
+        )
+
+    run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
+    return _worklist(run, seed, again, select=select)
 
 
 def pc2(
@@ -478,19 +481,18 @@ def pc2(
     return _pc2(net, select=select, trace=trace)
 
 
-#: Every algorithm by the name the CLI and the traces use: its engine, the
-#: settings that make the engine that algorithm, and the one queue option
-#: (``lifo``, ``order`` or ``select``) a caller may pass it.  The "-minus"
-#: entries are their engine without the clamp, run under a revise budget.
+#: Every algorithm by the name the CLI and the traces use: its engine and
+#: the settings that make the engine that algorithm.  The "-minus" entries
+#: are their engine without the clamp, run under a revise budget.
 ALGORITHMS = {
-    "bdac3": (_bdac3, {"weak": False}, "lifo"),
-    "wbdac3": (_bdac3, {"weak": True}, "lifo"),
-    "bdac1": (_bdac1, {}, "order"),
-    "pc1": (_pc1, {}, None),
-    "pc2": (_pc2, {}, "select"),
-    "bdac3-minus": (_bdac3, {"weak": False, "clamp": False}, "lifo"),
-    "bdac1-minus": (_bdac1, {"clamp": False}, "order"),
-    "pc2-minus": (_pc2, {"clamp": False}, "select"),
+    "bdac3": (_bdac3, {"weak": False}),
+    "wbdac3": (_bdac3, {"weak": True}),
+    "bdac1": (_bdac1, {}),
+    "pc1": (_pc1, {}),
+    "pc2": (_pc2, {}),
+    "bdac3-minus": (_bdac3, {"weak": False, "clamp": False}),
+    "bdac1-minus": (_bdac1, {"clamp": False}),
+    "pc2-minus": (_pc2, {"clamp": False}),
 }
 
 
@@ -504,38 +506,31 @@ def run_algorithm(
 ) -> RunReport:
     """Run the algorithm ``ALGORITHMS`` lists as ``name`` on ``net``, in place.
 
-    ``budget`` bounds the "-minus" variants only; ``option`` is the entry's
-    queue option, if the caller sets it.
+    ``budget`` bounds the "-minus" variants only.  ``option`` goes to the
+    engine as given: ``lifo`` for the bdac3 family, ``order`` for bdac1,
+    ``select`` for pc2; an option the engine lacks raises ``TypeError``.
     """
-    engine, settings, _ = ALGORITHMS[name]
+    engine, settings = ALGORITHMS[name]
     if not settings.get("clamp", True):
         settings = dict(settings, budget=budget)
     return engine(net, trace=trace, alg=name, **settings, **option)
 
 
 def minus_variant(
-    alg: str,
-    net: Tcsp,
-    *,
-    budget: int = 10000,
-    lifo: bool = False,
-    order: Optional[Sequence[_Pair]] = None,
-    select: Optional[Callable[[Tuple[_Triple, ...]], _Triple]] = None,
-    trace: Optional[Trace] = None,
+    alg: str, net: Tcsp, *, budget: int = 10000, trace: Optional[Trace] = None, **option
 ) -> RunReport:
     """Run bdac3/bdac1/pc2 with the clamp removed, under a hard call budget.
 
     Exists for exhibiting divergence; the budget is checked before each
-    revise, so an exhausted run reports exactly ``budget`` calls.
+    revise, so an exhausted run reports exactly ``budget`` calls.  ``option``
+    is the algorithm's queue option, as :func:`run_algorithm` takes it.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     name = alg if alg.endswith("-minus") else alg + "-minus"
     if name not in ALGORITHMS:
         raise ValueError(f"no minus variant for {alg!r}")
-    option = ALGORITHMS[name][2]
-    given = {"lifo": lifo, "order": order, "select": select}[option]
-    return run_algorithm(name, net, budget=budget, trace=trace, **{option: given})
+    return run_algorithm(name, net, budget=budget, trace=trace, **option)
 
 
 def is_bd_arc_consistent(net: Tcsp) -> bool:

@@ -16,7 +16,6 @@ maximum prunes; at a leaf it equals ``olb`` and certifies the optimum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -31,7 +30,7 @@ from .errors import (
 from .intervals import (
     _CLOSED_ZERO, Interval, IntervalUnion, RatLike, _exact, _parse_rational, as_rational,
 )
-from .network import Tcsp, build_tcsp, check_solution
+from .network import Tcsp, _json_object, build_tcsp, check_solution
 from .propagation import Outcome, bdac3
 
 
@@ -419,16 +418,7 @@ def _pair_list(doc: dict, key: str) -> Tuple[Tuple[int, int], ...]:
 
 
 def instance_from_json(text: str) -> SchedulingInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(
-            f"line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    except ValueError as exc:  # an integer literal past int()'s digit limit
-        raise NetworkFormatError(str(exc)) from None
-    if not isinstance(doc, dict):
-        raise NetworkFormatError("top level must be an object")
+    doc = _json_object(text)
     raw_tasks = doc.get("tasks")
     if not isinstance(raw_tasks, list):
         raise NetworkFormatError('"tasks" must be a list')

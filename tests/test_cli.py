@@ -392,6 +392,16 @@ def test_a_json_integer_past_the_digit_limit_is_a_format_error(capsys, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, name", [("check", "net.json"), ("schedule", "inst.json")],
+                         ids=["check", "schedule"])
+def test_json_nested_past_the_recursion_limit_is_a_format_error(capsys, tmp_path, command, name):
+    path = tmp_path / name
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err == "error: JSON nested too deeply\n"
+
+
 def test_an_edge_list_header_past_the_digit_limit_is_a_format_error(capsys, tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# vertices " + "9" * (sys.get_int_max_str_digits() + 1) + "\n", encoding="utf-8")

@@ -8,6 +8,7 @@ agreement with an all-pairs shortest-path oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -37,12 +38,16 @@ from tcsp import (
     format_trace_line,
     graph_to_stp,
     is_bd_arc_consistent,
+    down_weight,
     minus_variant,
     parse_union,
+    path_bounds,
     pc1,
     pc2,
     revise,
     stp_to_graph,
+    up_weight,
+    w_less,
     wbdac3,
 )
 
@@ -187,6 +192,14 @@ def test_bdac3_minus_still_solves_consistent_networks():
 def test_minus_variant_respects_a_custom_budget():
     report = minus_variant("bdac3-minus", hidden_circuit_stp(), budget=7)
     assert report.outcome is Outcome.BUDGET_EXHAUSTED and report.revise_calls == 7
+
+
+def test_minus_variant_rejects_an_option_the_algorithm_lacks():
+    # bdac1 has a fixed pass order, not a queue: lifo is no option of it
+    with pytest.raises(TypeError):
+        minus_variant("bdac1", chain_stp(), lifo=True)
+    with pytest.raises(TypeError):
+        minus_variant("bdac3", chain_stp(), select=lambda pending: pending[0])
 
 
 def test_minus_variant_rejects_unknown_algorithms():
@@ -547,6 +560,19 @@ def test_pc_algorithms_compute_the_minimal_network():
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("n", [60, 80])
+def test_the_arc_passes_reach_the_minimal_domains_at_scale(n):
+    net, witness = random_consistent_stp(random.Random(n), n=n)
+    expected = fw_minimal_domains(net)
+    for algorithm in (bdac3, wbdac3):
+        for lifo in (False, True):
+            worked = net.copy()
+            assert algorithm(worked, lifo=lifo).outcome is Outcome.CONSISTENT
+            assert list(worked.domains()) == expected, (algorithm.__name__, lifo)
+            assert check_solution(worked, witness)
+
+
+@pytest.mark.slow
 def test_pc2_reaches_the_minimal_network_at_sixty_variables():
     # the default pop is O(1), so pc2 at this size takes a second or so,
     # not the minutes a pop that scans the pending queue would take
@@ -721,3 +747,151 @@ def test_changed_must_name_an_off_diagonal_entry():
         bdac3(chain_stp(), changed=(2, 2))
     with pytest.raises(IndexError):
         wbdac3(chain_stp(), changed=(0, 9))
+
+
+# -- the worklist against the algorithms as specified ------------------------------------
+
+
+def _below_floor(label, floor):
+    return w_less(up_weight(label), floor) or w_less(down_weight(label), floor)
+
+
+def _arc_pass_as_specified(net, *, weak=False, lifo=False, changed=None, clamp=True, budget=None):
+    """bdac3/wbdac3 as specified: a queue of the constrained arcs (k, m), each
+    narrowing the domain of X_k through X_m; a narrowed domain puts back every
+    arc into X_k except the arc back, and the clamp's floor is path_lb of the
+    network the run starts on."""
+    size = net.n_vars + 1
+    pairs = [sorted(pair) for pair in net.constraint_mask]
+    arcs = sorted(arc for a, b in pairs if a for arc in ((a, b), (b, a)))
+    if changed is None:
+        queue = list(arcs)
+        checked = [(i, j) for i in range(size) for j in range(size)]
+    else:
+        i, j = sorted(changed)
+        queue = [(k, m) for k, m in arcs if (m == j if i == 0 else {k, m} == {i, j})]
+        checked = [changed]
+    if any(net.m[i][j].is_empty() for i, j in checked):
+        return Outcome.EMPTY_DOMAIN, 0, 0, []
+    floor = path_bounds(net).path_lb
+    trace, calls, updates = [], 0, 0
+    while queue:
+        if budget is not None and calls >= budget:
+            return Outcome.BUDGET_EXHAUSTED, calls, updates, trace
+        k, m = queue.pop() if lifo else queue.pop(0)
+        calls += 1
+        x, y = net.m[0][m], net.m[m][k]
+        old = net.m[0][k]
+        temp = old & (x.weak_compose(y) if weak else x.compose(y))
+        clamped = clamp and temp != old and not temp.is_empty() and _below_floor(temp, floor)
+        new = IntervalUnion.empty() if clamped else temp
+        trace.append(((k, m), old, temp, new, clamped, new != old))
+        if new != old:
+            net.set_pair(0, k, new)
+            updates += 1
+            if new.is_empty():
+                return Outcome.EMPTY_DOMAIN, calls, updates, trace
+            queue += [(a, k) for a, b in arcs if b == k and a != m and (a, k) not in queue]
+    return Outcome.CONSISTENT, calls, updates, trace
+
+
+def _pc2_as_specified(net, *, select=None, clamp=True, budget=None):
+    """pc2 as specified: a queue of the triples (i, k, j), i < j, whose two legs
+    are informative, each narrowing entry (i, j) through X_k; a narrowed entry
+    puts back every such triple that reads it, either way round, as a leg."""
+    size = net.n_vars + 1
+
+    def informative(a, b):
+        return not net.m[a][b].is_universal()
+
+    if any(label.is_empty() for row in net.m for label in row):
+        return Outcome.EMPTY_DOMAIN, 0, 0, []
+    queue = [(i, k, j) for i in range(size) for k in range(size) for j in range(i + 1, size)
+             if k not in (i, j) and informative(i, k) and informative(k, j)]
+    floor = path_bounds(net).path_lb
+    trace, calls, updates = [], 0, 0
+    while queue:
+        if budget is not None and calls >= budget:
+            return Outcome.BUDGET_EXHAUSTED, calls, updates, trace
+        step = queue.pop(0) if select is None else select(tuple(queue))
+        if select is not None:
+            queue.remove(step)
+        i, k, j = step
+        calls += 1
+        old = net.m[i][j]
+        temp = old & net.m[i][k].compose(net.m[k][j])
+        clamped = clamp and temp != old and not temp.is_empty() and _below_floor(temp, floor)
+        new = IntervalUnion.empty() if clamped else temp
+        trace.append((step, old, temp, new, clamped, new != old))
+        if new != old:
+            net.set_pair(i, j, new)
+            updates += 1
+            if new.is_empty():
+                return Outcome.EMPTY_DOMAIN, calls, updates, trace
+            for again in (
+                [(i, j, b) for b in range(i + 1, size) if b != j and informative(j, b)]
+                + [(a, i, j) for a in range(j) if a != i and informative(a, i)]
+                + [(j, i, b) for b in range(j + 1, size) if informative(i, b)]
+                + [(a, j, i) for a in range(i) if informative(a, j)]
+            ):
+                if again not in queue:
+                    queue.append(again)
+    return Outcome.CONSISTENT, calls, updates, trace
+
+
+def _agrees(spec, run, net):
+    """Run the spec and the engine on copies of ``net``; both must report,
+    trace (flags included) and leave the network alike.  Returns the spec's
+    outcome and how many of its steps the clamp emptied."""
+    expected, worked, trace = net.copy(), net.copy(), []
+    outcome, calls, updates, want = spec(expected)
+    assert run(worked, trace) == RunReport(outcome, calls, updates)
+    assert [(e.target, e.old, e.temp, e.new, e.clamped, e.changed) for e in trace] == want
+    assert worked == expected
+    return outcome, sum(row[4] for row in want)
+
+
+def test_the_worklist_runs_bdac3_and_wbdac3_as_specified():
+    rng = random.Random(40917)
+    outcomes, clamped = set(), 0
+    for net in _differential_cases(rng):
+        runs = []
+        for weak, algorithm in ((False, bdac3), (True, wbdac3)):
+            for lifo in (False, True):
+                runs.append((net, dict(weak=weak, lifo=lifo), algorithm, dict(lifo=lifo)))
+                for written, changed in _writes_after_a_fixpoint(rng, net, algorithm):
+                    runs.append((written, dict(weak=weak, lifo=lifo, changed=changed),
+                                 algorithm, dict(lifo=lifo, changed=changed)))
+        for lifo in (False, True):
+            minus = functools.partial(minus_variant, "bdac3", budget=300)
+            runs.append((net, dict(lifo=lifo, clamp=False, budget=300), minus, dict(lifo=lifo)))
+        for start, spec_options, engine, options in runs:
+            outcome, cut = _agrees(
+                lambda n: _arc_pass_as_specified(n, **spec_options),
+                lambda n, trace: engine(n, trace=trace, **options),
+                start,
+            )
+            outcomes.add(outcome)
+            clamped += cut
+    assert outcomes == set(Outcome)
+    assert clamped > 0
+
+
+def test_the_worklist_runs_pc2_as_specified():
+    rng = random.Random(61129)
+    outcomes, clamped = set(), 0
+    for net in _differential_cases(rng):
+        for select in (None, lambda pending: pending[-1]):
+            for spec_options, engine in (
+                ({}, pc2),
+                ({"clamp": False, "budget": 300}, functools.partial(minus_variant, "pc2", budget=300)),
+            ):
+                outcome, cut = _agrees(
+                    lambda n: _pc2_as_specified(n, select=select, **spec_options),
+                    lambda n, trace: engine(n, select=select, trace=trace),
+                    net,
+                )
+                outcomes.add(outcome)
+                clamped += cut
+    assert outcomes == set(Outcome)
+    assert clamped > 0
