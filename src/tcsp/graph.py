@@ -4,9 +4,10 @@ A network on variables X0..Xn turns into a complete digraph on vertices
 0..n where the weight of (i, j) bounds ``x_j - x_i`` from above.  Upper
 endpoints of labels become forward weights, lower endpoints become negated
 backward weights, and open endpoints become strict weights, so shortest
-paths computed here are exact including open/closed distinctions.  These
-are the bounds the interval kernel already stores (``_up`` and ``_down``,
-see :mod:`tcsp.intervals`), and Floyd-Warshall relaxes on them directly.
+paths computed here are exact including open/closed distinctions.  A
+weight holds the bound the interval kernel stores for that end (``_up`` or
+``_down``, see :mod:`tcsp.intervals`), and Floyd-Warshall relaxes on the
+bounds directly.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import re
 from typing import Iterator, List, Set, Tuple
 
 from .errors import NegativeCircuit, NegativeCircuitReachable, NetworkFormatError
-from .intervals import _CLOSED_ZERO, _add, _exact
-from .weights import INF, ZERO, Weight, format_weight, parse_weight, w_add, w_less
+from .intervals import _CLOSED_ZERO, _add
+from .weights import INF, ZERO, Weight, _weight, format_weight, parse_weight, w_add, w_less
 
 
 class RootedDistanceGraph:
@@ -59,7 +60,7 @@ class RootedDistanceGraph:
         for i in self.vertices():
             row = self.w[i]
             for j in self.vertices():
-                if i != j and row[j].value is not None:
+                if i != j and row[j].bound is not None:
                     out.append((i, j, row[j]))
         return out
 
@@ -83,11 +84,9 @@ def floyd_warshall(g: RootedDistanceGraph) -> RootedDistanceGraph:
     A circuit of weight 0~ (zero reached only with a strict edge) counts as
     negative: no assignment can satisfy it.
     """
-    # relax on bounds -- (value, closed) in the kernel's exact form, None
-    # for +inf -- and build a Weight only where an entry ends up shorter
-    given = [
-        [None if w.value is None else (_exact(w.value), not w.strict) for w in row] for row in g.w
-    ]
+    # relax on the weights' bounds and build a Weight only where an entry
+    # ends up shorter
+    given = [[w.bound for w in row] for row in g.w]
     dist = [row[:] for row in given]
     size = g.n_vars + 1
     for k in range(size):
@@ -111,7 +110,7 @@ def floyd_warshall(g: RootedDistanceGraph) -> RootedDistanceGraph:
     for i in range(size):
         for j, bound in enumerate(dist[i]):
             if bound is not given[i][j]:
-                d.w[i][j] = Weight(bound[0], not bound[1])
+                d.w[i][j] = _weight(bound)
     return d
 
 
@@ -155,7 +154,7 @@ def reachable_set(
             if v in seen:
                 continue
             w = g.w[v][u] if reverse else g.w[u][v]
-            if w.value is not None:
+            if w.bound is not None:
                 seen.add(v)
                 frontier.append(v)
     return seen
@@ -178,6 +177,11 @@ def reachable(g: RootedDistanceGraph, frm: int, to: int) -> bool:
 # comment line; the first "# vertices N" comment fixes the vertex count.
 
 _HEADER = re.compile(r"#\s*vertices\s+(\d+)\s*$")
+
+#: The most vertices an edge list may have.  The graph is a full matrix,
+#: allocated before any edge is read, so a count from a header or an edge
+#: index must not size it freely; 1000 vertices keep a matrix near 8 MiB.
+MAX_VERTICES = 1000
 
 
 def write_edge_list(g: RootedDistanceGraph) -> str:
@@ -244,6 +248,8 @@ def read_edge_list(text: str) -> RootedDistanceGraph:
         n_vertices = max(max(i, j) for i, j in edges) + 1
     if n_vertices < 1:
         raise NetworkFormatError("vertex count must be at least 1")
+    if n_vertices > MAX_VERTICES:
+        raise NetworkFormatError(f"{n_vertices} vertices exceed the limit of {MAX_VERTICES}")
     for i, j in edges:
         if i >= n_vertices or j >= n_vertices:
             raise NetworkFormatError(

@@ -17,7 +17,8 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -29,15 +30,19 @@ from .errors import (
 from .graph import RootedDistanceGraph
 from .intervals import (
     _CLOSED_ZERO,
-    Interval,
+    Bound,
     IntervalUnion,
     RatLike,
+    _add,
     _exact,
-    _plus,
+    _nonempty,
+    _piece,
+    _union,
+    as_rational,
     format_union,
     parse_union,
 )
-from .weights import INF, ZERO, Weight
+from .weights import INF, ZERO, Weight, _weight
 
 
 # labels are immutable, so every fresh matrix shares these two
@@ -198,18 +203,12 @@ def first_empty_entry(net: Tcsp) -> Optional[Tuple[int, int]]:
 
 def up_weight(label: IntervalUnion) -> Weight:
     """Upper endpoint as a bound on x_j - x_i: b, b~ for open, +inf if unbounded."""
-    if not label.parts or label.parts[-1]._up is None:
-        return INF
-    value, closed = label.parts[-1]._up
-    return Weight(value, not closed)
+    return _weight(label.parts[-1]._up) if label.parts else INF
 
 
 def down_weight(label: IntervalUnion) -> Weight:
     """Lower endpoint as a bound on x_i - x_j: -a, (-a)~ for open, +inf if unbounded."""
-    if not label.parts or label.parts[0]._down is None:
-        return INF
-    value, closed = label.parts[0]._down
-    return Weight(value, not closed)
+    return _weight(label.parts[0]._down) if label.parts else INF
 
 
 def stp_to_graph(net: Tcsp) -> RootedDistanceGraph:
@@ -239,20 +238,12 @@ def graph_to_stp(g: RootedDistanceGraph) -> Tcsp:
     pairs = []
     for i in range(g.n_vars + 1):
         for j in range(i + 1, g.n_vars + 1):
-            fwd, back = g.w[i][j], g.w[j][i]
-            if fwd.value is None and back.value is None:
+            up, down = g.w[i][j].bound, g.w[j][i].bound
+            if up is None and down is None:
                 continue
-            hi = None if fwd.value is None else fwd.value
-            hi_closed = fwd.value is not None and not fwd.strict
-            lo = None if back.value is None else -back.value
-            lo_closed = back.value is not None and not back.strict
-            try:
-                piece = Interval(lo, hi, lo_closed, hi_closed)
-            except ValueError:
-                raise EmptyLabel(
-                    f"negative two-cycle between vertices {i} and {j}"
-                ) from None
-            net.set_pair(i, j, IntervalUnion((piece,)))
+            if not _nonempty(down, up):
+                raise EmptyLabel(f"negative two-cycle between vertices {i} and {j}")
+            net.set_pair(i, j, _union((_piece(down, up),)))
             pairs.append((i, j))
     _fix_structure(net, pairs)
     return net
@@ -280,19 +271,15 @@ class PathBounds:
     path_ub: Weight
 
 
-_Key = Tuple[Union[int, Fraction], bool]  # weights.sort_key of a finite weight
-
-
-def _pair_keys(label: IntervalUnion) -> Tuple[Optional[_Key], Optional[_Key]]:
-    """Sort keys of one pair's candidates: (below, above), None when absent.
+def _pair_keys(label: IntervalUnion) -> Tuple[Bound, Bound]:
+    """Bounds of one pair's candidates: (below, above), None when absent.
 
     Every finite end of every piece is an edge weight: an upper end b gives
     b forward, a lower end a gives -a backward, open ends strict.  ``below``
     is the most negative such weight, kept only when negative; ``above`` is
     the largest, kept only when nonnegative.  The keys are the pieces' own
-    bounds, (value, closed), which order as :func:`~tcsp.weights.sort_key`
-    does, with the value in the kernel's exact form, so integer keys sort
-    natively.
+    bounds, which order as the weights they are, with the value in the
+    kernel's exact form, so integer keys sort natively.
     """
     ends = [end for piece in label.parts for end in (piece._up, piece._down) if end is not None]
     if not ends:
@@ -301,12 +288,9 @@ def _pair_keys(label: IntervalUnion) -> Tuple[Optional[_Key], Optional[_Key]]:
     return (low if low < _CLOSED_ZERO else None, high if high >= _CLOSED_ZERO else None)
 
 
-def _key_sum(keys: List[_Key]) -> Weight:
+def _key_sum(keys: List[Bound]) -> Weight:
     """The weight of a path made of these edges (ZERO for none)."""
-    total = 0
-    for value, _ in keys:
-        total = _plus(total, value)
-    return Weight(total, not all(k[1] for k in keys))
+    return _weight(reduce(_add, keys, _CLOSED_ZERO))
 
 
 class _BoundsIndex:
@@ -325,8 +309,8 @@ class _BoundsIndex:
     def __init__(self, net: Tcsp):
         self.n = net.n_vars
         self.keys: dict = {}
-        self.below: List[_Key] = []
-        self.above: List[_Key] = []
+        self.below: List[Bound] = []
+        self.above: List[Bound] = []
         self.stale: set = set()
         for i in range(net.n_vars + 1):
             row = net.m[i]
@@ -355,7 +339,7 @@ class _BoundsIndex:
         return dup
 
     @staticmethod
-    def _move(ordered: List[_Key], old: Optional[_Key], new: Optional[_Key]):
+    def _move(ordered: List[Bound], old: Bound, new: Bound):
         if old == new:
             return
         if old is not None:
@@ -418,7 +402,7 @@ def path_bounds(net: Tcsp) -> PathBounds:
 def path_range(net: Tcsp) -> Fraction:
     """Width of the band all elementary path weights live in (strictness dropped)."""
     bounds = path_bounds(net)
-    return bounds.path_ub.value - bounds.path_lb.value
+    return as_rational(bounds.path_ub.bound[0] - bounds.path_lb.bound[0])
 
 
 # -- connectivity ----------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .intervals import IntervalUnion, _exact, format_union, narrow
+from .intervals import IntervalUnion, format_union, narrow
 from .network import Tcsp, first_empty_entry, path_bounds
 
 
@@ -119,8 +119,7 @@ class _Run:
         """True when either endpoint weight of temp sinks below path_lb."""
         floor = self.floor
         if floor is None:
-            lb = path_bounds(self.net).path_lb
-            floor = self.floor = (_exact(lb.value), not lb.strict)
+            floor = self.floor = path_bounds(self.net).path_lb.bound
         down, up = temp.parts[0]._down, temp.parts[-1]._up
         return (down is not None and down < floor) or (up is not None and up < floor)
 

@@ -4,44 +4,61 @@ Distance-graph edges carry weights of the form ``a`` (at most a) or ``a~``
 (strictly below a, written a-minus), plus +infinity for "no constraint".
 Strictness tracks open interval endpoints through shortest-path arithmetic:
 adding weights ORs strictness, infinity absorbs, and the order puts ``a~``
-just below ``a``.  A finite weight is the public form of the kernel's bound
-(value, closed) with closed = not strict (see :mod:`tcsp.intervals`), and
-:func:`sort_key` maps it back, so weights order as their bounds do.
+just below ``a``.  A weight holds exactly the kernel's bound (see
+:mod:`tcsp.intervals`): ``a`` is (a, True), ``a~`` is (a, False) and +inf is
+None, so weights add with the kernel's ``_add`` and order as their bounds do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
-from .intervals import RatLike, _parse_rational, _plus, as_rational
+from .intervals import (
+    _CLOSED_ZERO, Bound, RatLike, _add, _exact, _new, _parse_rational, _set, as_rational,
+)
 
 
 @dataclass(frozen=True)
 class Weight:
-    """``value`` of None means +infinity (never strict)."""
+    """A path weight: ``Weight(value, strict=False)``, with a ``value`` of None
+    meaning +infinity (never strict).  ``bound`` is the kernel's bound."""
 
-    value: Optional[Fraction]
-    strict: bool = False
+    bound: Bound
 
-    def __post_init__(self):
-        if self.value is not None:
-            object.__setattr__(self, "value", as_rational(self.value))
-        elif self.strict:
+    def __init__(self, value: Optional[RatLike], strict: bool = False):
+        if value is None and strict:
             raise ValueError("+inf cannot be strict")
+        _set(self, "bound", None if value is None else (_exact(value), not strict))
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        return None if self.bound is None else as_rational(self.bound[0])
+
+    @property
+    def strict(self) -> bool:
+        return self.bound is not None and not self.bound[1]
 
     def is_inf(self) -> bool:
-        return self.value is None
+        return self.bound is None
 
     def __str__(self) -> str:
         return format_weight(self)
 
 
+def _weight(bound: Bound) -> Weight:
+    """A Weight holding a bound already in the kernel's exact form; skips the
+    checks of the public constructor."""
+    w = _new(Weight)
+    _set(w, "bound", bound)
+    return w
+
+
 #: No constraint at all.
-INF = Weight(None)
+INF = _weight(None)
 #: The weight of staying put.
-ZERO = Weight(Fraction(0))
+ZERO = _weight(_CLOSED_ZERO)
 
 
 def weight(value: RatLike, strict: bool = False) -> Weight:
@@ -51,16 +68,12 @@ def weight(value: RatLike, strict: bool = False) -> Weight:
 
 def w_add(a: Weight, b: Weight) -> Weight:
     """Concatenate path weights: +inf absorbs, strictness propagates."""
-    if a.value is None or b.value is None:
-        return INF
-    return Weight(_plus(a.value, b.value), a.strict or b.strict)
+    return _weight(_add(a.bound, b.bound))
 
 
 def w_less(a: Weight, b: Weight) -> bool:
     """Total order: finite < +inf, by value, and a~ < a at equal values."""
-    if a.value is None or b.value is None:
-        return b.value is None and a.value is not None
-    return sort_key(a) < sort_key(b)
+    return a.bound is not None and (b.bound is None or a.bound < b.bound)
 
 
 def w_leq(a: Weight, b: Weight) -> bool:
@@ -71,18 +84,12 @@ def w_min(a: Weight, b: Weight) -> Weight:
     return a if w_less(a, b) else b
 
 
-def sort_key(w: Weight) -> Tuple[Fraction, int]:
-    """Ascending sort key for finite weights (a~ before a)."""
-    if w.value is None:
-        raise ValueError("sort_key is only defined for finite weights")
-    return (w.value, 0 if w.strict else 1)
-
-
 def format_weight(w: Weight) -> str:
     """Canonical text: "7/2", "-10~", "+inf"."""
-    if w.value is None:
+    if w.bound is None:
         return "+inf"
-    return f"{w.value}~" if w.strict else str(w.value)
+    value, closed = w.bound
+    return str(value) if closed else f"{value}~"
 
 
 def parse_weight(text: str) -> Weight:
@@ -96,6 +103,6 @@ def parse_weight(text: str) -> Weight:
     if not t:
         raise ValueError(f"bad weight text: {text!r}")
     try:
-        return Weight(_parse_rational(t), strict)
+        return _weight((_parse_rational(t), not strict))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in weight text: {text!r}") from None

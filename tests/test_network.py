@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -53,8 +54,8 @@ from tcsp import (
     w_less,
     weight,
 )
-from tcsp.weights import sort_key
 
+_by_bound = attrgetter("bound")
 U = parse_union
 
 
@@ -292,13 +293,13 @@ def _reference_path_bounds(net) -> PathBounds:
                 ends += [w for w in (up_weight(piece), down_weight(piece)) if not w.is_inf()]
             if not ends:
                 continue
-            low, high = min(ends, key=sort_key), max(ends, key=sort_key)
+            low, high = min(ends, key=_by_bound), max(ends, key=_by_bound)
             if w_less(low, ZERO):
                 below.append(low)
             if not w_less(high, ZERO):
                 above.append(high)
-    below.sort(key=sort_key)
-    above.sort(key=sort_key, reverse=True)
+    below.sort(key=_by_bound)
+    above.sort(key=_by_bound, reverse=True)
     lb = ub = ZERO
     for w in below[:net.n_vars]:
         lb = w_add(lb, w)

@@ -50,6 +50,7 @@ from tcsp import (
     w_less,
     wbdac3,
 )
+from tcsp.propagation import ALGORITHMS
 
 U = parse_union
 
@@ -200,6 +201,46 @@ def test_minus_variant_rejects_an_option_the_algorithm_lacks():
         minus_variant("bdac1", chain_stp(), lifo=True)
     with pytest.raises(TypeError):
         minus_variant("bdac3", chain_stp(), select=lambda pending: pending[0])
+
+
+def _lower_bounded_circuit_stp() -> Tcsp:
+    """X1, X2, X3 >= 0 with X2 - X1, X3 - X2 and X1 - X3 each in [1,2]: a
+    circuit of weight -3 along which the lower ends creep up without end."""
+    return build_tcsp(
+        3,
+        [(0, i, U("[0,+inf)")) for i in (1, 2, 3)]
+        + [(1, 2, U("[1,2]")), (2, 3, U("[1,2]")), (3, 1, U("[1,2]"))],
+    )
+
+
+_CLAMPED_RUNS = [
+    ("bdac3", {}),
+    ("bdac3", {"lifo": True}),
+    ("wbdac3", {}),
+    ("wbdac3", {"lifo": True}),
+    ("bdac1", {}),
+    ("pc2", {}),
+]
+
+
+@pytest.mark.parametrize("name, option", _CLAMPED_RUNS)
+@pytest.mark.parametrize(
+    "make", [hidden_circuit_stp, creeping_circuit_stp, _lower_bounded_circuit_stp]
+)
+def test_the_clamp_ends_every_clamped_engine_on_a_diverging_circuit(name, option, make):
+    # under a budget a broken clamp fails here instead of hanging the suite;
+    # pc1 has no clamp and ends on its own
+    assert {n for n, _ in _CLAMPED_RUNS} == {
+        n for n, (_, settings) in ALGORITHMS.items() if settings.get("clamp", True)
+    } - {"pc1"}
+    engine, settings = ALGORITHMS[name]
+    budget = 10000
+    if name != "pc2":  # pc2 in FIFO order empties a diagonal entry even unclamped
+        unclamped = engine(make(), alg=name, budget=budget, **dict(settings, clamp=False), **option)
+        assert unclamped.outcome is Outcome.BUDGET_EXHAUSTED
+    report = engine(make(), alg=name, budget=budget, **settings, **option)
+    assert report.outcome is Outcome.EMPTY_DOMAIN
+    assert report.revise_calls < budget
 
 
 def test_minus_variant_rejects_unknown_algorithms():

@@ -32,7 +32,7 @@ from tcsp import (
     weight,
     write_edge_list,
 )
-from tcsp.weights import sort_key
+from tcsp.graph import MAX_VERTICES
 
 
 # -- weights -------------------------------------------------------------------------
@@ -115,10 +115,10 @@ def test_w_add_is_commutative_associative_and_monotone():
             assert w_leq(w_add(a, c), w_add(b, c))
 
 
-def test_sort_key_agrees_with_w_less_on_finite_weights():
+def test_bound_order_agrees_with_w_less_on_finite_weights():
     finite = [w for w in _SAMPLES if w.value is not None]
-    by_key = sorted(finite, key=sort_key)
-    for earlier, later in zip(by_key, by_key[1:]):
+    by_bound = sorted(finite, key=lambda w: w.bound)
+    for earlier, later in zip(by_bound, by_bound[1:]):
         assert not w_less(later, earlier)
 
 
@@ -213,22 +213,31 @@ def test_floyd_warshall_keeps_plain_zero_circuits():
     assert fw.w[0][1] == weight(5) and fw.w[1][0] == weight(-5)
 
 
+def _less(a, b) -> bool:
+    """a < b on (Fraction, strict) pairs, None (+inf) last and a~ just below a."""
+    if a is None or b is None:
+        return b is None and a is not None
+    return a[0] < b[0] or (a[0] == b[0] and a[1] and not b[1])
+
+
 def _reference_floyd_warshall(g: RootedDistanceGraph) -> RootedDistanceGraph:
-    """Floyd-Warshall relaxing on Weight objects with w_add and w_less."""
-    d = g.copy()
-    w = d.w
-    for k in d.vertices():
-        for i in d.vertices():
-            if w[i][k].is_inf() or i == k:
+    """Floyd-Warshall relaxing on its own (Fraction, strict) pairs, None for
+    +inf: a sum is strict when either part is, and +inf absorbs."""
+    w = [[None if x.is_inf() else (x.value, x.strict) for x in row] for row in g.w]
+    for k in g.vertices():
+        for i in g.vertices():
+            if w[i][k] is None or i == k:
                 continue
-            for j in d.vertices():
-                if w[k][j].is_inf() or j == k:
+            for j in g.vertices():
+                if w[k][j] is None or j == k:
                     continue
-                cand = w_add(w[i][k], w[k][j])
-                if w_less(cand, w[i][j]):
+                cand = (w[i][k][0] + w[k][j][0], w[i][k][1] or w[k][j][1])
+                if _less(cand, w[i][j]):
                     w[i][j] = cand
-                    if i == j and w_less(cand, ZERO):
+                    if i == j and _less(cand, (Fraction(0), False)):
                         raise NegativeCircuit(i)
+    d = g.copy()
+    d.w = [[INF if x is None else Weight(*x) for x in row] for row in w]
     return d
 
 
@@ -362,6 +371,14 @@ def test_edge_list_reader_tolerates_comments_and_infers_size():
 def test_edge_list_reader_rejects_malformed_input(bad):
     with pytest.raises(NetworkFormatError):
         read_edge_list(bad)
+
+
+def test_edge_list_reader_caps_the_vertex_count():
+    assert read_edge_list(f"# vertices {MAX_VERTICES}\n").n_vars == MAX_VERTICES - 1
+    assert read_edge_list(f"0 {MAX_VERTICES - 1} 1\n").n_vars == MAX_VERTICES - 1
+    for text in (f"# vertices {MAX_VERTICES + 1}\n", f"0 {MAX_VERTICES} 1\n"):
+        with pytest.raises(NetworkFormatError, match="exceed the limit"):
+            read_edge_list(text)
 
 
 def test_edge_list_reader_reports_line_numbers():
