@@ -13,6 +13,7 @@ Exit codes: 0 consistent/solved/converted, 1 inconsistent or infeasible
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -59,10 +60,9 @@ def _cmd_check(args) -> int:
     try:
         net = network_from_json(_read(args.input))
     except EmptyLabel as exc:
-        if args.format == "json":
-            print(json.dumps({"outcome": "empty-domain", "error": str(exc)}, indent=2))
-        else:
-            print(f"inconsistent: {exc}")
+        if args.format != "json":
+            raise
+        print(json.dumps({"outcome": "empty-domain", "error": str(exc)}, indent=2))
         return 1
     stp_input = is_stp(net)
     trace = [] if args.trace else None
@@ -107,11 +107,10 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     try:
         net = network_from_json(_read(args.input))
-    except EmptyLabel as exc:
-        if args.format == "json":
-            print(json.dumps({"consistent": False, "solution": None}, indent=2))
-        else:
-            print(f"inconsistent: {exc}")
+    except EmptyLabel:
+        if args.format != "json":
+            raise
+        print(json.dumps({"consistent": False, "solution": None}, indent=2))
         return 1
     result = solve(net)
     if args.format == "json":
@@ -148,11 +147,7 @@ def _cmd_shortest_paths(args) -> int:
     if not (0 <= source <= g.n_vars):
         print(f"source {source} is not a vertex of the graph", file=sys.stderr)
         return 2
-    try:
-        net = graph_to_stp(_swap_origin(g, source))
-    except EmptyLabel as exc:
-        print(f"inconsistent: {exc}")
-        return 1
+    net = graph_to_stp(_swap_origin(g, source))
     if bdac3(net).outcome is not Outcome.CONSISTENT:
         print("inconsistent: negative circuit")
         return 1
@@ -195,25 +190,16 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_convert(args) -> int:
     if args.to == "stp":
-        g = read_edge_list(_read(args.input))
-        try:
-            net = graph_to_stp(g)
-        except EmptyLabel as exc:
-            print(f"inconsistent: {exc}")
-            return 1
-        sys.stdout.write(network_to_json(net))
-        return 0
-    net = network_from_json(_read(args.input))  # EmptyLabel -> semantic, handled below
-    try:
-        g = stp_to_graph(net)
-    except EmptyLabel as exc:
-        print(f"inconsistent: {exc}")
-        return 1
-    sys.stdout.write(write_edge_list(g))
+        sys.stdout.write(network_to_json(graph_to_stp(read_edge_list(_read(args.input)))))
+    else:
+        sys.stdout.write(write_edge_list(stp_to_graph(network_from_json(_read(args.input)))))
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built once per process (argparse's parse
+    leaves the parser unchanged)."""
     parser = argparse.ArgumentParser(
         prog="tcsp",
         description="Exact temporal constraint networks: check, solve, convert, schedule.",
@@ -249,20 +235,22 @@ def main(argv=None) -> int:
     p.add_argument("input")
     p.add_argument("--to", choices=("stp", "graph"), required=True)
     p.set_defaults(fn=_cmd_convert)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one subcommand; the only place where an error becomes a message
+    and an exit code (an empty label 1 on stdout, unusable input 2 on stderr,
+    a file that is not UTF-8 included)."""
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (NetworkFormatError, UnionParseError, InvalidInstance) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EmptyLabel as exc:
         print(f"inconsistent: {exc}")
         return 1
-    except NotAnStp as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (
+        NetworkFormatError, UnionParseError, InvalidInstance, NotAnStp, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,13 +62,9 @@ def _exact(value: RatLike) -> Exact:
 
 def _plus(x: Exact, y: Exact) -> Exact:
     """``x + y`` in the kernel's exact form (a whole sum is an int).  Two ints
-    add natively; otherwise the sum goes through numerators and
-    denominators, because Fraction's own operators spend most of their time
-    dispatching on the operand type."""
+    add natively, without Fraction's dispatch on the operand type."""
     if type(x) is int is type(y):
         return x + y
-    if x.denominator == 1 == y.denominator:  # whole Fractions: Weight values
-        return x.numerator + y.numerator
     return _exact(x + y)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NotAnStp,
     UnionParseError,
 )
-from .graph import RootedDistanceGraph
+from .graph import MAX_VERTICES, RootedDistanceGraph
 from .intervals import (
     _CLOSED_ZERO,
     Bound,
@@ -523,6 +523,8 @@ def network_from_json(text: str) -> Tcsp:
     n = doc.get("variables")
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise NetworkFormatError('"variables" must be a nonnegative integer')
+    if n + 1 > MAX_VERTICES:  # checked before Tcsp(n) allocates (n+1)² labels
+        raise NetworkFormatError(f"{n} variables exceed the limit of {MAX_VERTICES - 1}")
     raw = doc.get("constraints", [])
     if not isinstance(raw, list):
         raise NetworkFormatError('"constraints" must be a list')

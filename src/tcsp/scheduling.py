@@ -27,6 +27,7 @@ from .errors import (
     MalformedDomain,
     NetworkFormatError,
 )
+from .graph import MAX_VERTICES
 from .intervals import (
     _CLOSED_ZERO, Interval, IntervalUnion, RatLike, _exact, _parse_rational, as_rational,
 )
@@ -422,6 +423,9 @@ def instance_from_json(text: str) -> SchedulingInstance:
     raw_tasks = doc.get("tasks")
     if not isinstance(raw_tasks, list):
         raise NetworkFormatError('"tasks" must be a list')
+    n = len(raw_tasks)
+    if n + 1 > MAX_VERTICES:  # one variable per task, plus X0
+        raise NetworkFormatError(f"{n} tasks exceed the limit of {MAX_VERTICES - 1}")
     tasks: List[Task] = []
     for k, item in enumerate(raw_tasks):
         where = f"tasks[{k}]"

@@ -70,19 +70,17 @@ def _pick_value(domain: IntervalUnion):
     return 0
 
 
-def _is_point(label: IntervalUnion) -> bool:
-    return len(label.parts) == 1 and label.parts[0].is_degenerate()
-
-
 def backtrack_free(net: Tcsp) -> Tcsp:
     """Fix every variable of a connected, bdArc-consistent STP, in place.
 
     Each round pins the lowest-index unfixed variable to a value of its
     current domain and re-propagates from the arcs that read that domain,
-    the network having been at the bdac3 fixpoint before the pin.  On a
-    consistent input this never hits a dead end; an input harboring a
-    strict-zero-weight circuit (the one inconsistency domain propagation
-    cannot surface) dead-ends and raises ExtractionDeadEnd.
+    the network having been at the bdac3 fixpoint before the pin.  A
+    consistent re-propagation keeps every earlier pin a point, so one pass
+    in index order fixes them all.  On a consistent input this never hits
+    a dead end; an input harboring a strict-zero-weight circuit (the one
+    inconsistency domain propagation cannot surface) dead-ends and raises
+    ExtractionDeadEnd.
     """
     if not is_stp(net):
         raise PreconditionViolated("not an all-convex network")
@@ -94,18 +92,16 @@ def backtrack_free(net: Tcsp) -> Tcsp:
         raise PreconditionViolated(f"X{loose[0]} is not connected with the origin")
     if not is_bd_arc_consistent(net):
         raise PreconditionViolated("network is not bdArc-consistent")
-    while True:
-        target = next(
-            (i for i in range(1, n + 1) if not _is_point(net.m[0][i])), None
-        )
-        if target is None:
-            return net
-        value = _pick_value(net.m[0][target])
-        net.set_pair(0, target, IntervalUnion.point(value))
+    for target in range(1, n + 1):
+        domain = net.m[0][target]
+        if len(domain.parts) == 1 and domain.parts[0].is_degenerate():
+            continue
+        net.set_pair(0, target, IntervalUnion.point(_pick_value(domain)))
         if bdac3(net, changed=(0, target)).outcome is not Outcome.CONSISTENT:
             raise ExtractionDeadEnd(
                 f"fixing X{target} emptied a domain; the network has no solutions"
             )
+    return net
 
 
 def extract_solution(net: Tcsp) -> List[Fraction]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import subprocess
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from randnets import chain_stp, fragmenting_tcsp, hidden_circuit_stp
 from tcsp import (
+    EmptyLabel,
     NegativeCircuitReachable,
     NetworkFormatError,
     RootedDistanceGraph,
@@ -24,6 +27,8 @@ from tcsp import (
     build_tcsp,
     format_trace_line,
     format_weight,
+    instance_from_json,
+    network_from_json,
     network_to_json,
     parse_union,
     read_edge_list,
@@ -31,6 +36,8 @@ from tcsp import (
     write_edge_list,
 )
 from tcsp.cli import main
+from tcsp.graph import MAX_VERTICES
+from tcsp.propagation import ALGORITHMS
 
 
 def run_cli(capsys, *argv):
@@ -343,6 +350,50 @@ def test_shortest_paths_refuses_a_vertex_count_past_the_limit(tmp_path, text, co
     assert result.stderr == f"error: {count} vertices exceed the limit of 1000\n"
 
 
+# X0 plus n variables or tasks are n + 1 vertices, capped like an edge list.
+# The instance at the cap gets past the reader; its bad pair is the first complaint.
+_AT_CAP_TASKS = [{"d": 1}] * (MAX_VERTICES - 1)
+
+
+@pytest.mark.parametrize(
+    "command, at_cap, expected",
+    [
+        ("check", {"variables": MAX_VERTICES - 1}, (0, "consistent\n", "")),
+        (
+            "schedule",
+            {"tasks": _AT_CAP_TASKS, "precedences": [[1, MAX_VERTICES]]},
+            (2, "", f"error: precedence (1, {MAX_VERTICES}): task numbers must be in "
+                    f"1..{MAX_VERTICES - 1}\n"),
+        ),
+    ],
+    ids=["check", "schedule"],
+)
+def test_json_readers_take_the_vertex_limit(capsys, tmp_path, command, at_cap, expected):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(at_cap), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out.partition("domains:")[0], err) == expected
+
+
+@pytest.mark.parametrize(
+    "command, over_cap, what",
+    [
+        ("check", {"variables": MAX_VERTICES}, "variables"),
+        ("solve", {"variables": MAX_VERTICES}, "variables"),
+        ("convert", {"variables": MAX_VERTICES}, "variables"),
+        ("schedule", {"tasks": _AT_CAP_TASKS + [{"d": 1}]}, "tasks"),
+    ],
+    ids=["check", "solve", "convert", "schedule"],
+)
+def test_json_readers_refuse_one_more_vertex(capsys, tmp_path, command, over_cap, what):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(over_cap), encoding="utf-8")
+    extra = ["--to", "graph"] if command == "convert" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2 and out == ""
+    assert err == f"error: {MAX_VERTICES} {what} exceed the limit of {MAX_VERTICES - 1}\n"
+
+
 # -- schedule --------------------------------------------------------------------
 
 
@@ -498,6 +549,16 @@ def test_unparseable_input_exits_2(capsys, tmp_path):
     assert err == "error: line 1 column 1: Expecting value\n"
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "shortest-paths", "schedule", "convert"])
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"variables": 1, "constraints": [], "note": "caf\xe9"}')
+    extra = ["--to", "graph"] if command == "convert" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9") and err.count("\n") == 1
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(tmp_path / "nowhere.json"))
     assert code == 2 and out == ""
@@ -552,6 +613,128 @@ def test_readers_raise_only_their_format_errors(text):
         parse_union(text)
     except UnionParseError:
         pass
+
+
+# Fuzzed documents for the two JSON readers and for every subcommand.  Sizes
+# stay small (at most 4 variables, 5 tasks) so that each run is quick.
+_JUNK = st.sampled_from((None, True, 2.5, "2", "x", [], {}, -1))
+_piece_text = st.builds(
+    lambda open_, lo, width, close: f"{open_}{lo},{lo + width}{close}",
+    st.sampled_from("[("),
+    st.integers(-5, 5),
+    st.integers(1, 6),
+    st.sampled_from("])"),
+)
+_label_text = st.lists(_piece_text, min_size=1, max_size=3).map(" u ".join) | st.sampled_from(
+    ("{}", "{0}", "(-inf,+inf)", "[2,+inf)", "(-inf,-1)")
+)
+
+
+def _network(n):
+    constraint = st.builds(
+        lambda ij, label: {"i": ij[0], "j": ij[1], "label": label},
+        st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True),
+        _label_text,
+    )
+    return st.fixed_dictionaries({"variables": st.just(n), "constraints": st.lists(constraint, max_size=6)})
+
+
+def _instance(n):
+    task = st.fixed_dictionaries(
+        {"d": st.integers(1, 4) | st.just("3/2")},
+        optional={"release": st.integers(0, 6) | st.none(), "due": st.integers(0, 12) | st.none()},
+    )
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2)
+    return st.fixed_dictionaries(
+        {"tasks": st.lists(task, min_size=n, max_size=n)},
+        optional={"precedences": st.lists(pair, max_size=3), "disjunctions": st.lists(pair, max_size=5)},
+    )
+
+
+def _edge_list(n):
+    pair = st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda ij: ij[0] != ij[1])
+    weight = st.builds(str, st.integers(-6, 6)) | st.builds(lambda w: f"{w}~", st.integers(-6, 6))
+    return st.dictionaries(pair, weight, max_size=8).map(
+        lambda edges: "".join([f"# vertices {n + 1}\n", *(f"{i} {j} {w}\n" for (i, j), w in edges.items())])
+    )
+
+
+_bad_label = st.lists(_union_piece, min_size=1, max_size=2).map(" u ".join) | _JUNK
+_bad_constraint = _JUNK | st.fixed_dictionaries(
+    {}, optional={"i": st.integers(-1, 5) | _JUNK, "j": _JUNK, "label": _bad_label}
+)
+_bad_network = st.fixed_dictionaries(
+    {},
+    optional={
+        "variables": st.integers(-1, 4) | _JUNK,
+        "constraints": _JUNK | st.lists(_bad_constraint, max_size=3),
+    },
+)
+_bad_field = st.integers(-1, 6) | st.sampled_from(("3/2", "0", "1/0", "1e5000", "x", 1.5, None, True))
+_bad_task = _JUNK | st.fixed_dictionaries(
+    {}, optional={"d": _bad_field, "release": _bad_field, "due": _bad_field}
+)
+_bad_instance = st.fixed_dictionaries(
+    {},
+    optional={
+        "tasks": _JUNK | st.lists(_bad_task, max_size=5),
+        "precedences": _JUNK | st.lists(st.lists(st.integers(0, 6) | _JUNK, max_size=3), max_size=3),
+    },
+)
+_DOCUMENTS = (
+    st.integers(1, 4).flatmap(_network).map(json.dumps),
+    st.integers(1, 5).flatmap(_instance).map(json.dumps),
+    st.integers(1, 4).flatmap(_edge_list),
+    st.one_of(_bad_network, _bad_instance, st.lists(_JUNK, max_size=2)).map(json.dumps),
+    _reader_text,
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(*_DOCUMENTS))
+def test_json_readers_raise_only_their_documented_errors(text):
+    try:
+        network_from_json(text)
+    except (NetworkFormatError, EmptyLabel):
+        pass
+    try:
+        instance_from_json(text)
+    except NetworkFormatError:
+        pass
+
+
+_SUBCOMMANDS = (
+    ["check"],
+    ["check", "--format", "json"],
+    *(["check", "--algorithm", name, "--budget", "2"] for name in ALGORITHMS),
+    ["solve"],
+    ["solve", "--format", "json"],
+    ["shortest-paths"],
+    ["shortest-paths", "--format", "json"],
+    ["schedule"],
+    ["schedule", "--format", "json"],
+    ["convert", "--to", "stp"],
+    ["convert", "--to", "graph"],
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(*(d.map(str.encode) for d in _DOCUMENTS), st.binary(max_size=40)))
+def test_every_subcommand_exits_with_a_documented_code(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    for command, *options in _SUBCOMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(fuzz_path), *options])
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        else:
+            assert code in (0, 1, 3) and err.getvalue() == ""
 
 
 def test_console_script_entry_point(appb_edges):

@@ -54,6 +54,7 @@ from tcsp import (
     w_less,
     weight,
 )
+from tcsp.graph import MAX_VERTICES
 
 _by_bound = attrgetter("bound")
 U = parse_union
@@ -523,6 +524,13 @@ def test_network_json_skips_universal_entries():
 def test_network_json_rejects_malformed_documents(bad):
     with pytest.raises(NetworkFormatError):
         network_from_json(bad)
+
+
+def test_network_json_caps_the_variable_count():
+    # X0 plus n variables are n + 1 vertices, capped like an edge list
+    assert network_from_json(f'{{"variables": {MAX_VERTICES - 1}}}').n_vars == MAX_VERTICES - 1
+    with pytest.raises(NetworkFormatError, match="exceed the limit"):
+        network_from_json(f'{{"variables": {MAX_VERTICES}}}')
 
 
 def test_network_json_error_messages_carry_context():

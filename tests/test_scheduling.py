@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -32,6 +33,7 @@ from tcsp import (
     parse_union,
     schedule_metrics,
 )
+from tcsp.graph import MAX_VERTICES
 
 U = parse_union
 span = IntervalUnion.span
@@ -424,6 +426,14 @@ def test_instance_json_accepts_rational_strings():
 def test_instance_json_rejects_malformed_documents(doc):
     with pytest.raises(NetworkFormatError):
         instance_from_json(doc)
+
+
+def test_instance_json_caps_the_task_count():
+    # X0 plus one variable per task are n + 1 vertices, capped like an edge list
+    tasks = [{"d": 1}] * (MAX_VERTICES - 1)
+    assert len(instance_from_json(json.dumps({"tasks": tasks})).tasks) == MAX_VERTICES - 1
+    with pytest.raises(NetworkFormatError, match="exceed the limit"):
+        instance_from_json(json.dumps({"tasks": tasks + [{"d": 1}]}))
 
 
 def test_instance_json_with_no_tasks_is_well_formed_but_uncompilable():
