@@ -145,8 +145,7 @@ def _cmd_shortest_paths(args) -> int:
     g = read_edge_list(_read(args.input))
     source = args.source
     if not (0 <= source <= g.n_vars):
-        print(f"source {source} is not a vertex of the graph", file=sys.stderr)
-        return 2
+        raise NetworkFormatError(f"source {source} is not a vertex of the graph")
     net = graph_to_stp(_swap_origin(g, source))
     if bdac3(net).outcome is not Outcome.CONSISTENT:
         print("inconsistent: negative circuit")

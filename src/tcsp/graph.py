@@ -13,7 +13,7 @@ bounds directly.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, Set, Tuple
+from typing import Callable, List, Sequence, Set, Tuple
 
 from .errors import NegativeCircuit, NegativeCircuitReachable, NetworkFormatError
 from .intervals import _CLOSED_ZERO, _add
@@ -142,22 +142,26 @@ def bellman_ford(g: RootedDistanceGraph, source: int = 0) -> List[Weight]:
     return dist
 
 
-def reachable_set(
-    g: RootedDistanceGraph, source: int, reverse: bool = False
-) -> Set[int]:
-    """Vertices reachable from ``source`` over finite edges (backwards if reverse)."""
-    seen = {source}
+def _reached(rows: Sequence[Sequence], source: int, finite: Callable) -> List[bool]:
+    """Which vertices ``source`` reaches over the entries rows[u][v] that are ``finite``."""
+    seen = [False] * len(rows)
+    seen[source] = True
     frontier = [source]
     while frontier:
         u = frontier.pop()
-        for v in g.vertices():
-            if v in seen:
-                continue
-            w = g.w[v][u] if reverse else g.w[u][v]
-            if w.bound is not None:
-                seen.add(v)
+        for v, entry in enumerate(rows[u]):
+            if not seen[v] and finite(entry):
+                seen[v] = True
                 frontier.append(v)
     return seen
+
+
+def reachable_set(g: RootedDistanceGraph, source: int, reverse: bool = False) -> Set[int]:
+    """Vertices reachable from ``source`` over finite edges (backwards if reverse)."""
+    g._check(source, source)
+    rows = list(zip(*g.w)) if reverse else g.w
+    seen = _reached(rows, source, lambda w: w.bound is not None)
+    return {v for v, hit in enumerate(seen) if hit}
 
 
 def reachable(g: RootedDistanceGraph, frm: int, to: int) -> bool:

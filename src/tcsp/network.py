@@ -27,7 +27,7 @@ from .errors import (
     NotAnStp,
     UnionParseError,
 )
-from .graph import MAX_VERTICES, RootedDistanceGraph
+from .graph import MAX_VERTICES, RootedDistanceGraph, _reached
 from .intervals import (
     _CLOSED_ZERO,
     Bound,
@@ -421,23 +421,9 @@ def connectivity(net: Tcsp) -> List[bool]:
         raise EmptyLabel(f"entry {where} is empty")
     # by the mirror invariant m[v][u] has a finite upper end exactly when
     # m[u][v] has a finite lower end, so both searches read rows only
-    forward = _reached(net, lambda label: label.parts[-1]._up is not None)
-    backward = _reached(net, lambda label: label.parts[0]._down is not None)
+    forward = _reached(net.m, 0, lambda label: label.parts[-1]._up is not None)
+    backward = _reached(net.m, 0, lambda label: label.parts[0]._down is not None)
     return [a or b for a, b in zip(forward, backward)]
-
-
-def _reached(net: Tcsp, finite) -> List[bool]:
-    """Which variables X0 reaches over the entries (u, v) with ``finite`` labels."""
-    seen = [False] * (net.n_vars + 1)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for v, label in enumerate(net.m[u]):
-            if not seen[v] and finite(label):
-                seen[v] = True
-                frontier.append(v)
-    return seen
 
 
 def disconnected_variables(net: Tcsp) -> List[int]:

@@ -23,6 +23,9 @@ Every step narrows its entry through one kernel,
 :func:`~tcsp.intervals.narrow` (``old & x.compose(y)``, handing back
 ``old`` itself when nothing narrows).  Every step can be recorded: pass a
 list as ``trace=`` and one :class:`TraceEntry` per call is appended.
+
+:func:`refinements` is the depth-first loop of the solver's and the
+scheduler's searches.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .intervals import IntervalUnion, format_union, narrow
 from .network import Tcsp, first_empty_entry, path_bounds
@@ -530,6 +533,35 @@ def minus_variant(
     if name not in ALGORITHMS:
         raise ValueError(f"no minus variant for {alg!r}")
     return run_algorithm(name, net, budget=budget, trace=trace, **option)
+
+
+def refinements(root: Tcsp, propagate: Callable[..., RunReport]) -> Iterator[tuple]:
+    """Refine ``root`` (owned by the caller) depth first, on an explicit stack.
+
+    Each node that ``propagate`` leaves CONSISTENT is yielded as ``(node,
+    note, branch)``: the root, propagated from a full seed, then its
+    descendants.  ``branch(pair, note=None)`` stacks one child per convex
+    piece of the node's entry ``pair``, the first piece on top, each with
+    ``note``.  A child is copied from its parent when reached, its piece
+    written with ``set_pair``, and run through ``propagate(child,
+    changed=pair)``.
+    """
+    stack: list = [(root, None, None, None)]
+    while stack:
+        node, pair, piece, note = stack.pop()
+        if piece is not None:
+            node = node.copy()
+            node.set_pair(*pair, piece)
+        if propagate(node, changed=pair).outcome is not Outcome.CONSISTENT:
+            continue
+        children: list = []
+
+        def branch(pair: _Pair, note=None) -> None:
+            i, j = pair
+            children.extend((node, pair, piece, note) for piece in node.m[i][j].convex_parts())
+
+        yield node, note, branch
+        stack.extend(reversed(children))
 
 
 def is_bd_arc_consistent(net: Tcsp) -> bool:

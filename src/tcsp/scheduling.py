@@ -32,7 +32,7 @@ from .intervals import (
     _CLOSED_ZERO, Interval, IntervalUnion, RatLike, _exact, _parse_rational, as_rational,
 )
 from .network import Tcsp, _json_object, build_tcsp, check_solution
-from .propagation import Outcome, bdac3
+from .propagation import bdac3, refinements
 
 
 @dataclass(frozen=True)
@@ -290,10 +290,11 @@ def _pick_disjunction(net: Tcsp) -> Optional[Tuple[int, int]]:
 def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
     """Minimum-makespan schedule, or None when the instance is infeasible.
 
-    Depth-first branch and bound over the unresolved disjunctions.  A node
-    is pruned when the larger of ``olb`` and ``head_bound`` (over one
-    ``clique_cover`` of the instance, computed up front) reaches the best
-    makespan found so far.  Both bounds hold for every schedule below the
+    Branch and bound over the unresolved disjunctions, on the nodes of
+    :func:`~tcsp.propagation.refinements` under bdac3.  A node is pruned
+    when the larger of ``olb`` and ``head_bound`` (over one ``clique_cover``
+    of the instance, computed up front) reaches the best makespan found so
+    far.  Both bounds hold for every schedule below the
     node, so only subtrees that cannot strictly improve are cut, and the
     first optimum found, the one returned, is the same as with ``olb`` alone.
 
@@ -311,17 +312,7 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
     best: Optional[Fraction] = None  # the incumbent's makespan
     starts: Tuple[Fraction, ...] = ()  # and its start times
 
-    # depth first over (parent, branched pair, piece, parent's bound); a
-    # child is copied from its parent when popped and re-propagated only
-    # from the arcs reading the pair it branched on
-    stack: list = [(root, None, None, None)]
-    while stack:
-        net, changed, piece, inherited = stack.pop()
-        if piece is not None:
-            net = net.copy()
-            net.set_pair(*changed, piece)
-        if bdac3(net, changed=changed).outcome is not Outcome.CONSISTENT:
-            continue
+    for net, inherited, branch in refinements(root, bdac3):
         trouble = _closure_violation(net)
         if trouble is not None:
             raise RuntimeError(f"scheduler label forms broke down: {trouble}")
@@ -345,10 +336,7 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
                 net.m[0][i].lower_bound()[0] for i in range(1, net.n_vars + 1)
             )
             continue
-        i, j = pair
-        # pushed last to first, so the (-inf, a] order is explored first
-        for piece in reversed(net.m[i][j].convex_parts()):
-            stack.append((net, pair, piece, bound))
+        branch(pair, bound)  # the (-inf, a] order first; children check bound
     if best is None:
         return None
     duration, latency = schedule_metrics(starts, durations)

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 from .errors import ExtractionDeadEnd, NotAnStp, PreconditionViolated
 from .intervals import IntervalUnion
 from .network import Tcsp, check_solution, disconnected_variables, is_stp
-from .propagation import Outcome, bdac3, is_bd_arc_consistent, wbdac3
+from .propagation import Outcome, bdac3, is_bd_arc_consistent, refinements, wbdac3
 
 
 @dataclass(frozen=True)
@@ -35,24 +35,25 @@ def connect_x0(net: Tcsp) -> bool:
     """Anchor variables the origin cannot see and re-propagate, in place.
 
     Works lowest index first; each anchor pins the variable to [0, +inf)
-    (a disconnected variable necessarily has a universal domain, so this
-    only refines).  Returns False as soon as propagation finds a conflict.
-    The first anchor re-propagates from a full seed, since the input need
-    not be at a fixpoint; every later one only from the arcs it touched.
+    and re-propagates, the first from a full seed (the input need not be at
+    a fixpoint), the rest from the arcs it touched.  Returns False as soon
+    as propagation finds a conflict.  Connectivity is searched once, up
+    front.  That is exact when every finite off-origin entry lies on a
+    constrained pair: at the end of a CONSISTENT bdac3 run a finite path
+    from or to X0 then bounds every domain along it, so a variable is
+    disconnected exactly when its domain is universal, and a later loose
+    variable is anchored only while its domain stays universal.
     """
     if not is_stp(net):
         raise NotAnStp("connect_x0 needs an all-convex network")
     anchor = IntervalUnion.span(0, None, True, False)
-    first = True
-    while True:
-        loose = disconnected_variables(net)
-        if not loose:
-            return True
-        net.set_pair(0, loose[0], anchor)
-        changed = None if first else (0, loose[0])
-        if bdac3(net, changed=changed).outcome is not Outcome.CONSISTENT:
+    for k, v in enumerate(disconnected_variables(net)):
+        if k and not net.m[0][v].is_universal():
+            continue  # an earlier anchor's propagation reached X_v
+        net.set_pair(0, v, anchor)
+        if bdac3(net, changed=(0, v) if k else None).outcome is not Outcome.CONSISTENT:
             return False
-        first = False
+    return True
 
 
 def _pick_value(domain: IntervalUnion):
@@ -130,40 +131,27 @@ def _search(net: Tcsp) -> Optional[Tuple[Tcsp, List[Fraction]]]:
     """Refine ``net`` (owned by the caller) into a solved connected leaf.
 
     Returns the anchored leaf together with an assignment extracted from
-    it, or None when no refinement has solutions.  Depth first, with an
-    explicit stack of (parent, branched entry, piece) so that depth is not
-    limited by the interpreter's recursion limit.  A child is copied from
-    its parent when popped and re-propagated only from the arcs reading the
-    entry it branched on.  Its parent ended a wbdac3 run, which need not be
-    the wbdac3 fixpoint, so a child's domains may differ from those of a
-    full-seed run; both are sound, and the leaf's full bdac3 pass and
-    extraction decide the leaf either way.
+    it, or None when no refinement has solutions.  The nodes are those of
+    :func:`~tcsp.propagation.refinements` under wbdac3, branching on
+    :func:`_select_disjunctive`.  A node's parent ended a wbdac3 run, which
+    need not be the wbdac3 fixpoint, so a child's domains may differ from
+    those of a full-seed run; both are sound, and the leaf's full bdac3
+    pass and extraction decide the leaf either way.
     """
-    stack: list = [(net, None, None)]
-    while stack:
-        node, changed, piece = stack.pop()
-        if piece is not None:
-            node = node.copy()
-            node.set_pair(*changed, piece)
-        if wbdac3(node, changed=changed).outcome is not Outcome.CONSISTENT:
-            continue
+    for node, _, branch in refinements(net, wbdac3):
         target = _select_disjunctive(node)
-        if target is None:
-            # all-convex leaf: run the full-strength pass before anchoring
-            if bdac3(node).outcome is not Outcome.CONSISTENT:
-                continue
-            if not connect_x0(node):
-                continue
-            fixed = node.copy()
-            try:
-                backtrack_free(fixed)
-            except ExtractionDeadEnd:
-                continue  # a strict-zero circuit was hiding in this leaf
-            return node, extract_solution(fixed)
-        i, j = target
-        # pushed last to first, so the first piece is explored first
-        for piece in reversed(node.m[i][j].convex_parts()):
-            stack.append((node, target, piece))
+        if target is not None:
+            branch(target)
+            continue
+        # all-convex leaf: run the full-strength pass before anchoring
+        if bdac3(node).outcome is not Outcome.CONSISTENT or not connect_x0(node):
+            continue
+        fixed = node.copy()
+        try:
+            backtrack_free(fixed)
+        except ExtractionDeadEnd:
+            continue  # a strict-zero circuit was hiding in this leaf
+        return node, extract_solution(fixed)
     return None
 
 

@@ -128,6 +128,38 @@ def random_consistent_stp(rng: random.Random, n: Optional[int] = None) -> Tuple[
     return build_tcsp(n, constraints), xs
 
 
+def random_detached_stp(rng: random.Random) -> Tcsp:
+    """An STP in parts that no constraint joins; only the first holds X0.
+
+    So every variable outside the first part starts disconnected from X0.
+    Labels lie around a hidden integer witness, but about one in five is
+    shifted off it, so inconsistent parts occur too; a label may be
+    one-sided, universal, or have open ends.
+    """
+    n = rng.randint(2, 8)
+    part = [0] + [rng.randrange(3) for _ in range(n)]
+    xs = [0] + [rng.randint(-20, 20) for _ in range(n)]
+    constraints = []
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            if part[i] != part[j] or rng.random() >= 0.5:
+                continue
+            diff = xs[j] - xs[i] + (rng.randint(-30, 30) if rng.random() < 0.2 else 0)
+            a = diff - 1 - rng.randint(0, 8)
+            b = diff + 1 + rng.randint(0, 8)
+            shape = rng.random()
+            if shape < 0.25:
+                label = IntervalUnion.span(a, None, rng.random() < 0.5, False)
+            elif shape < 0.5:
+                label = IntervalUnion.span(None, b, False, rng.random() < 0.5)
+            elif shape < 0.55:
+                label = IntervalUnion.universal()
+            else:
+                label = IntervalUnion.span(a, b, rng.random() < 0.5, rng.random() < 0.5)
+            constraints.append((i, j, label))
+    return build_tcsp(n, constraints)
+
+
 _BOUND_KINDS = ("none", "closed", "open")
 
 

@@ -319,7 +319,7 @@ def test_shortest_paths_matches_bellman_ford_on_larger_graphs(capsys, tmp_path):
 def test_shortest_paths_rejects_a_bad_source(capsys, appb_edges):
     code, out, err = run_cli(capsys, "shortest-paths", appb_edges, "--source", "9")
     assert code == 2 and out == ""
-    assert err == "source 9 is not a vertex of the graph\n"
+    assert err == "error: source 9 is not a vertex of the graph\n"
 
 
 def test_shortest_paths_rejects_a_zero_denominator_without_a_traceback(tmp_path):
@@ -724,10 +724,10 @@ def fuzz_path(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(*(d.map(str.encode) for d in _DOCUMENTS), st.binary(max_size=40)))
-def test_every_subcommand_exits_with_a_documented_code(fuzz_path, data):
+@given(st.one_of(*(d.map(str.encode) for d in _DOCUMENTS), st.binary(max_size=40)), st.integers(-2, 6))
+def test_every_subcommand_exits_with_a_documented_code(fuzz_path, data, source):
     fuzz_path.write_bytes(data)
-    for command, *options in _SUBCOMMANDS:
+    for command, *options in (*_SUBCOMMANDS, ["shortest-paths", "--source", str(source)]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(fuzz_path), *options])

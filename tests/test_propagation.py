@@ -50,7 +50,7 @@ from tcsp import (
     w_less,
     wbdac3,
 )
-from tcsp.propagation import ALGORITHMS
+from tcsp.propagation import ALGORITHMS, refinements
 
 U = parse_union
 
@@ -614,12 +614,14 @@ def test_the_arc_passes_reach_the_minimal_domains_at_scale(n):
 
 
 @pytest.mark.slow
-def test_pc2_reaches_the_minimal_network_at_sixty_variables():
-    # the default pop is O(1), so pc2 at this size takes a second or so,
-    # not the minutes a pop that scans the pending queue would take
+@pytest.mark.parametrize("algorithm", [pc1, pc2], ids=["pc1", "pc2"])
+def test_path_consistency_reaches_the_minimal_network_at_sixty_variables(algorithm):
+    # pc2's default pop is O(1), so it takes a second or so at this size, not
+    # the minutes a pop that scans the pending queue would take; pc1's sweeps
+    # skip the steps whose legs are unchanged, and take about as long
     net, _ = random_consistent_stp(random.Random(60), n=60)
     minimal = graph_to_stp(floyd_warshall(stp_to_graph(net)))
-    assert pc2(net).outcome is Outcome.CONSISTENT
+    assert algorithm(net).outcome is Outcome.CONSISTENT
     assert net == minimal
 
 
@@ -936,3 +938,77 @@ def test_the_worklist_runs_pc2_as_specified():
                 clamped += cut
     assert outcomes == set(Outcome)
     assert clamped > 0
+
+
+# -- the depth-first refinement loop --------------------------------------------------
+
+
+def _two_choices():
+    return build_tcsp(2, [(0, 1, U("{1} u {2}")), (0, 2, U("{3} u {4}"))])
+
+
+def _domains(net):
+    return str(net.m[0][1]), str(net.m[0][2])
+
+
+def _propagate_recording(calls, empty=()):
+    """A propagation that writes nothing: it records each call and reports
+    EMPTY_DOMAIN on the nodes whose domains are listed in ``empty``."""
+    def propagate(net, changed=None):
+        calls.append((changed, _domains(net)))
+        outcome = Outcome.EMPTY_DOMAIN if _domains(net) in empty else Outcome.CONSISTENT
+        return RunReport(outcome, 0, 0)
+    return propagate
+
+
+def _explore(root, propagate):
+    """Branch on the first disjunctive domain, noting each child's depth;
+    return every node yielded, its note, and its domains when yielded."""
+    seen = []
+    for node, note, branch in refinements(root, propagate):
+        seen.append((node, note, _domains(node)))
+        for pair in ((0, 1), (0, 2)):
+            if not node.m[0][pair[1]].is_convex():
+                branch(pair, (note or 0) + 1)
+                break
+    return seen
+
+
+def test_refinements_visit_children_depth_first_in_piece_order():
+    seen = _explore(_two_choices(), _propagate_recording([]))
+    assert [domains for _, _, domains in seen] == [
+        ("{1} u {2}", "{3} u {4}"),
+        ("{1}", "{3} u {4}"), ("{1}", "{3}"), ("{1}", "{4}"),
+        ("{2}", "{3} u {4}"), ("{2}", "{3}"), ("{2}", "{4}"),
+    ]
+
+
+def test_refinements_pass_each_note_from_parent_to_child():
+    seen = _explore(_two_choices(), _propagate_recording([]))
+    assert [note for _, note, _ in seen] == [None, 1, 2, 2, 1, 2, 2]
+
+
+def test_a_refinement_writes_only_its_own_copy():
+    root = _two_choices()
+    seen = _explore(root, _propagate_recording([]))
+    assert seen[0][0] is root
+    assert len({id(node) for node, _, _ in seen}) == len(seen)
+    # a child's write reaches neither its parent nor its siblings
+    assert [_domains(node) for node, _, _ in seen] == [domains for _, _, domains in seen]
+
+
+def test_refinements_propagate_the_root_from_a_full_seed_and_children_from_their_pair():
+    calls = []
+    _explore(_two_choices(), _propagate_recording(calls))
+    assert [changed for changed, _ in calls] == [None, (0, 1), (0, 2), (0, 2), (0, 1), (0, 2), (0, 2)]
+
+
+def test_refinements_yield_no_node_that_propagates_to_an_empty_domain():
+    calls = []
+    seen = _explore(_two_choices(), _propagate_recording(calls, empty={("{1}", "{3} u {4}")}))
+    assert [domains for _, _, domains in seen] == [
+        ("{1} u {2}", "{3} u {4}"), ("{2}", "{3} u {4}"), ("{2}", "{3}"), ("{2}", "{4}"),
+    ]
+    # the emptied node was propagated, but never branched
+    assert ("{1}", "{3} u {4}") in [domains for _, domains in calls]
+    assert len(calls) == len(seen) + 1

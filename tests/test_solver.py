@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from randnets import (
     hidden_circuit_stp,
     oracle_consistent,
     random_consistent_stp,
+    random_detached_stp,
     random_disjunctive_tcsp,
 )
 from tcsp import (
@@ -29,15 +31,18 @@ from tcsp import (
     check_solution,
     connect_x0,
     consistent,
+    disconnected_variables,
     extract_solution,
     floyd_warshall,
     is_bd_arc_consistent,
     is_refinement,
     is_stp,
     parse_union,
+    pc2,
     solve,
     stp_to_graph,
 )
+from tcsp import solver
 
 U = parse_union
 
@@ -89,6 +94,79 @@ def test_connect_x0_exposes_a_circuit_hiding_in_a_disconnected_component():
     )
     assert bdac3(net).outcome is Outcome.CONSISTENT  # the circuit is invisible from X0
     assert not connect_x0(net)
+
+
+def _loose_iff_universal(net) -> bool:
+    loose = set(disconnected_variables(net))
+    return all((v in loose) == net.m[0][v].is_universal() for v in range(1, net.n_vars + 1))
+
+
+def test_a_consistent_fixpoint_is_disconnected_exactly_where_a_domain_is_universal():
+    # the property connect_x0's one connectivity search rests on, checked
+    # at a bdac3 fixpoint, after each anchor connect_x0 would set, and after
+    # pc2, whose finite entries may lie off the constrained pairs
+    rng = random.Random(2024)
+    anchored = after_pc2 = 0
+    for _ in range(300):
+        net = random_detached_stp(rng)
+        closed = net.copy()
+        if pc2(closed).outcome is Outcome.CONSISTENT:
+            assert _loose_iff_universal(closed), str(net.domains())
+            after_pc2 += 1
+        if bdac3(net).outcome is not Outcome.CONSISTENT:
+            continue
+        assert _loose_iff_universal(net), str(net.domains())
+        while disconnected_variables(net):
+            net.set_pair(0, disconnected_variables(net)[0], U("[0,+inf)"))
+            if bdac3(net).outcome is not Outcome.CONSISTENT:
+                break
+            assert _loose_iff_universal(net), str(net.domains())
+            anchored += 1
+    assert anchored >= 100 and after_pc2 >= 100, (anchored, after_pc2)
+
+
+def _connect_x0_spec(net, trace, anchored) -> bool:
+    """connect_x0 as it was first written: search connectivity after every
+    anchor.  Each anchored variable is appended to ``anchored``."""
+    anchor = U("[0,+inf)")
+    first = True
+    while True:
+        loose = disconnected_variables(net)
+        if not loose:
+            return True
+        anchored.append(loose[0])
+        net.set_pair(0, loose[0], anchor)
+        changed = None if first else (0, loose[0])
+        if bdac3(net, changed=changed, trace=trace).outcome is not Outcome.CONSISTENT:
+            return False
+        first = False
+
+
+def test_connect_x0_matches_a_connectivity_search_after_every_anchor(monkeypatch):
+    trace: list = []
+    monkeypatch.setattr(solver, "bdac3", functools.partial(bdac3, trace=trace))
+    rng = random.Random(77)
+    skipped = refuted = 0
+    for _ in range(300):
+        raw = random_detached_stp(rng)
+        fixpoint = raw.copy()
+        closed = raw.copy()
+        inputs = [raw]  # off the fixpoint
+        if bdac3(fixpoint).outcome is Outcome.CONSISTENT:
+            inputs.append(fixpoint)
+        if pc2(closed).outcome is Outcome.CONSISTENT:
+            inputs.append(closed)
+        for net in inputs:
+            expected_net, expected_trace, anchored = net.copy(), [], []
+            expected = _connect_x0_spec(expected_net, expected_trace, anchored)
+            loose = len(disconnected_variables(net))
+            trace.clear()
+            assert connect_x0(net) == expected, str(raw.domains())
+            assert net == expected_net and trace == expected_trace, str(raw.domains())
+            refuted += not expected
+            # an earlier anchor reached a variable the up-front search found loose
+            skipped += expected and len(anchored) < loose
+    assert skipped >= 100 and refuted >= 10, (skipped, refuted)
 
 
 def test_connect_x0_requires_an_stp():

@@ -324,6 +324,14 @@ def test_reachability_around_the_infinite_edge():
     assert reachable(g, 3, 3)  # reflexive
 
 
+@pytest.mark.parametrize("source", [-1, 5])
+def test_reachable_set_rejects_a_bad_source(source):
+    # -1 must not read as the last vertex
+    for reverse in (False, True):
+        with pytest.raises(IndexError):
+            reachable_set(_hidden_graph(), source, reverse)
+
+
 # -- edge-list file format ------------------------------------------------------------------
 
 
