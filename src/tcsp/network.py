@@ -53,21 +53,21 @@ _FULL_LABEL = IntervalUnion.universal()
 class Tcsp:
     """A constraint network; ``m[i][j]`` bounds ``x_j - x_i``.
 
-    The constraint structure records which pairs were explicitly
+    The constraint structure records which off-origin pairs are
     constrained: ``neighbours[i]`` is the sorted tuple of the variables
-    constrained with X_i, and ``constraint_mask`` reads the same pairs as a
-    frozenset of two-variable frozensets.  The worklist algorithms seed and
-    re-enqueue from it.  :func:`build_tcsp` and :func:`graph_to_stp` fix it
-    once, at assembly; it never changes afterwards (later writes narrow
-    labels, they do not declare constraints), so :meth:`copy` shares it.
-    Structural equality compares sizes and matrices only, never the
-    structure.
+    X_j (j >= 1) constrained with X_i (i >= 1), and ``neighbours[0]`` stays
+    empty.  The worklist algorithms seed and re-enqueue from it.  One rule
+    grows it: a :meth:`set_pair` write on a pair off the origin declares
+    that pair, whatever its label, so every finite off-origin entry lies on
+    a constrained pair.  :meth:`copy` copies the outer list and shares the
+    tuples.  Structural equality compares sizes and matrices only, never
+    the structure.
 
     Writes go through :meth:`set_pair`, which keeps the mirror invariant and
     tells the network's path-bounds index (built by the first
     :func:`path_bounds` call, copied by :meth:`copy`) which pair went stale.
     The one exception is ``pc1``, whose sweep writes ``m`` directly and
-    therefore drops the index, so the next ``path_bounds`` rebuilds it.
+    passes every pair it narrowed to :meth:`set_pair` when it ends.
     """
 
     __slots__ = ("n_vars", "m", "neighbours", "_bounds_index")
@@ -78,15 +78,8 @@ class Tcsp:
         self.n_vars = n_vars
         size = n_vars + 1
         self.m = [[_ZERO_LABEL if i == j else _FULL_LABEL for j in range(size)] for i in range(size)]
-        self.neighbours: Tuple[Tuple[int, ...], ...] = ((),) * size
+        self.neighbours: List[Tuple[int, ...]] = [()] * size
         self._bounds_index: Optional[_BoundsIndex] = None
-
-    @property
-    def constraint_mask(self) -> frozenset:
-        """The explicitly constrained pairs, as two-variable frozensets."""
-        return frozenset(
-            frozenset((i, j)) for i, row in enumerate(self.neighbours) for j in row if i < j
-        )
 
     def _check(self, i: int, j: int):
         if not (0 <= i <= self.n_vars and 0 <= j <= self.n_vars):
@@ -97,7 +90,7 @@ class Tcsp:
         return self.m[i][j]
 
     def set_pair(self, i: int, j: int, label: IntervalUnion):
-        """Write ``label`` at (i, j) and its converse at (j, i)."""
+        """Write ``label`` at (i, j) and its converse at (j, i); off X0, declare the pair."""
         self._check(i, j)
         if i == j:
             raise ValueError("diagonal entries are fixed at {0}")
@@ -105,6 +98,10 @@ class Tcsp:
             raise TypeError(f"label must be an IntervalUnion, got {type(label).__name__}")
         self.m[i][j] = label
         self.m[j][i] = label.converse()
+        if i and j and j not in self.neighbours[i]:
+            neighbours = self.neighbours
+            neighbours[i] = tuple(sorted(neighbours[i] + (j,)))
+            neighbours[j] = tuple(sorted(neighbours[j] + (i,)))
         if self._bounds_index is not None:
             self._bounds_index.touch(i, j)
 
@@ -116,7 +113,7 @@ class Tcsp:
         dup = object.__new__(Tcsp)  # skip building a matrix only to replace it
         dup.n_vars = self.n_vars
         dup.m = [row[:] for row in self.m]
-        dup.neighbours = self.neighbours
+        dup.neighbours = self.neighbours[:]
         dup._bounds_index = None if self._bounds_index is None else self._bounds_index.copy()
         return dup
 
@@ -162,17 +159,7 @@ def build_tcsp(n_vars: int, constraints: Iterable[Constraint]) -> Tcsp:
         gathered[key] = label
     for (i, j), label in gathered.items():
         net.set_pair(i, j, label)
-    _fix_structure(net, gathered)
     return net
-
-
-def _fix_structure(net: Tcsp, pairs: Iterable[Tuple[int, int]]):
-    """Record ``pairs`` as the network's constrained pairs, once, at assembly."""
-    adjacent: List[List[int]] = [[] for _ in range(net.n_vars + 1)]
-    for i, j in pairs:
-        adjacent[i].append(j)
-        adjacent[j].append(i)
-    net.neighbours = tuple(tuple(sorted(row)) for row in adjacent)
 
 
 def is_stp(net: Tcsp) -> bool:
@@ -235,7 +222,6 @@ def graph_to_stp(g: RootedDistanceGraph) -> Tcsp:
     Crossing bounds -- a negative two-cycle -- raise EmptyLabel.
     """
     net = Tcsp(g.n_vars)
-    pairs = []
     for i in range(g.n_vars + 1):
         for j in range(i + 1, g.n_vars + 1):
             up, down = g.w[i][j].bound, g.w[j][i].bound
@@ -244,8 +230,6 @@ def graph_to_stp(g: RootedDistanceGraph) -> Tcsp:
             if not _nonempty(down, up):
                 raise EmptyLabel(f"negative two-cycle between vertices {i} and {j}")
             net.set_pair(i, j, _union((_piece(down, up),)))
-            pairs.append((i, j))
-    _fix_structure(net, pairs)
     return net
 
 

@@ -152,6 +152,7 @@ def revise(
     net: Tcsp, k: int, m: int, *, weak: bool = False, trace: Optional[Trace] = None
 ) -> bool:
     """One arc step on its own: returns whether the domain of X_k changed."""
+    net._check(k, m)
     return _Run(net, "revise", weak=weak, trace=trace, arcs=True).revise(0, m, k)
 
 
@@ -198,8 +199,8 @@ def _worklist(
 
 
 def _mask_pairs(net: Tcsp) -> List[_Pair]:
-    """Both orientations of every explicitly constrained pair off the origin, sorted."""
-    return [(a, b) for a in range(1, net.n_vars + 1) for b in net.neighbours[a] if b]
+    """Both orientations of every constrained pair, sorted."""
+    return [(a, b) for a in range(1, net.n_vars + 1) for b in net.neighbours[a]]
 
 
 def _arcs_reading(net: Tcsp, changed: _Pair) -> List[_Triple]:
@@ -217,7 +218,7 @@ def _arcs_reading(net: Tcsp, changed: _Pair) -> List[_Triple]:
         raise ValueError("diagonal entries are fixed at {0}")
     i, j = min(i, j), max(i, j)
     if i == 0:
-        return [(0, j, k) for k in net.neighbours[j] if k]
+        return [(0, j, k) for k in net.neighbours[j]]
     return [(0, j, i), (0, i, j)] if j in net.neighbours[i] else []
 
 
@@ -245,7 +246,7 @@ def _bdac3(
 
     def again(_: int, m: int, k: int) -> List[_Triple]:
         # every arc (a, k) reads the domain of X_k; the arc back, (m, k), stays out
-        return [(0, k, a) for a in neighbours[k] if a and a != m]
+        return [(0, k, a) for a in neighbours[k] if a != m]
 
     run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace, arcs=True)
     return _worklist(run, seed, again, lifo=lifo)
@@ -317,10 +318,6 @@ def _bdac1(
         pairs = _mask_pairs(net)
     else:
         pairs = [(int(k), int(m)) for k, m in order]
-        for k, m in pairs:
-            net._check(k, m)
-            if k < 1 or m < 1 or m not in net.neighbours[k]:
-                raise ValueError(f"({k}, {m}) is not a constrained off-origin pair")
         # a pass must visit every ordered pair exactly once, or the quiet-pass
         # termination test would be unsound
         if sorted(pairs) != _mask_pairs(net):
@@ -355,9 +352,6 @@ def bdac1(
 def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunReport:
     if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
-    # the sweep writes m directly, past set_pair, so the network's
-    # path-bounds index would go stale: drop it, and path_bounds rebuilds it
-    net._bounds_index = None
     run = _Run(net, alg, clamp=False, trace=trace)
     grid = net.m
     size = net.n_vars + 1
@@ -368,6 +362,18 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
     # allowed then, and the step can narrow it only if a leg was written since.
     written = [[0] * size for _ in range(size)]
     step = 0
+
+    def finish(outcome: Outcome) -> RunReport:
+        # the sweep wrote m past set_pair; the upper triangle is current even
+        # mid-sweep, so writing each narrowed pair from it restores the mirror,
+        # declares the pair and marks it stale in the path-bounds index
+        for i in range(size):
+            for j in range(i + 1, size):
+                if written[i][j]:
+                    net.set_pair(i, j, grid[i][j])
+        run.revise_calls = step
+        return run.report(outcome)
+
     while True:
         changed_any = False
         for k in range(size):
@@ -401,8 +407,7 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                             trace.append(
                                 TraceEntry(alg, (i, k, j), old, temp, old, False, False)
                             )
-                        run.revise_calls = step
-                        return run.report(Outcome.EMPTY_DOMAIN)
+                        return finish(Outcome.EMPTY_DOMAIN)
                     changed = temp is not old
                     if changed:
                         # deliberately no mirror write: the sweep itself
@@ -416,8 +421,7 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                             TraceEntry(alg, (i, k, j), old, temp, temp, False, changed)
                         )
         if not changed_any:
-            run.revise_calls = step
-            return run.report(Outcome.CONSISTENT)
+            return finish(Outcome.CONSISTENT)
 
 
 def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:

@@ -38,9 +38,10 @@ def connect_x0(net: Tcsp) -> bool:
     and re-propagates, the first from a full seed (the input need not be at
     a fixpoint), the rest from the arcs it touched.  Returns False as soon
     as propagation finds a conflict.  Connectivity is searched once, up
-    front.  That is exact when every finite off-origin entry lies on a
-    constrained pair: at the end of a CONSISTENT bdac3 run a finite path
-    from or to X0 then bounds every domain along it, so a variable is
+    front.  That is exact because every finite off-origin entry lies on a
+    constrained pair (:meth:`~tcsp.network.Tcsp.set_pair` declares each
+    pair it writes off X0): at the end of a CONSISTENT bdac3 run a finite
+    path from or to X0 then bounds every domain along it, so a variable is
     disconnected exactly when its domain is universal, and a later loose
     variable is anchored only while its domain stays universal.
     """

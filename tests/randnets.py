@@ -234,6 +234,27 @@ def random_disjunctive_tcsp(rng: random.Random) -> Tcsp:
     return build_tcsp(n, constraints)
 
 
+def rebuilt_by_set_pair(net: Tcsp, rng: random.Random) -> Tcsp:
+    """``net``'s non-universal labels written into ``Tcsp(n)`` with ``set_pair``.
+
+    The pairs are written in shuffled order, each in a random orientation,
+    the way a caller that does not use ``build_tcsp`` would assemble them.
+    The matrix equals ``net``'s; the structure lacks the pairs that ``net``
+    declared with a universal label.
+    """
+    size = net.n_vars + 1
+    pairs = [
+        (i, j) for i in range(size) for j in range(i + 1, size) if not net.m[i][j].is_universal()
+    ]
+    rng.shuffle(pairs)
+    fresh = Tcsp(net.n_vars)
+    for i, j in pairs:
+        if rng.random() < 0.5:
+            i, j = j, i
+        fresh.set_pair(i, j, net.m[i][j])
+    return fresh
+
+
 def _disjunctive_pairs(net: Tcsp) -> List[Tuple[int, int]]:
     return [
         (i, j)

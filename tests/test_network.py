@@ -71,14 +71,15 @@ def test_build_tcsp_shape_and_defaults():
         for j in range(3):
             if i != j:
                 assert net.m[i][j].is_universal()
-    assert not net.constraint_mask
+    assert net.neighbours == [(), (), ()]
 
 
 def test_build_tcsp_mirrors_converse():
     net = build_tcsp(2, [(0, 1, U("[1,2] u [5,8)"))])
     assert net.entry(0, 1) == U("[1,2] u [5,8)")
     assert net.entry(1, 0) == U("(-8,-5] u [-2,-1]")
-    assert frozenset({0, 1}) in net.constraint_mask
+    # the structure leaves the origin out: domains are not arcs
+    assert net.neighbours == [(), (), ()]
 
 
 def test_build_tcsp_canonicalizes_orientation():
@@ -110,23 +111,24 @@ def test_set_pair_keeps_the_mirror_invariant():
     net = build_tcsp(2, [])
     net.set_pair(1, 2, U("(0,7]"))
     assert net.entry(2, 1) == U("[-7,0)")
-    # and the mask is about declared constraints, not later edits
-    assert frozenset({1, 2}) not in net.constraint_mask
+    # and a write off the origin declares the pair, whatever its label
+    assert net.neighbours == [(), (2,), (1,)]
+    net.set_pair(2, 1, IntervalUnion.universal())
+    net.set_pair(0, 2, U("[1,2]"))
+    assert net.neighbours == [(), (2,), (1,)]
 
 
-def test_the_constraint_structure_is_fixed_at_assembly_and_shared_by_copy():
+def test_writes_off_the_origin_declare_the_constraint_structure():
     net = chain_stp()
-    assert net.neighbours == ((1, 4), (0, 2), (1, 3), (2, 4), (0, 3))
-    with pytest.raises(AttributeError):
-        net.constraint_mask.add(frozenset({1, 3}))
-    with pytest.raises(AttributeError):
-        net.constraint_mask = frozenset()
+    assert net.neighbours == [(), (2,), (1, 3), (2, 4), (3,)]
     twin = net.copy()
-    assert twin.neighbours is net.neighbours
-    assert twin.constraint_mask == net.constraint_mask
-    # graph_to_stp fixes the structure of the pairs it writes
+    assert twin.neighbours == net.neighbours
+    twin.set_pair(4, 1, U("[0,70]"))
+    assert twin.neighbours == [(), (2, 4), (1, 3), (2, 4), (1, 3)]
+    # a copy's declarations never reach the network it was copied from
+    assert net.neighbours == [(), (2,), (1, 3), (2, 4), (3,)]
+    # graph_to_stp declares the pairs it writes
     back = graph_to_stp(stp_to_graph(net))
-    assert back.constraint_mask == net.constraint_mask
     assert back.neighbours == net.neighbours
 
 

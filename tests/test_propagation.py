@@ -24,6 +24,7 @@ from randnets import (
     random_bounded_stp,
     random_consistent_stp,
     random_disjunctive_tcsp,
+    rebuilt_by_set_pair,
 )
 from tcsp import (
     IntervalUnion,
@@ -50,7 +51,7 @@ from tcsp import (
     w_less,
     wbdac3,
 )
-from tcsp.propagation import ALGORITHMS, refinements
+from tcsp.propagation import ALGORITHMS, refinements, run_algorithm
 
 U = parse_union
 
@@ -83,6 +84,15 @@ def test_revise_updates_the_mirror_entry():
     net = chain_stp()
     revise(net, 2, 1)
     assert net.entry(2, 0) == U("[-60,-40]")
+
+
+@pytest.mark.parametrize("k, m", [(-1, 1), (1, -1), (5, 1), (1, 5)])
+def test_revise_rejects_a_variable_out_of_range(k, m):
+    # -1 would otherwise read X4's domain through Python's negative indexing
+    net, trace = chain_stp(), []
+    with pytest.raises(IndexError):
+        revise(net, k, m, trace=trace)
+    assert trace == [] and net == chain_stp()
 
 
 # -- bdac3 on the consistent chain -------------------------------------------------------
@@ -292,6 +302,12 @@ def test_bdac1_custom_order_is_validated():
         bdac1(creeping_circuit_stp(), order=[(1, 2)])  # incomplete
     with pytest.raises(ValueError):
         bdac1(creeping_circuit_stp(), order=[(0, 1)] * 6)  # not the constrained pairs
+    with pytest.raises(ValueError):
+        bdac1(creeping_circuit_stp(), order=order[:-1] + [(1, 9)])  # out of range
+    chain = [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)]
+    assert bdac1(chain_stp(), order=chain).outcome is Outcome.CONSISTENT
+    with pytest.raises(ValueError):
+        bdac1(chain_stp(), order=chain[:-1] + [(1, 3)])  # a pair nothing constrains
 
 
 def test_bdac1_minus_never_terminates_by_itself():
@@ -586,6 +602,18 @@ def test_is_bd_arc_consistent_flags_unfiltered_networks():
     assert is_bd_arc_consistent(net)
 
 
+def test_set_pair_declares_the_arcs_the_arc_passes_read():
+    net = Tcsp(2)
+    net.set_pair(1, 2, U("[1,2]"))
+    net.set_pair(0, 1, U("[0,5]"))
+    net.set_pair(0, 2, U("[0,5]"))
+    # X1 = 5 leaves X2 - X1 no value in [1,2]
+    assert not is_bd_arc_consistent(net)
+    assert bdac3(net).revise_calls > 0
+    assert is_bd_arc_consistent(net)
+    assert net.domains() == [U("[0,4]"), U("[1,5]")]
+
+
 def test_pc_algorithms_compute_the_minimal_network():
     rng = random.Random(31254)
     for _ in range(40):
@@ -626,9 +654,19 @@ def test_path_consistency_reaches_the_minimal_network_at_sixty_variables(algorit
 
 
 def _pc1_composing_every_step(net):
-    """pc1 as specified: compose at every (i, k, j), sweep after sweep."""
+    """pc1 as specified: compose at every (i, k, j), sweep after sweep.
+
+    Either way it ends, each lower entry is then rebuilt as the converse of
+    its upper one, which a stop mid-sweep may have left ahead of it.
+    """
     size = net.n_vars + 1
     trace, calls, updates = [], 0, 0
+
+    def end(outcome):
+        for i, j in itertools.combinations(range(size), 2):
+            net.m[j][i] = net.m[i][j].converse()
+        return outcome, calls, updates, trace
+
     while True:
         changed_any = False
         for k in range(size):
@@ -639,14 +677,14 @@ def _pc1_composing_every_step(net):
                     temp = old & net.m[i][k].compose(net.m[k][j])
                     if temp.is_empty():
                         trace.append(((i, k, j), str(old), str(temp), str(old)))
-                        return Outcome.EMPTY_DOMAIN, calls, updates, trace
+                        return end(Outcome.EMPTY_DOMAIN)
                     if temp != old:
                         net.m[i][j] = temp
                         updates += 1
                         changed_any = True
                     trace.append(((i, k, j), str(old), str(temp), str(temp)))
         if not changed_any:
-            return Outcome.CONSISTENT, calls, updates, trace
+            return end(Outcome.CONSISTENT)
 
 
 def test_pc1_steps_it_does_not_compose_change_nothing():
@@ -673,6 +711,37 @@ def test_pc1_steps_it_does_not_compose_change_nothing():
     assert most_sweeps >= 3
 
 
+def _assert_mirrored_and_declared(net):
+    for i, j in itertools.combinations(range(net.n_vars + 1), 2):
+        assert net.m[j][i] == net.m[i][j].converse(), (i, j)
+        if i and not net.m[i][j].is_universal():
+            assert j in net.neighbours[i] and i in net.neighbours[j], (i, j)
+
+
+def test_pc1_restores_the_mirror_when_it_stops_mid_sweep():
+    net = build_tcsp(5, [
+        (0, 2, U("[-6,-1]")), (0, 3, U("[-6,1]")), (0, 4, U("[3,7]")), (0, 5, U("[2,7]")),
+        (1, 2, U("[3,6]")), (3, 4, U("[0,8]")), (4, 5, U("[10,13]")),
+    ])
+    assert pc1(net).outcome is Outcome.EMPTY_DOMAIN
+    # the stop came after the sweep narrowed (2, 5) but before it reached (5, 2)
+    assert not net.m[2][5].is_universal()
+    _assert_mirrored_and_declared(net)
+
+
+def test_every_algorithm_leaves_the_matrix_mirrored_and_its_entries_declared():
+    rng = random.Random(16016)
+    seen = {name: set() for name in ALGORITHMS}
+    for net in _differential_cases(rng):
+        for name in ALGORITHMS:
+            worked = net.copy()
+            seen[name].add(run_algorithm(name, worked, budget=40).outcome)
+            _assert_mirrored_and_declared(worked)
+    for name, outcomes in seen.items():
+        assert {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN} <= outcomes, name
+        assert (Outcome.BUDGET_EXHAUSTED in outcomes) == name.endswith("-minus"), name
+
+
 def test_outcome_values_are_stable_text():
     assert [o.value for o in Outcome] == ["consistent", "empty-domain", "budget-exhausted"]
 
@@ -681,15 +750,19 @@ def test_outcome_values_are_stable_text():
 
 
 def _differential_cases(rng):
-    """Networks of every kind the solver meets, consistent and inconsistent."""
+    """Networks of every kind the solver meets, consistent and inconsistent;
+    each random one also as ``Tcsp(n)`` and ``set_pair`` would assemble it,
+    in an order drawn apart from ``rng``."""
+    order = random.Random(0)
     yield chain_stp()
     yield hidden_circuit_stp()
     yield creeping_circuit_stp()
     yield fragmenting_tcsp()
     for _ in range(60):
-        yield random_consistent_stp(rng)[0]
-        yield random_bounded_stp(rng)
-        yield random_disjunctive_tcsp(rng)
+        for net in (random_consistent_stp(rng)[0], random_bounded_stp(rng),
+                    random_disjunctive_tcsp(rng)):
+            yield net
+            yield rebuilt_by_set_pair(net, order)
 
 
 def _fixpoint(algorithm, net) -> bool:
@@ -717,7 +790,8 @@ def _writes_after_a_fixpoint(rng, net, algorithm):
     empties that domain, which a seeded run sees without scanning the
     matrix.
     """
-    pairs = sorted(tuple(sorted(group)) for group in net.constraint_mask)
+    pairs = [(0, j) for j in range(1, net.n_vars + 1) if not net.m[0][j].is_universal()]
+    pairs += [(i, j) for i, row in enumerate(net.neighbours) for j in row if i < j]
     if pairs:
         i, j = rng.choice(pairs)
         base = net.copy()
@@ -805,8 +879,7 @@ def _arc_pass_as_specified(net, *, weak=False, lifo=False, changed=None, clamp=T
     arc into X_k except the arc back, and the clamp's floor is path_lb of the
     network the run starts on."""
     size = net.n_vars + 1
-    pairs = [sorted(pair) for pair in net.constraint_mask]
-    arcs = sorted(arc for a, b in pairs if a for arc in ((a, b), (b, a)))
+    arcs = [(a, b) for a, row in enumerate(net.neighbours) for b in row]
     if changed is None:
         queue = list(arcs)
         checked = [(i, j) for i in range(size) for j in range(size)]

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randnets import (
     chain_stp,
@@ -17,14 +19,17 @@ from randnets import (
     random_consistent_stp,
     random_detached_stp,
     random_disjunctive_tcsp,
+    rebuilt_by_set_pair,
 )
 from tcsp import (
     ExtractionDeadEnd,
+    Interval,
     IntervalUnion,
     NegativeCircuit,
     NotSingleton,
     Outcome,
     PreconditionViolated,
+    Tcsp,
     backtrack_free,
     bdac3,
     build_tcsp,
@@ -41,6 +46,7 @@ from tcsp import (
     pc2,
     solve,
     stp_to_graph,
+    wbdac3,
 )
 from tcsp import solver
 
@@ -104,7 +110,7 @@ def _loose_iff_universal(net) -> bool:
 def test_a_consistent_fixpoint_is_disconnected_exactly_where_a_domain_is_universal():
     # the property connect_x0's one connectivity search rests on, checked
     # at a bdac3 fixpoint, after each anchor connect_x0 would set, and after
-    # pc2, whose finite entries may lie off the constrained pairs
+    # pc2, whose derived entries join the constrained pairs
     rng = random.Random(2024)
     anchored = after_pc2 = 0
     for _ in range(300):
@@ -344,12 +350,14 @@ def test_solve_branches_through_deep_disjunctions():
 
 def test_solve_agrees_with_the_exhaustive_oracle():
     rng = random.Random(777003)
+    order = random.Random(3)
     consistent_seen = inconsistent_seen = 0
     for _ in range(60):
         net = random_disjunctive_tcsp(rng)
         expected = oracle_consistent(net)
         result = solve(net, witness=True)
         assert result.consistent == expected, str(net.domains())
+        assert solve(rebuilt_by_set_pair(net, order), witness=True) == result
         if expected:
             consistent_seen += 1
             assert check_solution(net, result.solution)
@@ -359,6 +367,50 @@ def test_solve_agrees_with_the_exhaustive_oracle():
             assert result.solution is None
     # the generator must exercise both verdicts for the comparison to mean much
     assert consistent_seen >= 10 and inconsistent_seen >= 5
+
+
+def test_solve_a_network_assembled_with_set_pair():
+    # Tcsp(n) starts with no constrained pair; the off-origin write declares one
+    net = Tcsp(2)
+    net.set_pair(1, 2, U("[1,2]"))
+    net.set_pair(0, 1, U("[0,5]"))
+    result = solve(net)
+    assert result.consistent and check_solution(net, result.solution)
+
+
+@st.composite
+def _constraints(draw):
+    """A network size and one constraint per drawn pair, pieces in [-8, 8]."""
+    n = draw(st.integers(1, 4))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda p: p[0] != p[1]),
+        max_size=7,
+        unique_by=frozenset,
+    ))
+    # a point piece is closed at both ends
+    piece = st.tuples(st.integers(-8, 8), st.integers(0, 5), st.booleans(), st.booleans()).map(
+        lambda t: Interval(t[0], t[0] + t[1], t[2] or not t[1], t[3] or not t[1])
+    )
+    label = st.one_of(
+        st.just(IntervalUnion.universal()),
+        st.lists(piece, min_size=1, max_size=2).map(IntervalUnion),
+    )
+    return n, [(i, j, draw(label)) for i, j in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constraints(), st.randoms(use_true_random=False))
+def test_set_pair_networks_agree_with_build_tcsp(case, rng):
+    n, constraints = case
+    built = build_tcsp(n, constraints)
+    assembled = rebuilt_by_set_pair(built, rng)
+    assert assembled == built
+    assert consistent(assembled) == consistent(built)
+    assert solve(assembled, witness=True) == solve(built, witness=True)
+    for algorithm in (bdac3, wbdac3):
+        a, b = assembled.copy(), built.copy()
+        assert algorithm(a).outcome is algorithm(b).outcome
+        assert a == b
 
 
 def _frame_depth() -> int:
