@@ -290,7 +290,11 @@ class IntervalUnion:
         """The set of -a for a in this union."""
         # negation swaps the two bounds of every piece (sharing them), and
         # reverses the order of the pieces, keeping them apart
-        return _union(tuple(_piece(p._up, p._down) for p in reversed(self.parts)))
+        parts = self.parts
+        if len(parts) == 1:  # the common convex label, without a generator
+            p = parts[0]
+            return _union((_piece(p._up, p._down),))
+        return _union(tuple(_piece(p._up, p._down) for p in reversed(parts)))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         """Exact set intersection (two-pointer sweep over sorted parts)."""

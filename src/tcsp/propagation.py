@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .intervals import IntervalUnion, format_union, narrow
-from .network import Tcsp, first_empty_entry, path_bounds
+from .network import Tcsp, first_empty_entry, is_stp, path_bounds
 
 
 class Outcome(Enum):
@@ -361,6 +361,8 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
     # entries only narrow, so its target already lies inside what those legs
     # allowed then, and the step can narrow it only if a leg was written since.
     written = [[0] * size for _ in range(size)]
+    # an STP is settled by its first sweep (see pc1)
+    settled = is_stp(net)
     step = 0
 
     def finish(outcome: Outcome) -> RunReport:
@@ -392,11 +394,11 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                     old = row[j]
                     if open_leg or j == k or open_via[j] or (
                         step > sweep
-                        and max(row_written[k], via_written[j]) <= step - sweep
+                        and (settled or max(row_written[k], via_written[j]) <= step - sweep)
                     ):
                         # a path through the pinned diagonal {0} or an
-                        # unconstrained leg, or legs as the step last read
-                        # them, cannot narrow old: temp is old
+                        # unconstrained leg, legs as the step last read
+                        # them, or a settled STP cannot narrow old: temp is old
                         if trace is not None:
                             trace.append(TraceEntry(alg, (i, k, j), old, old, old, False, False))
                         continue
@@ -422,6 +424,10 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                         )
         if not changed_any:
             return finish(Outcome.CONSISTENT)
+        if settled and trace is None:
+            # the second sweep of an STP changes nothing: count it, run none
+            step += sweep
+            return finish(Outcome.CONSISTENT)
 
 
 def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
@@ -431,8 +437,27 @@ def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
     an empty entry.  The i == j steps are where inconsistency surfaces, since
     the diagonal is pinned at {0}.  Every step is counted and traced, but a
     step that cannot narrow its entry -- its path runs through the diagonal
-    or an unconstrained leg, or its two legs are unchanged since it last
-    ran -- is not composed.
+    or an unconstrained leg, its two legs are unchanged since it last ran,
+    or it lies past the first sweep of an STP -- is not composed.
+
+    The one-sweep rule for an STP (every label convex on entry): a label is
+    one piece, two bounds in the ordered monoid of ``(value, closed)``
+    bounds (tuple order, None as +inf, sums by ``intervals._add``, identity
+    ``(0, True)``).  The upper bound of (i, j) is the edge i -> j of the
+    distance graph, the lower bound's ``_down`` the edge j -> i.  On one
+    piece a step takes each bound to the least of itself and the sum of the
+    legs' bounds, and leaves one piece or none, so the network stays an STP.
+    Row k and column k stay fixed while k is the middle variable, so the
+    sweep's k-th round is the k-th round of Floyd-Warshall, on the upper
+    bounds of every entry and, apart, on the lower bounds.  The diagonal
+    step (i, k, i) keeps {0} exactly when both circuits i -> k -> i weigh at
+    least ``(0, True)``, so it empties exactly where Floyd-Warshall would
+    write a diagonal below ``(0, True)``.  A first sweep that empties
+    nothing is thus a whole Floyd-Warshall pass on a graph with no negative
+    (or strictly zero) circuit: every bound is a shortest-path weight, and
+    those obey every triangle, so no later step can tighten one.  Later
+    sweeps are counted and traced as steps that change nothing; untraced,
+    the run ends after the first sweep and counts the second.
     """
     return _pc1(net, trace=trace)
 
@@ -460,12 +485,17 @@ def _pc2(
     def again(i: int, _: int, j: int) -> List[_Triple]:
         # paths that run through the tightened pair, targets canonical; the
         # write changed both orientations, so legs reading the mirror (j, i)
-        # went stale too -- all four patterns re-enter
+        # went stale too -- all four patterns re-enter.  An entry only
+        # narrows, so this write is the only way one turns informative: kept
+        # current here, the seed's matrix answers every later leg test, read
+        # along a row since it is symmetric, as the mirror is
+        informative[i][j] = informative[j][i] = True
+        row_i, row_j = informative[i], informative[j]
         return (
-            [(i, j, m) for m in range(i + 1, size) if m != j and not grid[j][m].is_universal()]
-            + [(m, i, j) for m in range(j) if m != i and not grid[m][i].is_universal()]
-            + [(j, i, m) for m in range(j + 1, size) if not grid[i][m].is_universal()]
-            + [(m, j, i) for m in range(i) if not grid[m][j].is_universal()]
+            [(i, j, m) for m in range(i + 1, size) if m != j and row_j[m]]
+            + [(m, i, j) for m in range(j) if m != i and row_i[m]]
+            + [(j, i, m) for m in range(j + 1, size) if row_i[m]]
+            + [(m, j, i) for m in range(i) if row_j[m]]
         )
 
     run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)

@@ -24,6 +24,7 @@ from tcsp import (
     build_tcsp,
     compile_instance,
     floyd_warshall,
+    graph_to_stp,
     stp_to_graph,
     w_add,
 )
@@ -126,6 +127,29 @@ def random_consistent_stp(rng: random.Random, n: Optional[int] = None) -> Tuple[
                 label = IntervalUnion.span(a, b, rng.random() < 0.5, rng.random() < 0.5)
             constraints.append((i, j, label))
     return build_tcsp(n, constraints), xs
+
+
+def random_zero_circuit_stp(rng: random.Random) -> Tcsp:
+    """A consistent random STP with one label closed on its tightest upper end.
+
+    A pair (i, j) whose upper end u in the minimal network is finite gets the
+    lower end u too, so a circuit through it weighs exactly zero: strictly
+    (the STP is inconsistent) when u or the new end is open, and closed
+    (consistent, with x_j - x_i = u forced) when both are closed.
+    """
+    while True:
+        net, _ = random_consistent_stp(rng)
+        minimal = graph_to_stp(floyd_warshall(stp_to_graph(net)))
+        size = net.n_vars + 1
+        # the spanning chain bounds X1 from both sides, so (0, 1) always qualifies
+        ends = [(i, j) for i in range(size) for j in range(i + 1, size)
+                if minimal.m[i][j].upper_bound() is not None]
+        i, j = rng.choice(ends)
+        value, _ = minimal.m[i][j].upper_bound()
+        label = net.m[i][j] & IntervalUnion.span(value, None, rng.random() < 0.5, False)
+        if not label.is_empty():  # an empty label would stop pc1 before any step
+            net.set_pair(i, j, label)
+            return net
 
 
 def random_detached_stp(rng: random.Random) -> Tcsp:

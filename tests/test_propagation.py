@@ -24,6 +24,7 @@ from randnets import (
     random_bounded_stp,
     random_consistent_stp,
     random_disjunctive_tcsp,
+    random_zero_circuit_stp,
     rebuilt_by_set_pair,
 )
 from tcsp import (
@@ -39,6 +40,7 @@ from tcsp import (
     format_trace_line,
     graph_to_stp,
     is_bd_arc_consistent,
+    is_stp,
     down_weight,
     minus_variant,
     parse_union,
@@ -51,6 +53,8 @@ from tcsp import (
     w_less,
     wbdac3,
 )
+from tcsp import propagation
+from tcsp.intervals import narrow
 from tcsp.propagation import ALGORITHMS, refinements, run_algorithm
 
 U = parse_union
@@ -645,8 +649,8 @@ def test_the_arc_passes_reach_the_minimal_domains_at_scale(n):
 @pytest.mark.parametrize("algorithm", [pc1, pc2], ids=["pc1", "pc2"])
 def test_path_consistency_reaches_the_minimal_network_at_sixty_variables(algorithm):
     # pc2's default pop is O(1), so it takes a second or so at this size, not
-    # the minutes a pop that scans the pending queue would take; pc1's sweeps
-    # skip the steps whose legs are unchanged, and take about as long
+    # the minutes a pop that scans the pending queue would take; pc1 composes
+    # in its first sweep only, and takes about as long
     net, _ = random_consistent_stp(random.Random(60), n=60)
     minimal = graph_to_stp(floyd_warshall(stp_to_graph(net)))
     assert algorithm(net).outcome is Outcome.CONSISTENT
@@ -687,13 +691,22 @@ def _pc1_composing_every_step(net):
             return end(Outcome.CONSISTENT)
 
 
+def _has_open_end(net):
+    return any(
+        end is not None and not end[1]
+        for row in net.m for label in row
+        for end in (label.lower_bound(), label.upper_bound())
+    )
+
+
 def test_pc1_steps_it_does_not_compose_change_nothing():
     rng = random.Random(52117)
     nets = [chain_stp(), hidden_circuit_stp(), creeping_circuit_stp(), fragmenting_tcsp()]
     nets += [random_consistent_stp(rng, n=rng.randint(2, 6))[0] for _ in range(15)]
     nets += [random_bounded_stp(rng) for _ in range(15)]
     nets += [random_disjunctive_tcsp(rng) for _ in range(200)]
-    outcomes, most_sweeps = set(), 0
+    nets += [random_zero_circuit_stp(rng) for _ in range(30)]
+    outcomes, most_sweeps, open_inconsistent_stps = set(), 0, 0
     for net in nets:
         expected = net.copy()
         outcome, calls, updates, want_trace = _pc1_composing_every_step(expected)
@@ -704,11 +717,50 @@ def test_pc1_steps_it_does_not_compose_change_nothing():
         )
         assert _rows(trace) == want_trace
         assert worked == expected
+        # untraced, an STP's run ends after its first sweep and counts the second
+        untraced = net.copy()
+        assert pc1(untraced) == report
+        assert untraced == expected
         outcomes.add(outcome)
-        most_sweeps = max(most_sweeps, -(-calls // (net.n_vars + 1) ** 3))
+        sweeps = -(-calls // (net.n_vars + 1) ** 3)
+        if is_stp(net):
+            assert sweeps <= 2
+            open_inconsistent_stps += outcome is Outcome.EMPTY_DOMAIN and _has_open_end(net)
+        else:
+            most_sweeps = max(most_sweeps, sweeps)
     assert outcomes == {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN}
-    # a third sweep re-reads entries the second one wrote: the case the skip must get right
+    assert open_inconsistent_stps >= 5
+    # a third sweep re-reads entries the second one wrote: the case the skip
+    # must get right, which the disjunctive networks reach
     assert most_sweeps >= 3
+
+
+def test_pc1_composes_only_in_the_first_sweep_of_an_stp(monkeypatch):
+    trace, composed_at = [], []
+
+    def counted(*args):
+        composed_at.append(len(trace) + 1)  # the step being taken
+        return narrow(*args)
+
+    monkeypatch.setattr(propagation, "narrow", counted)
+    rng = random.Random(80361)
+    nets = [chain_stp(), hidden_circuit_stp(), creeping_circuit_stp()]
+    nets += [random_consistent_stp(rng)[0] for _ in range(40)]
+    nets += [random_bounded_stp(rng) for _ in range(40)]
+    nets += [random_zero_circuit_stp(rng) for _ in range(40)]
+    outcomes, second_sweeps = set(), 0
+    for net in nets:
+        assert is_stp(net)
+        trace.clear()
+        composed_at.clear()
+        report = pc1(net.copy(), trace=trace)
+        sweep = (net.n_vars + 1) ** 3
+        assert max(composed_at, default=0) <= sweep
+        assert len(trace) == report.revise_calls <= 2 * sweep
+        outcomes.add(report.outcome)
+        second_sweeps += report.revise_calls == 2 * sweep
+    assert outcomes == {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN}
+    assert second_sweeps >= 40
 
 
 def _assert_mirrored_and_declared(net):
@@ -958,13 +1010,13 @@ def _pc2_as_specified(net, *, select=None, clamp=True, budget=None):
 def _agrees(spec, run, net):
     """Run the spec and the engine on copies of ``net``; both must report,
     trace (flags included) and leave the network alike.  Returns the spec's
-    outcome and how many of its steps the clamp emptied."""
+    outcome and its trace rows (target, old, temp, new, clamped, changed)."""
     expected, worked, trace = net.copy(), net.copy(), []
     outcome, calls, updates, want = spec(expected)
     assert run(worked, trace) == RunReport(outcome, calls, updates)
     assert [(e.target, e.old, e.temp, e.new, e.clamped, e.changed) for e in trace] == want
     assert worked == expected
-    return outcome, sum(row[4] for row in want)
+    return outcome, want
 
 
 def test_the_worklist_runs_bdac3_and_wbdac3_as_specified():
@@ -982,35 +1034,55 @@ def test_the_worklist_runs_bdac3_and_wbdac3_as_specified():
             minus = functools.partial(minus_variant, "bdac3", budget=300)
             runs.append((net, dict(lifo=lifo, clamp=False, budget=300), minus, dict(lifo=lifo)))
         for start, spec_options, engine, options in runs:
-            outcome, cut = _agrees(
+            outcome, rows = _agrees(
                 lambda n: _arc_pass_as_specified(n, **spec_options),
                 lambda n, trace: engine(n, trace=trace, **options),
                 start,
             )
             outcomes.add(outcome)
-            clamped += cut
+            clamped += sum(row[4] for row in rows)
     assert outcomes == set(Outcome)
     assert clamped > 0
 
 
 def test_the_worklist_runs_pc2_as_specified():
     rng = random.Random(61129)
-    outcomes, clamped = set(), 0
+    outcomes, clamped, opened = set(), 0, 0
     for net in _differential_cases(rng):
         for select in (None, lambda pending: pending[-1]):
             for spec_options, engine in (
                 ({}, pc2),
                 ({"clamp": False, "budget": 300}, functools.partial(minus_variant, "pc2", budget=300)),
             ):
-                outcome, cut = _agrees(
+                outcome, rows = _agrees(
                     lambda n: _pc2_as_specified(n, select=select, **spec_options),
                     lambda n, trace: engine(n, select=select, trace=trace),
                     net,
                 )
                 outcomes.add(outcome)
-                clamped += cut
+                clamped += sum(row[4] for row in rows)
+                # a write that turns a universal pair informative mid-run: pc2's
+                # kept informative matrix must see it, or later legs go unqueued
+                opened += sum(old.is_universal() and not new.is_empty() and changed
+                              for _, old, _, new, _, changed in rows)
     assert outcomes == set(Outcome)
     assert clamped > 0
+    assert opened > 0
+
+
+def test_fifo_pc2_clamps_on_a_pinned_network():
+    # from a seeded random search, rounded by hand: the circuit X1 -> X2 ->
+    # X3 -> X1 weighs -30, as does path_lb (three pairs at -10), and pc2's
+    # seed narrows X0's row around the circuit before any triple crosses
+    # the two bounds of (1, 3): X3 - X0 <= -30, then X1 - X0 <= -40
+    net = build_tcsp(3, [
+        (0, 1, U("(-inf,-10]")), (0, 2, U("(-inf,0]")), (0, 3, U("(-inf,0]")),
+        (1, 2, U("(-inf,-10]")), (1, 3, U("[10,+inf)")), (2, 3, U("(-inf,-10]")),
+    ])
+    outcome, rows = _agrees(_pc2_as_specified, lambda n, trace: pc2(n, trace=trace), net)
+    assert outcome is Outcome.EMPTY_DOMAIN
+    clamped = [(target, temp) for target, _, temp, _, cut, _ in rows if cut]
+    assert clamped == [((0, 3, 1), U("(-inf,-40]"))]
 
 
 # -- the depth-first refinement loop --------------------------------------------------
