@@ -329,17 +329,9 @@ class IntervalUnion:
         were closed, and an infinite endpoint absorbs.  Empty absorbs too.
         """
         a, b = self.parts, other.parts
-        if not a or not b:
-            return _EMPTY
         if len(a) == 1 and len(b) == 1:
             # convex + convex, unbounded ends included: one piece, in normal form
             return _union((_sum_piece(a[0], b[0]),))
-        if self.is_universal() or other.is_universal():
-            return _UNIVERSAL  # sums sweep the whole line
-        if len(a) == 1 and a[0]._down == _CLOSED_ZERO == a[0]._up:
-            return other  # {0} is the identity for set addition
-        if len(b) == 1 and b[0]._down == _CLOSED_ZERO == b[0]._up:
-            return self
         return IntervalUnion([_sum_piece(p, q) for p in a for q in b])
 
     def convex_closure(self) -> "IntervalUnion":

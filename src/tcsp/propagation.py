@@ -599,8 +599,9 @@ def refinements(root: Tcsp, propagate: Callable[..., RunReport]) -> Iterator[tup
 
 
 def is_bd_arc_consistent(net: Tcsp) -> bool:
-    """Is every binarized domain supported through every explicit constraint?"""
+    """Is every binarized domain supported through every explicit constraint, that
+    is, does revising each arc (k, m) hand the domain of X_k back unchanged?"""
     domains = net.m[0]
     return all(
-        domains[k].issubset(domains[m].compose(net.m[m][k])) for k, m in _mask_pairs(net)
+        narrow(domains[k], domains[m], net.m[m][k]) is domains[k] for k, m in _mask_pairs(net)
     )

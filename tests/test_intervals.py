@@ -185,6 +185,12 @@ def test_compose_openness_and_infinities():
     assert U("[5,+inf)").compose(U("[7,+inf)")) == U("[12,+inf)")
     assert U("{}").compose(U("[1,2]")) == IntervalUnion.empty()
     assert U("[1,2]").compose(U("{}")) == IntervalUnion.empty()
+    # empty, universal and {0} with several pieces: the general sum's cases
+    assert U("{}").compose(U("[1,2] u (4,5)")) == IntervalUnion.empty()
+    assert U("(-inf,+inf)").compose(U("[1,2] u (4,5)")) == IntervalUnion.universal()
+    assert U("[1,2] u (4,5)").compose(U("(-inf,+inf)")) == IntervalUnion.universal()
+    assert U("{0}").compose(U("[1,2] u (4,5)")) == U("[1,2] u (4,5)")
+    assert U("[1,2] u (4,5)").compose(U("{0}")) == U("[1,2] u (4,5)")
 
 
 def test_intersect_touching_ends():

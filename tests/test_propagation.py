@@ -23,6 +23,7 @@ from randnets import (
     hidden_circuit_stp,
     random_bounded_stp,
     random_consistent_stp,
+    random_detached_stp,
     random_disjunctive_tcsp,
     random_zero_circuit_stp,
     rebuilt_by_set_pair,
@@ -606,6 +607,39 @@ def test_is_bd_arc_consistent_flags_unfiltered_networks():
     assert is_bd_arc_consistent(net)
 
 
+def _supported_by_composition(net):
+    """Reference for ``is_bd_arc_consistent``: every domain lies inside the
+    composition of each neighbour's domain with the constraint."""
+    domains = net.m[0]
+    return all(
+        domains[k].issubset(domains[m].compose(net.m[m][k]))
+        for k in range(1, net.n_vars + 1) for m in net.neighbours[k]
+    )
+
+
+def test_is_bd_arc_consistent_agrees_with_composition_and_subset():
+    rng = random.Random(18018)
+    makers = (random_bounded_stp, random_detached_stp, random_disjunctive_tcsp)
+    verdicts, kinds = set(), set()
+    for _ in range(150):
+        for make in makers:
+            net = make(rng)
+            for run in (None, bdac3, wbdac3):
+                if run is not None:
+                    run(net)
+                verdict = is_bd_arc_consistent(net)
+                assert verdict == _supported_by_composition(net)
+                verdicts.add(verdict)
+                kinds.update(
+                    "empty" if label.is_empty() else "universal" if label.is_universal()
+                    else "convex" if label.is_convex() else "multi-piece"
+                    for k in range(1, net.n_vars + 1) for m in net.neighbours[k]
+                    for label in (net.m[0][k], net.m[m][k])
+                )
+    assert verdicts == {True, False}
+    assert kinds == {"empty", "universal", "convex", "multi-piece"}
+
+
 def test_set_pair_declares_the_arcs_the_arc_passes_read():
     net = Tcsp(2)
     net.set_pair(1, 2, U("[1,2]"))
@@ -792,6 +826,19 @@ def test_every_algorithm_leaves_the_matrix_mirrored_and_its_entries_declared():
     for name, outcomes in seen.items():
         assert {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN} <= outcomes, name
         assert (Outcome.BUDGET_EXHAUSTED in outcomes) == name.endswith("-minus"), name
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_every_algorithm_stops_on_an_empty_entry_before_any_step(name):
+    net = Tcsp(3)
+    net.set_pair(0, 1, U("[0,10]"))
+    net.set_pair(1, 2, U("[1,2]"))
+    net.set_pair(3, 2, IntervalUnion.empty())
+    before = net.copy()
+    trace = []
+    assert run_algorithm(name, net, trace=trace) == RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
+    assert trace == []
+    assert net == before and net.neighbours == before.neighbours
 
 
 def test_outcome_values_are_stable_text():
