@@ -13,11 +13,15 @@ worklist algorithms share one loop and differ only in their seed and in
 the steps a write puts back on the queue.
 
 The clamped variants cut any domain whose endpoint weights fall below the
-network's path-derived lower bound straight to empty, which is what makes
-them terminate on inconsistent inputs with unbounded labels; ``pc1`` needs
-no clamp.  ``minus_variant`` re-runs an algorithm without the clamp under a
-hard call budget; that is how the divergence the clamp prevents is made
-observable in tests.
+path-derived lower bound of the network the run started on straight to
+empty, which is what makes them terminate on inconsistent inputs with
+unbounded labels; ``pc1`` needs no clamp.  An arc pass reads that bound
+only at a write that walks a circuit: every end it writes weighs as a walk
+from X0 in the run-start network, a write on one-piece labels that extends
+a walk without repeating a variable is an elementary path, which weighs at
+least the bound, and so skips the check (see ``_Run``).  ``minus_variant``
+re-runs an algorithm without the clamp under a hard call budget; that is
+how the divergence the clamp prevents is made observable in tests.
 
 Every step narrows its entry through one kernel,
 :func:`~tcsp.intervals.narrow` (``old & x.compose(y)``, handing back
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .intervals import IntervalUnion, format_union, narrow
+from .intervals import Bound, IntervalUnion, format_union, narrow
 from .network import Tcsp, first_empty_entry, is_stp, path_bounds
 
 
@@ -92,14 +96,31 @@ _Triple = Tuple[int, int, int]
 class _Run:
     """Shared mutable state of one algorithm invocation.
 
-    With ``arcs`` a step (0, m, k) is traced as the arc (k, m).  ``floor``,
-    path_lb as a (value, closed) bound, is read at the first clamp check:
-    every write but a final empty one follows a clamp check, so the network
-    is still the one the run started on.
+    With ``arcs`` a step (0, m, k) is traced as the arc (k, m).  ``floor``
+    is path_lb, as a (value, closed) bound, of the network the run started
+    on.  It is read at the first clamp check that no walk certifies; a run
+    whose checks are all certified never reads it.
+
+    The walk certificate (arc passes, which write row 0 only): the upper
+    end an arc step (0, k, j) writes is an upper end of X_k's domain plus a
+    piece end of (k, j), so by induction it weighs as a walk X0 -> ... ->
+    X_k -> X_j of the run-start network's distance graph, and a lower end
+    as the same walk reversed.  ``walks[j]`` holds the bitmasks of the
+    variables on the walks behind X_j's lower and upper end; a domain not
+    yet written has the edge X0 -- X_j behind both.  While the floor is
+    unread, a step on one-piece labels (``old``, X_k's domain and ``temp``)
+    whose every moved end extends a walk without X_j writes elementary
+    walks only.  An elementary walk uses at most n edges, one per pair, so
+    it weighs at least path_lb: the check would pass, and is skipped.  Every
+    other step is checked.  A walk that repeats X_j is an earlier walk to
+    X_j, no lower than X_j's end, plus a circuit, so it narrows only through
+    a circuit below ``(0, True)``.  ``first`` holds the label of each domain
+    before the run first wrote it, which rebuilds the run-start network
+    when the floor is read.
     """
 
     __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor",
-                 "revise_calls", "domain_updates")
+                 "walks", "first", "revise_calls", "domain_updates")
 
     def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
                  budget: Optional[int] = None, trace: Optional[Trace] = None,
@@ -112,17 +133,56 @@ class _Run:
         self.trace = trace
         self.arcs = arcs
         self.floor = None
+        self.walks = {}
+        self.first = {}
         self.revise_calls = 0
         self.domain_updates = 0
 
     def report(self, outcome: Outcome) -> RunReport:
         return RunReport(outcome, self.revise_calls, self.domain_updates)
 
-    def _clamp_to_empty(self, temp: IntervalUnion) -> bool:
-        """True when either endpoint weight of temp sinks below path_lb."""
+    def _elementary(self, k: int, j: int, old: IntervalUnion, via: IntervalUnion,
+                    temp: IntervalUnion) -> bool:
+        """Does step (0, k, j) move only ends onto elementary walks?  If so,
+        records those walks and the label X_j held before the run wrote it."""
+        if not self.arcs or not len(old.parts) == len(via.parts) == len(temp.parts) == 1:
+            return False
+        walks = self.walks
+        bit = 1 << j
+        down, up = walks.get(j) or (1 | bit, 1 | bit)
+        via_down, via_up = walks.get(k) or (1 | 1 << k, 1 | 1 << k)
+        o, t = old.parts[0], temp.parts[0]
+        if t._down != o._down:
+            if via_down & bit:
+                return False
+            down = via_down | bit
+        if t._up != o._up:
+            if via_up & bit:
+                return False
+            up = via_up | bit
+        walks[j] = (down, up)
+        self.first.setdefault(j, old)
+        return True
+
+    def _run_start_floor(self) -> Bound:
+        """path_lb of the network as it was before the run's first write."""
+        net, first = self.net, self.first
+        now = [(j, net.m[0][j]) for j in first]
+        for j, label in first.items():
+            net.set_pair(0, j, label)
+        floor = path_bounds(net).path_lb.bound
+        for j, label in now:
+            net.set_pair(0, j, label)
+        return floor
+
+    def _clamp_to_empty(self, k: int, j: int, old: IntervalUnion, via: IntervalUnion,
+                        temp: IntervalUnion) -> bool:
+        """True when either endpoint weight of temp sinks below the floor."""
         floor = self.floor
         if floor is None:
-            floor = self.floor = path_bounds(self.net).path_lb.bound
+            if self._elementary(k, j, old, via, temp):
+                return False
+            floor = self.floor = self._run_start_floor()
         down, up = temp.parts[0]._down, temp.parts[-1]._up
         return (down is not None and down < floor) or (up is not None and up < floor)
 
@@ -130,11 +190,12 @@ class _Run:
         """Step (i, k, j): narrow entry (i, j) by m[i][k] and m[k][j], mirrored."""
         self.revise_calls += 1
         grid = self.net.m
-        old = grid[i][j]
-        temp = narrow(old, grid[i][k], grid[k][j], self.weak)
+        old, via = grid[i][j], grid[i][k]
+        temp = narrow(old, via, grid[k][j], self.weak)
         clamped = False
         new = temp
-        if self.clamp and temp is not old and not temp.is_empty() and self._clamp_to_empty(temp):
+        if (self.clamp and temp is not old and not temp.is_empty()
+                and self._clamp_to_empty(k, j, old, via, temp)):
             new = IntervalUnion.empty()
             clamped = True
         # narrow hands back old itself when nothing narrows

@@ -21,6 +21,7 @@ from randnets import (
     fragmenting_tcsp,
     fw_minimal_domains,
     hidden_circuit_stp,
+    oracle_consistent,
     random_bounded_stp,
     random_consistent_stp,
     random_detached_stp,
@@ -33,10 +34,14 @@ from tcsp import (
     Outcome,
     RunReport,
     Tcsp,
+    backtrack_free,
     bdac1,
     bdac3,
     build_tcsp,
     check_solution,
+    connect_x0,
+    disconnected_variables,
+    extract_solution,
     floyd_warshall,
     format_trace_line,
     graph_to_stp,
@@ -864,6 +869,23 @@ def _differential_cases(rng):
             yield rebuilt_by_set_pair(net, order)
 
 
+def _circuit_cases(rng):
+    """Random STPs with a circuit of weight zero, strict or closed, and
+    detached STPs, each of those also with its loose variables anchored as
+    ``connect_x0`` anchors them, which exposes the shifted labels' circuits
+    to the arc passes.  Drawn from their own ``rng``, so the draws of
+    :func:`_differential_cases` stay as they are."""
+    anchor = IntervalUnion.span(0, None, True, False)
+    for _ in range(30):
+        yield random_zero_circuit_stp(rng)
+        net = random_detached_stp(rng)
+        yield net
+        anchored = net.copy()
+        for v in disconnected_variables(net):
+            anchored.set_pair(0, v, anchor)
+        yield anchored
+
+
 def _fixpoint(algorithm, net) -> bool:
     """Run ``algorithm`` until a run changes nothing; False on any other verdict.
 
@@ -995,19 +1017,55 @@ def _arc_pass_as_specified(net, *, weak=False, lifo=False, changed=None, clamp=T
             return Outcome.BUDGET_EXHAUSTED, calls, updates, trace
         k, m = queue.pop() if lifo else queue.pop(0)
         calls += 1
-        x, y = net.m[0][m], net.m[m][k]
-        old = net.m[0][k]
-        temp = old & (x.weak_compose(y) if weak else x.compose(y))
-        clamped = clamp and temp != old and not temp.is_empty() and _below_floor(temp, floor)
-        new = IntervalUnion.empty() if clamped else temp
-        trace.append(((k, m), old, temp, new, clamped, new != old))
-        if new != old:
-            net.set_pair(0, k, new)
+        row = _arc_step_as_specified(net, k, m, floor, weak=weak, clamp=clamp)
+        trace.append(row)
+        if row[-1]:
             updates += 1
-            if new.is_empty():
+            if row[3].is_empty():
                 return Outcome.EMPTY_DOMAIN, calls, updates, trace
             queue += [(a, k) for a, b in arcs if b == k and a != m and (a, k) not in queue]
     return Outcome.CONSISTENT, calls, updates, trace
+
+
+def _bdac1_as_specified(net, *, clamp=True, budget=None):
+    """bdac1 as specified: passes over the constrained arcs (k, m) in
+    lexicographic order, each narrowing the domain of X_k through X_m, until a
+    pass changes nothing; an emptied domain ends the run mid-pass, and the
+    clamp's floor is path_lb of the network the run starts on."""
+    if any(label.is_empty() for row in net.m for label in row):
+        return Outcome.EMPTY_DOMAIN, 0, 0, []
+    arcs = sorted((a, b) for a, row in enumerate(net.neighbours) for b in row)
+    floor = path_bounds(net).path_lb
+    trace, calls, updates = [], 0, 0
+    while True:
+        quiet = True
+        for k, m in arcs:
+            if budget is not None and calls >= budget:
+                return Outcome.BUDGET_EXHAUSTED, calls, updates, trace
+            calls += 1
+            row = _arc_step_as_specified(net, k, m, floor, clamp=clamp)
+            trace.append(row)
+            if row[-1]:
+                updates += 1
+                quiet = False
+                if row[3].is_empty():
+                    return Outcome.EMPTY_DOMAIN, calls, updates, trace
+        if quiet:
+            return Outcome.CONSISTENT, calls, updates, trace
+
+
+def _arc_step_as_specified(net, k, m, floor, *, weak=False, clamp=True):
+    """Narrow the domain of X_k through X_m, cut to empty below ``floor``;
+    writes the result and returns the trace row (target, old, temp, new,
+    clamped, changed)."""
+    x, y = net.m[0][m], net.m[m][k]
+    old = net.m[0][k]
+    temp = old & (x.weak_compose(y) if weak else x.compose(y))
+    clamped = clamp and temp != old and not temp.is_empty() and _below_floor(temp, floor)
+    new = IntervalUnion.empty() if clamped else temp
+    if new != old:
+        net.set_pair(0, k, new)
+    return (k, m), old, temp, new, clamped, new != old
 
 
 def _pc2_as_specified(net, *, select=None, clamp=True, budget=None):
@@ -1069,7 +1127,7 @@ def _agrees(spec, run, net):
 def test_the_worklist_runs_bdac3_and_wbdac3_as_specified():
     rng = random.Random(40917)
     outcomes, clamped = set(), 0
-    for net in _differential_cases(rng):
+    for net in itertools.chain(_differential_cases(rng), _circuit_cases(random.Random(83))):
         runs = []
         for weak, algorithm in ((False, bdac3), (True, wbdac3)):
             for lifo in (False, True):
@@ -1090,6 +1148,109 @@ def test_the_worklist_runs_bdac3_and_wbdac3_as_specified():
             clamped += sum(row[4] for row in rows)
     assert outcomes == set(Outcome)
     assert clamped > 0
+
+
+def test_bdac1_runs_as_specified():
+    rng = random.Random(28713)
+    outcomes, clamped = set(), 0
+    for net in itertools.chain(_differential_cases(rng), _circuit_cases(random.Random(83))):
+        # a write after a bdac3 fixpoint reopens what the clamp must stop
+        starts = [net] + [written for written, _ in _writes_after_a_fixpoint(rng, net, bdac3)]
+        for start in starts:
+            for spec_options, engine in (
+                ({}, bdac1),
+                ({"clamp": False, "budget": 300},
+                 functools.partial(minus_variant, "bdac1", budget=300)),
+            ):
+                outcome, rows = _agrees(
+                    lambda n: _bdac1_as_specified(n, **spec_options),
+                    lambda n, trace: engine(n, trace=trace),
+                    start,
+                )
+                outcomes.add(outcome)
+                clamped += sum(row[4] for row in rows)
+    assert outcomes == set(Outcome)
+    assert clamped > 0
+
+
+def _counting_path_bounds(monkeypatch, trace=None):
+    """Wrap the ``path_bounds`` the clamp calls; each call appends the
+    length ``trace`` had then (None without a trace)."""
+    calls = []
+    original = propagation.path_bounds
+
+    def counted(net):
+        calls.append(None if trace is None else len(trace))
+        return original(net)
+
+    monkeypatch.setattr(propagation, "path_bounds", counted)
+    return calls
+
+
+def test_the_paper_pipeline_never_reads_path_bounds_without_a_circuit(monkeypatch):
+    # without a circuit below (0, closed) every arc step that narrows
+    # extends an elementary walk, which the clamp check need not read
+    calls = _counting_path_bounds(monkeypatch)
+    rng = random.Random(5113)
+    solved = 0
+    for _ in range(40):
+        for net in (random_consistent_stp(rng)[0], random_detached_stp(rng)):
+            if not oracle_consistent(net):
+                continue  # a detached part's shifted label may close a negative circuit
+            assert bdac3(net).outcome is Outcome.CONSISTENT
+            assert connect_x0(net)
+            assert check_solution(net, extract_solution(backtrack_free(net)))
+            solved += 1
+    assert solved >= 70
+    assert calls == []
+
+
+def test_a_circuit_run_reads_path_bounds_and_keeps_its_trace(monkeypatch):
+    trace = []
+    calls = _counting_path_bounds(monkeypatch, trace)
+    assert bdac3(hidden_circuit_stp(), trace=trace).outcome is Outcome.EMPTY_DOMAIN
+    assert _rows(trace) == HIDDEN_TRACE and trace[-1].clamped
+    assert len(calls) >= 1
+    for make in (hidden_circuit_stp, creeping_circuit_stp):
+        for spec, engine in ((_arc_pass_as_specified, bdac3), (_bdac1_as_specified, bdac1)):
+            del calls[:]
+            outcome, rows = _agrees(spec, lambda n, trace: engine(n, trace=trace), make())
+            assert outcome is Outcome.EMPTY_DOMAIN and rows[-1][4]
+            assert len(calls) >= 1
+
+
+def _lapping_circuit_stp() -> Tcsp:
+    """X1 >= 0 and X2 - X1, X3 - X2, X1 - X3 each in [5,10]: a circuit of
+    weight -15 along which the lower ends creep up by 15 per lap.  path_lb is
+    -15 (three pairs at -5); the first lap's writes X2 >= 5 and X3 >= 10
+    walk X0, X1, X2, X3 without a repeat and lower path_lb to -20."""
+    return build_tcsp(3, [
+        (0, 1, U("[0,+inf)")), (1, 2, U("[5,10]")), (2, 3, U("[5,10]")), (3, 1, U("[5,10]")),
+    ])
+
+
+def test_the_floor_is_path_lb_of_the_network_the_run_starts_on(monkeypatch):
+    start = _lapping_circuit_stp()
+    floor = path_bounds(start).path_lb
+    trace = []
+    calls = _counting_path_bounds(monkeypatch, trace)
+    assert bdac3(start.copy(), trace=trace).outcome is Outcome.EMPTY_DOMAIN
+    # the floor is read once, at X1 >= 15, the first write whose walk repeats X1
+    assert len(calls) == 1 and trace[calls[0]].target == (1, 3)
+    assert trace[calls[0]].temp == U("[15,+inf)")
+    lapped = start.copy()
+    for entry in trace[:calls[0]]:
+        if entry.changed:
+            lapped.set_pair(0, entry.target[0], entry.new)
+    lowered = path_bounds(lapped).path_lb
+    assert w_less(lowered, floor)
+    # X2 >= 20 lies below the run-start floor but not below the lowered one
+    cut = [(e.target, e.temp) for e in trace if e.clamped]
+    assert cut == [((2, 1), U("[20,+inf)"))]
+    assert _below_floor(cut[0][1], floor) and not _below_floor(cut[0][1], lowered)
+    for spec, engine in ((_arc_pass_as_specified, bdac3), (_bdac1_as_specified, bdac1)):
+        outcome, rows = _agrees(spec, lambda n, trace: engine(n, trace=trace), start)
+        assert outcome is Outcome.EMPTY_DOMAIN and rows[-1][4]
 
 
 def test_the_worklist_runs_pc2_as_specified():
