@@ -66,8 +66,9 @@ class Tcsp:
     Writes go through :meth:`set_pair`, which keeps the mirror invariant and
     tells the network's path-bounds index (built by the first
     :func:`path_bounds` call, copied by :meth:`copy`) which pair went stale.
-    The one exception is ``pc1``, whose sweep writes ``m`` directly and
-    passes every pair it narrowed to :meth:`set_pair` when it ends.
+    The one exception is ``pc1``'s label sweep (traced runs, and networks
+    that are not STPs), which writes ``m`` directly and passes every pair
+    it narrowed to :meth:`set_pair` when it ends.
     """
 
     __slots__ = ("n_vars", "m", "neighbours", "_bounds_index")

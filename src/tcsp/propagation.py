@@ -39,7 +39,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .intervals import Bound, IntervalUnion, format_union, narrow
+from .intervals import (
+    _CLOSED_ZERO,
+    Bound,
+    IntervalUnion,
+    _add,
+    _piece,
+    _union,
+    format_union,
+    narrow,
+)
 from .network import Tcsp, first_empty_entry, is_stp, path_bounds
 
 
@@ -410,9 +419,69 @@ def bdac1(
     return _bdac1(net, order=order, trace=trace)
 
 
+def _pc1_on_bounds(net: Tcsp) -> RunReport:
+    """pc1 on an STP, untraced: one Floyd-Warshall pass over the labels'
+    bounds, counted as the label sweep counts it (see pc1)."""
+    size = net.n_vars + 1
+    # w[i][j] is the edge i -> j: the upper bound of (i, j) and, by the
+    # mirror, the lower bound of (j, i)
+    w = [[label.parts[0]._up for label in row] for row in net.m]
+    moved: dict = {}  # the pairs (i, j), i < j, that moved, written back at the end
+    updates = 0
+
+    def finish(outcome: Outcome, step: int, domain_updates: int) -> RunReport:
+        for i, j in moved:
+            net.set_pair(i, j, _union((_piece(w[j][i], w[i][j]),)))
+        return RunReport(outcome, step, domain_updates)
+
+    for k in range(size):
+        via = w[k]
+        to_k = [row[k] for row in w]  # row k and column k stay fixed in round k
+        ends = []  # j of each pair (i, j) moved in round k
+        for i in range(size):
+            ik, ki = to_k[i], via[i]
+            if i == k or (ik is None and ki is None):
+                continue  # no path through X_k leaves or reaches X_i
+            row = w[i]
+            for j in range(i + 1, size):
+                if j == k:
+                    continue
+                old_up = up = row[j]
+                old_down = down = w[j][i]
+                if ik is not None:
+                    path = _add(ik, via[j])
+                    if path is not None and (up is None or path < up):
+                        up = path
+                if ki is not None:
+                    path = _add(to_k[j], ki)
+                    if path is not None and (down is None or path < down):
+                        down = path
+                if up is old_up and down is old_down:
+                    continue
+                if up is not None and down is not None and _add(up, down) < _CLOSED_ZERO:
+                    # step (i, k, j) empties its entry, which stays unwritten;
+                    # it comes before the mirror (j', k, i') of each pair moved
+                    # this round whose j' lies past row i
+                    late = sum(1 for end in ends if end > i)
+                    step = (k * size + i) * size + j + 1
+                    return finish(Outcome.EMPTY_DOMAIN, step, updates - late)
+                row[j] = up
+                w[j][i] = down
+                moved[i, j] = None
+                ends.append(j)
+                updates += 2  # at (i, k, j) and at its mirror (j, k, i)
+    # a pass that moved a bound is followed by a second sweep, which the
+    # label sweep counts and which changes nothing
+    return finish(Outcome.CONSISTENT, size ** 3 * (2 if moved else 1), updates)
+
+
 def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunReport:
     if first_empty_entry(net) is not None:
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
+    # an STP is settled by its first sweep (see pc1)
+    settled = is_stp(net)
+    if settled and trace is None:
+        return _pc1_on_bounds(net)
     run = _Run(net, alg, clamp=False, trace=trace)
     grid = net.m
     size = net.n_vars + 1
@@ -422,8 +491,6 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
     # entries only narrow, so its target already lies inside what those legs
     # allowed then, and the step can narrow it only if a leg was written since.
     written = [[0] * size for _ in range(size)]
-    # an STP is settled by its first sweep (see pc1)
-    settled = is_stp(net)
     step = 0
 
     def finish(outcome: Outcome) -> RunReport:
@@ -485,21 +552,20 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                         )
         if not changed_any:
             return finish(Outcome.CONSISTENT)
-        if settled and trace is None:
-            # the second sweep of an STP changes nothing: count it, run none
-            step += sweep
-            return finish(Outcome.CONSISTENT)
 
 
 def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
     """Full path-consistency sweeps (every (i, k, j), diagonal included) to fixpoint.
 
     No clamp: composition through every triangle either converges or proves
-    an empty entry.  The i == j steps are where inconsistency surfaces, since
-    the diagonal is pinned at {0}.  Every step is counted and traced, but a
-    step that cannot narrow its entry -- its path runs through the diagonal
-    or an unconstrained leg, its two legs are unchanged since it last ran,
-    or it lies past the first sweep of an STP -- is not composed.
+    an empty entry.  Each round starts mirrored, and row k and column k stay
+    fixed while k is the middle variable, so a diagonal step (i, k, i)
+    composes the label (i, k) with its converse, which holds 0: it never
+    empties, and inconsistency surfaces at a step (i, k, j) with i != j.
+    Every step is counted and traced, but a step that cannot narrow its
+    entry -- its path runs through the diagonal or an unconstrained leg, its
+    two legs are unchanged since it last ran, or it lies past the first
+    sweep of an STP -- is not composed.
 
     The one-sweep rule for an STP (every label convex on entry): a label is
     one piece, two bounds in the ordered monoid of ``(value, closed)``
@@ -508,17 +574,30 @@ def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
     distance graph, the lower bound's ``_down`` the edge j -> i.  On one
     piece a step takes each bound to the least of itself and the sum of the
     legs' bounds, and leaves one piece or none, so the network stays an STP.
-    Row k and column k stay fixed while k is the middle variable, so the
-    sweep's k-th round is the k-th round of Floyd-Warshall, on the upper
-    bounds of every entry and, apart, on the lower bounds.  The diagonal
-    step (i, k, i) keeps {0} exactly when both circuits i -> k -> i weigh at
-    least ``(0, True)``, so it empties exactly where Floyd-Warshall would
-    write a diagonal below ``(0, True)``.  A first sweep that empties
-    nothing is thus a whole Floyd-Warshall pass on a graph with no negative
-    (or strictly zero) circuit: every bound is a shortest-path weight, and
-    those obey every triangle, so no later step can tighten one.  Later
-    sweeps are counted and traced as steps that change nothing; untraced,
-    the run ends after the first sweep and counts the second.
+    So the sweep's k-th round is the k-th round of Floyd-Warshall, on the
+    upper bounds of every entry and, apart, on the lower bounds.  A step
+    empties its entry exactly when its new bounds cross, that is, when it
+    closes a circuit i -> j -> i below ``(0, True)``.  A circuit below
+    ``(0, True)``, split at its two highest variables, is two paths whose
+    inner variables all lie below both, so the rounds before the lower of
+    the two close it on that pair, if no other step stops the run first.  A
+    first sweep that empties nothing is thus a whole Floyd-Warshall
+    pass on a graph with no negative (or strictly zero) circuit: every bound
+    is a shortest-path weight, and those obey every triangle, so no later
+    step can tighten one.  Later sweeps are counted and traced as steps
+    that change nothing.
+
+    Untraced, an STP runs as that one pass over a matrix of bounds, ``w[i][j]``
+    the edge i -> j, and builds labels only for the pairs that moved, which
+    it writes with ``set_pair`` when it ends.  Steps (i, k, j) and (j, k, i)
+    take the same two minima, from the same round-k legs, so the pass
+    relaxes each pair once per round and counts a moved pair twice, once at
+    each position.  A run that stops at step (i, k, j), i < j (the first of
+    the two positions of the emptied pair, which is not written), counts
+    ``k*size**2 + i*size + j + 1`` steps, and of each pair (a, b), a < b,
+    moved earlier in round k it counts the mirror (b, k, a) only when row b
+    comes no later than row i.  A pass that empties nothing counts one
+    sweep when no bound moved, and otherwise two.
     """
     return _pc1(net, trace=trace)
 

@@ -30,6 +30,24 @@ from tcsp import (
 )
 
 
+class CappedTrace(list):
+    """A trace list whose ``append`` fails once it holds ``cap`` entries.
+
+    A clamped engine with a trace and no budget ends on a diverging circuit
+    only through its clamp; passed this list, a run whose clamp never fires
+    fails the test at ``cap`` steps instead of growing the trace without end.
+    """
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def append(self, entry) -> None:
+        if len(self) >= self.cap:
+            raise AssertionError(f"the trace grew past {self.cap} entries")
+        super().append(entry)
+
+
 # -- the four worked networks used as goldens throughout the suite -------------------
 
 

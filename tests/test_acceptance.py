@@ -24,6 +24,7 @@ from fractions import Fraction
 import pytest
 
 from randnets import (
+    CappedTrace,
     chain_stp,
     creeping_circuit_stp,
     fragmenting_tcsp,
@@ -154,7 +155,7 @@ def test_c03_hidden_circuit_detected_by_the_divergence_clamp():
     def work():
         net = hidden_circuit_stp()
         bounds = path_bounds(net)
-        trace = []
+        trace = CappedTrace(160)  # ten times the 16 steps of the golden run
         report = bdac3(net, trace=trace)
         return bounds, report, trace
 
@@ -211,7 +212,8 @@ def _pass_lows(trace, start):
 def test_c04_creeping_circuit_detection_and_exhausted_unclamped_budgets():
     def goldens():
         bounds = path_bounds(creeping_circuit_stp())
-        one_net, one_trace = creeping_circuit_stp(), []
+        # each trace capped at ten times its golden length
+        one_net, one_trace = creeping_circuit_stp(), CappedTrace(10 * len(_PASS_ORDER * 3))
         one_report = bdac1(one_net, trace=one_trace)
         steps = iter(PC2_SCRIPT)
 
@@ -220,7 +222,7 @@ def test_c04_creeping_circuit_detection_and_exhausted_unclamped_budgets():
             assert want in pending
             return want
 
-        two_net, two_trace = creeping_circuit_stp(), []
+        two_net, two_trace = creeping_circuit_stp(), CappedTrace(10 * len(PC2_SCRIPT))
         two_report = pc2(two_net, select=select, trace=two_trace)
         return bounds, one_report, one_trace, two_report, two_trace
 

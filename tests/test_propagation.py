@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from randnets import (
+    CappedTrace,
     chain_stp,
     creeping_circuit_stp,
     fragmenting_tcsp,
@@ -183,7 +184,7 @@ HIDDEN_TRACE = [
 
 def test_bdac3_detects_the_circuit_hidden_behind_an_infinite_edge():
     net = hidden_circuit_stp()
-    trace = []
+    trace = CappedTrace(10 * len(HIDDEN_TRACE))
     report = bdac3(net, trace=trace)
     assert report.outcome is Outcome.EMPTY_DOMAIN
     assert report.revise_calls == 16 and report.domain_updates == 9
@@ -275,7 +276,7 @@ def test_minus_variant_rejects_unknown_algorithms():
 
 def test_bdac1_creeping_passes_match_the_worked_example():
     net = creeping_circuit_stp()
-    trace = []
+    trace = CappedTrace(10 * 18)
     report = bdac1(net, trace=trace)
     assert report.outcome is Outcome.EMPTY_DOMAIN
     assert report.revise_calls == 18 and report.domain_updates == 8
@@ -362,7 +363,7 @@ def test_pc1_reaches_the_minimal_network_on_the_chain():
 
 def test_pc2_fifo_finds_the_creeping_contradiction_quickly():
     net = creeping_circuit_stp()
-    trace = []
+    trace = CappedTrace(10 * 3)
     report = pc2(net, trace=trace)
     assert report.outcome is Outcome.EMPTY_DOMAIN
     assert report.revise_calls == 3 and report.domain_updates == 2
@@ -408,7 +409,7 @@ def test_pc2_with_the_worked_propagation_order():
         return want
 
     net = creeping_circuit_stp()
-    trace = []
+    trace = CappedTrace(10 * len(PC2_SCRIPT))
     report = pc2(net, select=select, trace=trace)
     assert report.outcome is Outcome.EMPTY_DOMAIN
     assert report.revise_calls == 8 and report.domain_updates == 8
@@ -820,6 +821,44 @@ def test_pc1_restores_the_mirror_when_it_stops_mid_sweep():
     _assert_mirrored_and_declared(net)
 
 
+def _stops_before_a_moved_mirror(trace):
+    """Does a traced pc1 run stop at (i, k, j) after a pair (a, b), a < b,
+    moved in round k, whose mirror step (b, k, a) lies past the stop?"""
+    i, k, _ = trace[-1].target
+    return any(
+        e.changed and e.target[1] == k and e.target[0] < e.target[2] > i for e in trace
+    )
+
+
+def test_untraced_pc1_on_an_stp_equals_the_label_sweep():
+    rng = random.Random(20044)
+    nets = [chain_stp(), hidden_circuit_stp(), creeping_circuit_stp()]
+    nets += [Tcsp(n) for n in (0, 1, 2)]
+    for _ in range(260):
+        nets += [random_consistent_stp(rng)[0], random_bounded_stp(rng),
+                 random_zero_circuit_stp(rng), random_detached_stp(rng)]
+    outcomes, stops, late_mirror_stops = set(), 0, 0
+    for net in nets:
+        assert is_stp(net)
+        swept, trace = net.copy(), []
+        report = pc1(swept, trace=trace)
+        worked = net.copy()
+        path_bounds(worked)  # the index the run's writes must mark stale
+        assert pc1(worked) == report
+        assert worked == swept and worked.neighbours == swept.neighbours
+        assert path_bounds(worked) == path_bounds(rebuilt_by_set_pair(worked, rng))
+        outcomes.add(report.outcome)
+        if report.outcome is Outcome.EMPTY_DOMAIN:
+            i, k, j = trace[-1].target
+            # a diagonal step composes a label with its converse, which holds 0
+            assert i != j
+            stops += 1
+            late_mirror_stops += k > 0 and _stops_before_a_moved_mirror(trace)
+    assert len(nets) >= 1000
+    assert outcomes == {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN}
+    assert stops >= 100 and late_mirror_stops >= 20
+
+
 def test_every_algorithm_leaves_the_matrix_mirrored_and_its_entries_declared():
     rng = random.Random(16016)
     seen = {name: set() for name in ALGORITHMS}
@@ -1115,9 +1154,12 @@ def _pc2_as_specified(net, *, select=None, clamp=True, budget=None):
 def _agrees(spec, run, net):
     """Run the spec and the engine on copies of ``net``; both must report,
     trace (flags included) and leave the network alike.  Returns the spec's
-    outcome and its trace rows (target, old, temp, new, clamped, changed)."""
-    expected, worked, trace = net.copy(), net.copy(), []
+    outcome and its trace rows (target, old, temp, new, clamped, changed).
+    The engine's trace is capped at ten times the spec's (and at least ten
+    steps), since the spec runs first."""
+    expected, worked = net.copy(), net.copy()
     outcome, calls, updates, want = spec(expected)
+    trace = CappedTrace(10 * max(len(want), 1))
     assert run(worked, trace) == RunReport(outcome, calls, updates)
     assert [(e.target, e.old, e.temp, e.new, e.clamped, e.changed) for e in trace] == want
     assert worked == expected
@@ -1206,7 +1248,7 @@ def test_the_paper_pipeline_never_reads_path_bounds_without_a_circuit(monkeypatc
 
 
 def test_a_circuit_run_reads_path_bounds_and_keeps_its_trace(monkeypatch):
-    trace = []
+    trace = CappedTrace(10 * len(HIDDEN_TRACE))
     calls = _counting_path_bounds(monkeypatch, trace)
     assert bdac3(hidden_circuit_stp(), trace=trace).outcome is Outcome.EMPTY_DOMAIN
     assert _rows(trace) == HIDDEN_TRACE and trace[-1].clamped
@@ -1217,6 +1259,19 @@ def test_a_circuit_run_reads_path_bounds_and_keeps_its_trace(monkeypatch):
             outcome, rows = _agrees(spec, lambda n, trace: engine(n, trace=trace), make())
             assert outcome is Outcome.EMPTY_DOMAIN and rows[-1][4]
             assert len(calls) >= 1
+
+
+def test_a_step_that_reads_a_two_piece_label_checks_the_clamp(monkeypatch):
+    # the walk masks follow one piece per end, so a step on more pieces is
+    # checked: the first write narrows X2's domain through X1's two pieces
+    net = build_tcsp(2, [(0, 1, U("[0,1] u [5,6]")), (1, 2, U("[0,1]"))])
+    trace = []
+    calls = _counting_path_bounds(monkeypatch, trace)
+    assert bdac3(net, trace=trace).outcome is Outcome.CONSISTENT
+    written = [index for index, entry in enumerate(trace) if entry.changed]
+    assert written == [1] and trace[1].target == (2, 1)
+    assert trace[1].temp == U("[0,2] u [5,7]") and not trace[1].clamped
+    assert calls == [1]
 
 
 def _lapping_circuit_stp() -> Tcsp:
@@ -1232,7 +1287,7 @@ def _lapping_circuit_stp() -> Tcsp:
 def test_the_floor_is_path_lb_of_the_network_the_run_starts_on(monkeypatch):
     start = _lapping_circuit_stp()
     floor = path_bounds(start).path_lb
-    trace = []
+    trace = CappedTrace(10 * 9)  # ten times the run's 9 steps
     calls = _counting_path_bounds(monkeypatch, trace)
     assert bdac3(start.copy(), trace=trace).outcome is Outcome.EMPTY_DOMAIN
     # the floor is read once, at X1 >= 15, the first write whose walk repeats X1
