@@ -25,8 +25,10 @@ how the divergence the clamp prevents is made observable in tests.
 
 Every step narrows its entry through one kernel,
 :func:`~tcsp.intervals.narrow` (``old & x.compose(y)``, handing back
-``old`` itself when nothing narrows).  Every step can be recorded: pass a
-list as ``trace=`` and one :class:`TraceEntry` per call is appended.
+``old`` itself when nothing narrows), except that untraced ``pc1`` and
+``pc2`` on an STP step over a matrix of the labels' bounds, on which that
+kernel is a pair of minima.  Every step can be recorded: pass a list as
+``trace=`` and one :class:`TraceEntry` per call is appended.
 
 :func:`refinements` is the depth-first loop of the solver's and the
 scheduler's searches.
@@ -37,14 +39,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .intervals import (
     _CLOSED_ZERO,
     Bound,
     IntervalUnion,
     _add,
+    _nonempty,
     _piece,
+    _plus,
     _union,
     format_union,
     narrow,
@@ -218,6 +222,87 @@ class _Run:
         return changed
 
 
+def _bounds_matrix(net: Tcsp) -> List[List[Bound]]:
+    """The bounds of an STP's labels: ``w[i][j]`` is the edge i -> j, the
+    upper bound of (i, j) and, by the mirror, the lower bound of (j, i)."""
+    return [[label.parts[0]._up for label in row] for row in net.m]
+
+
+def _write_bounds(net: Tcsp, w: List[List[Bound]], pairs) -> None:
+    """Write each pair (i, j) of ``pairs`` from ``w`` as one piece through
+    ``set_pair``, which restores the mirror, declares the pair and marks it
+    stale in the path-bounds index."""
+    for i, j in pairs:
+        net.set_pair(i, j, _union((_piece(w[j][i], w[i][j]),)))
+
+
+class _BoundsRun:
+    """The state of one untraced pc2 run on an STP, over the bounds matrix
+    ``w`` of :func:`_bounds_matrix`, with the members ``_worklist`` reads.
+
+    A step narrows ``w`` and records its pair (i, j), i < j, in ``moved``,
+    which the caller writes back with :func:`_write_bounds` when the run
+    ends.  Only a step that empties its entry writes the network, the empty
+    label through ``set_pair``, and ends the run.  So the network is
+    unwritten when the floor is read, at the first narrowing write of a
+    clamped run, and path_lb read then is the run-start floor.
+    """
+
+    __slots__ = ("net", "clamp", "budget", "w", "moved", "floor",
+                 "revise_calls", "domain_updates")
+
+    def __init__(self, net: Tcsp, *, clamp: bool, budget: Optional[int]):
+        self.net = net
+        self.clamp = clamp
+        self.budget = budget
+        self.w = _bounds_matrix(net)
+        self.moved: dict = {}
+        self.floor = None
+        self.revise_calls = 0
+        self.domain_updates = 0
+
+    def report(self, outcome: Outcome) -> RunReport:
+        return RunReport(outcome, self.revise_calls, self.domain_updates)
+
+    def revise(self, i: int, k: int, j: int) -> bool:
+        """Step (i, k, j) as ``_Run.revise`` takes it on one-piece labels:
+        each bound to the least of itself and the legs' sum, ``_add`` inlined."""
+        self.revise_calls += 1
+        w = self.w
+        row_i, row_k, row_j = w[i], w[k], w[j]
+        up = old_up = row_i[j]
+        leg, via = row_i[k], row_k[j]
+        if leg is not None and via is not None:
+            a, b = leg[0], via[0]
+            path = (a + b if type(a) is int is type(b) else _plus(a, b), leg[1] and via[1])
+            if up is None or path < up:
+                up = path
+        down = old_down = row_j[i]
+        leg, via = row_j[k], row_k[i]
+        if leg is not None and via is not None:
+            a, b = leg[0], via[0]
+            path = (a + b if type(a) is int is type(b) else _plus(a, b), leg[1] and via[1])
+            if down is None or path < down:
+                down = path
+        if up is old_up and down is old_down:
+            return False
+        self.domain_updates += 1
+        empty = not _nonempty(down, up)
+        if not empty and self.clamp:
+            floor = self.floor
+            if floor is None:
+                floor = self.floor = path_bounds(self.net).path_lb.bound
+            empty = (down is not None and down < floor) or (up is not None and up < floor)
+        if empty:
+            self.moved.pop((i, j), None)
+            self.net.set_pair(i, j, IntervalUnion.empty())
+        else:
+            row_i[j] = up
+            row_j[i] = down
+            self.moved[i, j] = None
+        return True
+
+
 def revise(
     net: Tcsp, k: int, m: int, *, weak: bool = False, trace: Optional[Trace] = None
 ) -> bool:
@@ -227,7 +312,7 @@ def revise(
 
 
 def _worklist(
-    run: _Run,
+    run: Union[_Run, _BoundsRun],
     seed: Sequence[_Triple],
     again: Callable[[int, int, int], List[_Triple]],
     *,
@@ -423,15 +508,12 @@ def _pc1_on_bounds(net: Tcsp) -> RunReport:
     """pc1 on an STP, untraced: one Floyd-Warshall pass over the labels'
     bounds, counted as the label sweep counts it (see pc1)."""
     size = net.n_vars + 1
-    # w[i][j] is the edge i -> j: the upper bound of (i, j) and, by the
-    # mirror, the lower bound of (j, i)
-    w = [[label.parts[0]._up for label in row] for row in net.m]
+    w = _bounds_matrix(net)
     moved: dict = {}  # the pairs (i, j), i < j, that moved, written back at the end
     updates = 0
 
     def finish(outcome: Outcome, step: int, domain_updates: int) -> RunReport:
-        for i, j in moved:
-            net.set_pair(i, j, _union((_piece(w[j][i], w[i][j]),)))
+        _write_bounds(net, w, moved)
         return RunReport(outcome, step, domain_updates)
 
     for k in range(size):
@@ -520,13 +602,14 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                 for j in range(size):
                     step += 1
                     old = row[j]
-                    if open_leg or j == k or open_via[j] or (
+                    if open_leg or j == k or j == i or open_via[j] or (
                         step > sweep
                         and (settled or max(row_written[k], via_written[j]) <= step - sweep)
                     ):
                         # a path through the pinned diagonal {0} or an
-                        # unconstrained leg, legs as the step last read
-                        # them, or a settled STP cannot narrow old: temp is old
+                        # unconstrained leg, a diagonal target (see pc1), legs
+                        # as the step last read them, or a settled STP cannot
+                        # narrow old: temp is old
                         if trace is not None:
                             trace.append(TraceEntry(alg, (i, k, j), old, old, old, False, False))
                         continue
@@ -560,12 +643,12 @@ def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
     No clamp: composition through every triangle either converges or proves
     an empty entry.  Each round starts mirrored, and row k and column k stay
     fixed while k is the middle variable, so a diagonal step (i, k, i)
-    composes the label (i, k) with its converse, which holds 0: it never
-    empties, and inconsistency surfaces at a step (i, k, j) with i != j.
-    Every step is counted and traced, but a step that cannot narrow its
-    entry -- its path runs through the diagonal or an unconstrained leg, its
-    two legs are unchanged since it last ran, or it lies past the first
-    sweep of an STP -- is not composed.
+    would compose the label (i, k) with its converse, which holds 0: it
+    never narrows, and inconsistency surfaces at a step (i, k, j) with
+    i != j.  Every step is counted and traced, but a step that cannot narrow
+    its entry -- its target is diagonal, its path runs through the diagonal
+    or an unconstrained leg, its two legs are unchanged since it last ran,
+    or it lies past the first sweep of an STP -- is not composed.
 
     The one-sweep rule for an STP (every label convex on entry): a label is
     one piece, two bounds in the ordered monoid of ``(value, closed)``
@@ -638,6 +721,11 @@ def _pc2(
             + [(m, j, i) for m in range(i) if row_j[m]]
         )
 
+    if trace is None and is_stp(net):
+        bounds = _BoundsRun(net, clamp=clamp, budget=budget)
+        report = _worklist(bounds, seed, again, select=select)
+        _write_bounds(net, bounds.w, bounds.moved)
+        return report
     run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
     return _worklist(run, seed, again, select=select)
 
@@ -652,7 +740,21 @@ def pc2(
 
     The queue holds triples (i, k, j) with i < j; by default the oldest
     pending triple runs next, but ``select`` may pick any pending one (it
-    gets the pending tuple and must return a member).
+    gets the pending tuple and must return a member).  ``select`` sees only
+    that tuple: an untraced run on an STP leaves the network unwritten until
+    it ends.
+
+    On an STP a full-strength step keeps one piece or none (see pc1), so the
+    network stays an STP, and a step takes each bound of (i, j) to the least
+    of itself and the sum of the legs' bounds.  Untraced, an STP runs the
+    same worklist -- seed, queue, ``select``, budget and counts -- over a
+    matrix of bounds, ``w[i][j]`` the edge i -> j.  A step that empties its
+    entry writes the empty label with ``set_pair`` and ends the run; every
+    other pair that moved is built as a label and written with ``set_pair``
+    when the run ends, whatever the outcome.  Nothing is written before the
+    end, so the floor, read at the first narrowing write, is path_lb of the
+    network the run started on, as a traced run reads it before its first
+    write.
     """
     return _pc2(net, select=select, trace=trace)
 

@@ -803,6 +803,30 @@ def test_pc1_composes_only_in_the_first_sweep_of_an_stp(monkeypatch):
     assert second_sweeps >= 40
 
 
+def test_pc1_never_composes_a_diagonal_step(monkeypatch):
+    trace, composed_at = [], []
+
+    def counted(*args):
+        composed_at.append(len(trace))  # the index the step's entry will take
+        return narrow(*args)
+
+    monkeypatch.setattr(propagation, "narrow", counted)
+    rng = random.Random(41263)
+    open_diagonals = 0
+    for _ in range(300):
+        net = random_disjunctive_tcsp(rng)
+        trace.clear()
+        composed_at.clear()
+        pc1(net.copy(), trace=trace)
+        assert all(trace[at].target[0] != trace[at].target[2] for at in composed_at)
+        # diagonal steps whose two legs are informative: the steps skipped
+        open_diagonals += sum(
+            i == j != k and not net.m[i][k].is_universal() for i, k, j in
+            (entry.target for entry in trace)
+        )
+    assert open_diagonals >= 1000
+
+
 def _assert_mirrored_and_declared(net):
     for i, j in itertools.combinations(range(net.n_vars + 1), 2):
         assert net.m[j][i] == net.m[i][j].converse(), (i, j)
@@ -857,6 +881,35 @@ def test_untraced_pc1_on_an_stp_equals_the_label_sweep():
     assert len(nets) >= 1000
     assert outcomes == {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN}
     assert stops >= 100 and late_mirror_stops >= 20
+
+
+def test_untraced_pc2_on_an_stp_equals_the_label_run():
+    rng = random.Random(30917)
+    nets = [chain_stp(), hidden_circuit_stp(), creeping_circuit_stp(), _pinned_clamp_stp()]
+    nets += [Tcsp(n) for n in (0, 1, 2)]
+    for _ in range(100):
+        nets += [random_consistent_stp(rng)[0], random_bounded_stp(rng),
+                 random_zero_circuit_stp(rng), random_detached_stp(rng)]
+    outcomes, clamped = set(), []
+    for index, net in enumerate(nets):
+        assert is_stp(net)
+        for select in (None, lambda pending: pending[-1]):
+            for name in ("pc2", "pc2-minus"):
+                # the longest of these runs takes about 14 * size**3 steps
+                labelled, trace = net.copy(), CappedTrace(100 * (net.n_vars + 1) ** 3)
+                report = run_algorithm(name, labelled, budget=40, trace=trace, select=select)
+                worked = net.copy()
+                path_bounds(worked)  # the index the run's writes must mark stale
+                assert run_algorithm(name, worked, budget=40, select=select) == report
+                assert worked == labelled and worked.neighbours == labelled.neighbours
+                assert path_bounds(worked) == path_bounds(rebuilt_by_set_pair(worked, rng))
+                outcomes.add(report.outcome)
+                if trace and trace[-1].clamped:
+                    clamped.append((index, select is None))
+    assert outcomes == set(Outcome)
+    # FIFO clamps on the pinned network (index 3); the random networks
+    # clamp only under the last-in pick (9 of them here)
+    assert (3, True) in clamped and len(clamped) >= 5
 
 
 def test_every_algorithm_leaves_the_matrix_mirrored_and_its_entries_declared():
@@ -925,19 +978,25 @@ def _circuit_cases(rng):
         yield anchored
 
 
-def _fixpoint(algorithm, net) -> bool:
+def _fixpoint(algorithm, net, budget=10_000) -> bool:
     """Run ``algorithm`` until a run changes nothing; False on any other verdict.
 
     One bdac3 run ends at its fixpoint.  One wbdac3 run may not: its queue
     skips the arc back through the variable just revised through, a rule
-    that is exact only for full-strength composition.
+    that is exact only for full-strength composition.  The runs go through
+    the algorithm's engine and share ``budget`` revise calls, about forty
+    times the most any network of these tests takes (236), so a clamp that
+    never fires fails the test instead of running on.
     """
+    engine, settings = ALGORITHMS[algorithm.__name__]
     while True:
-        report = algorithm(net)
+        report = engine(net, budget=budget, **settings)
+        assert report.outcome is not Outcome.BUDGET_EXHAUSTED, "the fixpoint ran past its budget"
         if report.outcome is not Outcome.CONSISTENT:
             return False
         if report.domain_updates == 0:
             return True
+        budget -= report.revise_calls
 
 
 def _writes_after_a_fixpoint(rng, net, algorithm):
@@ -982,9 +1041,10 @@ def test_seeding_from_the_written_entry_matches_a_full_seed(algorithm):
     for net in _differential_cases(rng):
         for written, changed in _writes_after_a_fixpoint(rng, net, algorithm):
             seeded, full = written.copy(), written.copy()
-            trace = []
+            # caps far past any run here, so a clamp that never fires fails
+            trace = CappedTrace(10_000)
             a = algorithm(seeded, changed=changed, trace=trace)
-            b = algorithm(full)
+            b = algorithm(full, trace=CappedTrace(10_000))
             assert a.outcome is b.outcome, (changed, written.m)
             if a.outcome is Outcome.CONSISTENT:
                 assert seeded == full
@@ -1333,15 +1393,19 @@ def test_the_worklist_runs_pc2_as_specified():
     assert opened > 0
 
 
-def test_fifo_pc2_clamps_on_a_pinned_network():
-    # from a seeded random search, rounded by hand: the circuit X1 -> X2 ->
-    # X3 -> X1 weighs -30, as does path_lb (three pairs at -10), and pc2's
-    # seed narrows X0's row around the circuit before any triple crosses
-    # the two bounds of (1, 3): X3 - X0 <= -30, then X1 - X0 <= -40
-    net = build_tcsp(3, [
+def _pinned_clamp_stp() -> Tcsp:
+    """From a seeded random search, rounded by hand: the circuit X1 -> X2 ->
+    X3 -> X1 weighs -30, as does path_lb (three pairs at -10), and pc2's
+    seed narrows X0's row around the circuit before any triple crosses the
+    two bounds of (1, 3): X3 - X0 <= -30, then X1 - X0 <= -40."""
+    return build_tcsp(3, [
         (0, 1, U("(-inf,-10]")), (0, 2, U("(-inf,0]")), (0, 3, U("(-inf,0]")),
         (1, 2, U("(-inf,-10]")), (1, 3, U("[10,+inf)")), (2, 3, U("(-inf,-10]")),
     ])
+
+
+def test_fifo_pc2_clamps_on_a_pinned_network():
+    net = _pinned_clamp_stp()
     outcome, rows = _agrees(_pc2_as_specified, lambda n, trace: pc2(n, trace=trace), net)
     assert outcome is Outcome.EMPTY_DOMAIN
     clamped = [(target, temp) for target, _, temp, _, cut, _ in rows if cut]
