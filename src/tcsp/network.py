@@ -13,8 +13,8 @@ the clamped propagation algorithms use to cut off divergence.
 
 from __future__ import annotations
 
+import heapq
 import json
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -42,7 +42,7 @@ from .intervals import (
     format_union,
     parse_union,
 )
-from .weights import INF, ZERO, Weight, _weight
+from .weights import INF, Weight, _weight
 
 
 # labels are immutable, so every fresh matrix shares these two
@@ -64,14 +64,12 @@ class Tcsp:
     the structure.
 
     Writes go through :meth:`set_pair`, which keeps the mirror invariant and
-    tells the network's path-bounds index (built by the first
-    :func:`path_bounds` call, copied by :meth:`copy`) which pair went stale.
-    The one exception is ``pc1``'s label sweep (traced runs, and networks
-    that are not STPs), which writes ``m`` directly and passes every pair
-    it narrowed to :meth:`set_pair` when it ends.
+    declares the pair.  The one exception is ``pc1``'s label sweep (traced
+    runs, and networks that are not STPs), which writes ``m`` directly and
+    passes every pair it narrowed to :meth:`set_pair` when it ends.
     """
 
-    __slots__ = ("n_vars", "m", "neighbours", "_bounds_index")
+    __slots__ = ("n_vars", "m", "neighbours")
 
     def __init__(self, n_vars: int):
         if n_vars < 0:
@@ -80,7 +78,6 @@ class Tcsp:
         size = n_vars + 1
         self.m = [[_ZERO_LABEL if i == j else _FULL_LABEL for j in range(size)] for i in range(size)]
         self.neighbours: List[Tuple[int, ...]] = [()] * size
-        self._bounds_index: Optional[_BoundsIndex] = None
 
     def _check(self, i: int, j: int):
         if not (0 <= i <= self.n_vars and 0 <= j <= self.n_vars):
@@ -103,8 +100,6 @@ class Tcsp:
             neighbours = self.neighbours
             neighbours[i] = tuple(sorted(neighbours[i] + (j,)))
             neighbours[j] = tuple(sorted(neighbours[j] + (i,)))
-        if self._bounds_index is not None:
-            self._bounds_index.touch(i, j)
 
     def domains(self) -> List[IntervalUnion]:
         """The binarized domains m[0][1..n]."""
@@ -115,7 +110,6 @@ class Tcsp:
         dup.n_vars = self.n_vars
         dup.m = [row[:] for row in self.m]
         dup.neighbours = self.neighbours[:]
-        dup._bounds_index = None if self._bounds_index is None else self._bounds_index.copy()
         return dup
 
     def __eq__(self, other) -> bool:
@@ -278,84 +272,6 @@ def _key_sum(keys: List[Bound]) -> Weight:
     return _weight(reduce(_add, keys, _CLOSED_ZERO))
 
 
-class _BoundsIndex:
-    """Every pair's path-bound candidates, kept sorted, for one network.
-
-    ``keys[(i, j)]`` holds the pair's (below, above) candidate keys;
-    ``below`` and ``above`` are those keys in ascending order, and ``last``
-    the n lowest and n highest of them with the bounds they sum to.  A write
-    marks its pair ``stale``; :meth:`bounds` re-derives the stale pairs,
-    moving each changed key by bisection, and re-sums only a window that
-    changed.
-    """
-
-    __slots__ = ("n", "keys", "below", "above", "stale", "last")
-
-    def __init__(self, net: Tcsp):
-        self.n = net.n_vars
-        self.keys: dict = {}
-        self.below: List[Bound] = []
-        self.above: List[Bound] = []
-        self.stale: set = set()
-        for i in range(net.n_vars + 1):
-            row = net.m[i]
-            for j in range(i + 1, net.n_vars + 1):
-                lo, hi = self.keys[(i, j)] = _pair_keys(row[j])
-                if lo is not None:
-                    self.below.append(lo)
-                if hi is not None:
-                    self.above.append(hi)
-        self.below.sort()
-        self.above.sort()
-        self.last = ([], [], PathBounds(ZERO, ZERO))
-        self._resum()
-
-    def touch(self, i: int, j: int):
-        self.stale.add((i, j) if i < j else (j, i))
-
-    def copy(self) -> "_BoundsIndex":
-        dup = object.__new__(_BoundsIndex)
-        dup.n = self.n
-        dup.keys = self.keys.copy()
-        dup.below = self.below[:]
-        dup.above = self.above[:]
-        dup.stale = set(self.stale)
-        dup.last = self.last
-        return dup
-
-    @staticmethod
-    def _move(ordered: List[Bound], old: Bound, new: Bound):
-        if old == new:
-            return
-        if old is not None:
-            del ordered[bisect_left(ordered, old)]
-        if new is not None:
-            insort(ordered, new)
-
-    def _resum(self):
-        low = self.below[:self.n]
-        high = self.above[max(len(self.above) - self.n, 0):]
-        last_low, last_high, bounds = self.last
-        # unchanged keys are the same objects, so equal windows compare fast
-        if low != last_low or high != last_high:
-            bounds = PathBounds(
-                path_lb=bounds.path_lb if low == last_low else _key_sum(low),
-                path_ub=bounds.path_ub if high == last_high else _key_sum(high),
-            )
-            self.last = (low, high, bounds)
-
-    def bounds(self, net: Tcsp) -> PathBounds:
-        if self.stale:
-            for pair in self.stale:
-                old_lo, old_hi = self.keys[pair]
-                lo, hi = self.keys[pair] = _pair_keys(net.m[pair[0]][pair[1]])
-                self._move(self.below, old_lo, lo)
-                self._move(self.above, old_hi, hi)
-            self.stale.clear()
-            self._resum()
-        return self.last[2]
-
-
 def path_bounds(net: Tcsp) -> PathBounds:
     """Lower/upper bounds on the weight of any elementary path.
 
@@ -371,17 +287,22 @@ def path_bounds(net: Tcsp) -> PathBounds:
     clamp needs to stay sound when labels are disjunctive.  On an all-convex
     network the two readings coincide.
 
-    The network keeps these candidates sorted: the first call builds that
-    index with one sort, and later calls re-derive only the pairs written
-    since, so a call after one :meth:`Tcsp.set_pair` costs a few bisections
-    and, when the n lowest or highest candidates changed, one sum of n.  The
-    value is always exactly that of a from-scratch computation on the
-    current matrix.
+    One call scans the n(n+1)/2 pairs of the upper triangle and makes two
+    partial selections of n keys.  It holds no state, so copies and direct
+    writes to ``m`` need nothing.
     """
-    index = net._bounds_index
-    if index is None:
-        index = net._bounds_index = _BoundsIndex(net)
-    return index.bounds(net)
+    n = net.n_vars
+    below: List[Bound] = []
+    above: List[Bound] = []
+    for i in range(n + 1):
+        row = net.m[i]
+        for j in range(i + 1, n + 1):
+            lo, hi = _pair_keys(row[j])
+            if lo is not None:
+                below.append(lo)
+            if hi is not None:
+                above.append(hi)
+    return PathBounds(_key_sum(heapq.nsmallest(n, below)), _key_sum(heapq.nlargest(n, above)))
 
 
 def path_range(net: Tcsp) -> Fraction:

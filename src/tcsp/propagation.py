@@ -230,8 +230,7 @@ def _bounds_matrix(net: Tcsp) -> List[List[Bound]]:
 
 def _write_bounds(net: Tcsp, w: List[List[Bound]], pairs) -> None:
     """Write each pair (i, j) of ``pairs`` from ``w`` as one piece through
-    ``set_pair``, which restores the mirror, declares the pair and marks it
-    stale in the path-bounds index."""
+    ``set_pair``, which restores the mirror and declares the pair."""
     for i, j in pairs:
         net.set_pair(i, j, _union((_piece(w[j][i], w[i][j]),)))
 
@@ -577,8 +576,8 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
 
     def finish(outcome: Outcome) -> RunReport:
         # the sweep wrote m past set_pair; the upper triangle is current even
-        # mid-sweep, so writing each narrowed pair from it restores the mirror,
-        # declares the pair and marks it stale in the path-bounds index
+        # mid-sweep, so writing each narrowed pair from it restores the mirror
+        # and declares the pair
         for i in range(size):
             for j in range(i + 1, size):
                 if written[i][j]:

@@ -312,7 +312,7 @@ def _reference_path_bounds(net) -> PathBounds:
 
 
 def _rebuilt(net) -> Tcsp:
-    """A fresh network with the same entries, whose bounds nothing has cached."""
+    """A fresh network with the same entries, written through ``set_pair``."""
     fresh = Tcsp(net.n_vars)
     for i in range(net.n_vars + 1):
         for j in range(i + 1, net.n_vars + 1):
@@ -345,6 +345,7 @@ def _writes(draw):
     steps = draw(st.lists(
         st.one_of(
             st.tuples(st.just("set"), pair, _labels),
+            st.tuples(st.just("direct"), pair, _labels),
             st.tuples(st.just("copy")),
             st.tuples(st.just("bounds")),
         ),
@@ -363,6 +364,10 @@ def test_maintained_path_bounds_equal_a_fresh_computation(case):
         if step[0] == "set":
             (i, j), label = step[1], step[2]
             net.set_pair(i, j, label)
+        elif step[0] == "direct":
+            # past set_pair, as pc1's label sweep writes
+            (i, j), label = step[1], step[2]
+            net.m[i][j], net.m[j][i] = label, label.converse()
         elif step[0] == "copy":
             older.append(net)
             net = net.copy()
