@@ -25,10 +25,14 @@ how the divergence the clamp prevents is made observable in tests.
 
 Every step narrows its entry through one kernel,
 :func:`~tcsp.intervals.narrow` (``old & x.compose(y)``, handing back
-``old`` itself when nothing narrows), except that untraced ``pc1`` and
-``pc2`` on an STP step over a matrix of the labels' bounds, on which that
-kernel is a pair of minima.  Every step can be recorded: pass a list as
-``trace=`` and one :class:`TraceEntry` per call is appended.
+``old`` itself when nothing narrows), except in untraced runs that step
+over bounds, on which that kernel is a pair of minima: ``pc1`` and ``pc2``
+on an STP over a matrix of the labels' bounds, and the arc passes on
+one-piece domains over two vectors of domain bounds.  Those runs write the
+network when they end, or at once where a step empties an entry, with the
+counts and the network a run over labels ends with.  Every step can be
+recorded: pass a list as ``trace=`` and one :class:`TraceEntry` per call
+is appended.
 
 :func:`refinements` is the depth-first loop of the solver's and the
 scheduler's searches.
@@ -106,6 +110,24 @@ _Pair = Tuple[int, int]
 _Triple = Tuple[int, int, int]
 
 
+def _certify(walks: dict, k: int, j: int, down_moved: bool, up_moved: bool) -> bool:
+    """Do the moved ends of arc step (0, k, j) extend walks without X_j?  If
+    so, records them in ``walks`` (see ``_Run``)."""
+    bit = 1 << j
+    down, up = walks.get(j) or (1 | bit, 1 | bit)
+    via_down, via_up = walks.get(k) or (1 | 1 << k, 1 | 1 << k)
+    if down_moved:
+        if via_down & bit:
+            return False
+        down = via_down | bit
+    if up_moved:
+        if via_up & bit:
+            return False
+        up = via_up | bit
+    walks[j] = (down, up)
+    return True
+
+
 class _Run:
     """Shared mutable state of one algorithm invocation.
 
@@ -127,13 +149,25 @@ class _Run:
     it weighs at least path_lb: the check would pass, and is skipped.  Every
     other step is checked.  A walk that repeats X_j is an earlier walk to
     X_j, no lower than X_j's end, plus a circuit, so it narrows only through
-    a circuit below ``(0, True)``.  ``first`` holds the label of each domain
-    before the run first wrote it, which rebuilds the run-start network
-    when the floor is read.
+    a circuit below ``(0, True)``.
+
+    An untraced arc pass whose domains are all one piece starts over
+    bounds: ``down[j]`` and ``up[j]`` are the ends of X_j's domain, and a
+    step reads its constraint label's ends from ``net.m``, which an arc pass
+    never writes, the hull ends under ``weak`` as ``narrow`` reads them.  A
+    step that empties a domain writes it at once; ``write_back`` writes
+    every other domain that moved when the run ends.  So the network is the
+    run-start network while the run is over bounds, and the floor is read
+    from it as it stands.  At a label that could leave a domain in pieces
+    (more than one piece, under full strength) or empty (none), the run
+    writes back and goes on over labels, writing each step through
+    ``set_pair``.  To read the floor, a run over labels sets each domain it
+    wrote back to the label it held before the run first wrote it
+    (``first``) for that one read.
     """
 
     __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor",
-                 "walks", "first", "revise_calls", "domain_updates")
+                 "walks", "first", "revise_calls", "domain_updates", "down", "up", "moved")
 
     def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
                  budget: Optional[int] = None, trace: Optional[Trace] = None,
@@ -150,8 +184,31 @@ class _Run:
         self.first = {}
         self.revise_calls = 0
         self.domain_updates = 0
+        self.down = None
+        if arcs and trace is None:
+            down, up = [], []
+            for label in net.m[0]:
+                parts = label.parts
+                if len(parts) != 1:
+                    break
+                down.append(parts[0]._down)
+                up.append(parts[0]._up)
+            else:
+                self.down, self.up, self.moved = down, up, {}
 
-    def report(self, outcome: Outcome) -> RunReport:
+    def write_back(self) -> None:
+        """Leave the bounds, if the run is over them: write each domain that
+        moved, and record its run-start label in ``first``."""
+        down = self.down
+        if down is not None:
+            self.down = None
+            net, up, row = self.net, self.up, self.net.m[0]
+            self.first = {j: row[j] for j in self.moved}
+            for j in self.moved:
+                net.set_pair(0, j, _union((_piece(down[j], up[j]),)))
+
+    def end(self, outcome: Outcome) -> RunReport:
+        self.write_back()
         return RunReport(outcome, self.revise_calls, self.domain_updates)
 
     def _elementary(self, k: int, j: int, old: IntervalUnion, via: IntervalUnion,
@@ -160,20 +217,9 @@ class _Run:
         records those walks and the label X_j held before the run wrote it."""
         if not self.arcs or not len(old.parts) == len(via.parts) == len(temp.parts) == 1:
             return False
-        walks = self.walks
-        bit = 1 << j
-        down, up = walks.get(j) or (1 | bit, 1 | bit)
-        via_down, via_up = walks.get(k) or (1 | 1 << k, 1 | 1 << k)
         o, t = old.parts[0], temp.parts[0]
-        if t._down != o._down:
-            if via_down & bit:
-                return False
-            down = via_down | bit
-        if t._up != o._up:
-            if via_up & bit:
-                return False
-            up = via_up | bit
-        walks[j] = (down, up)
+        if not _certify(self.walks, k, j, t._down != o._down, t._up != o._up):
+            return False
         self.first.setdefault(j, old)
         return True
 
@@ -201,6 +247,51 @@ class _Run:
 
     def revise(self, i: int, k: int, j: int) -> bool:
         """Step (i, k, j): narrow entry (i, j) by m[i][k] and m[k][j], mirrored."""
+        downs = self.down
+        if downs is not None:
+            parts = self.net.m[k][j].parts
+            if len(parts) != 1 and not (parts and self.weak):
+                self.write_back()
+                downs = None
+        if downs is not None:
+            # arc step (0, k, j) over bounds: each end to the least of itself
+            # and the legs' sum, as narrow takes it, with _add inlined
+            self.revise_calls += 1
+            ups = self.up
+            down = old_down = downs[j]
+            leg, via = downs[k], parts[0]._down
+            if leg is not None and via is not None:
+                a, b = leg[0], via[0]
+                path = (a + b if type(a) is int is type(b) else _plus(a, b), leg[1] and via[1])
+                if down is None or path < down:
+                    down = path
+            up = old_up = ups[j]
+            leg, via = ups[k], parts[-1]._up
+            if leg is not None and via is not None:
+                a, b = leg[0], via[0]
+                path = (a + b if type(a) is int is type(b) else _plus(a, b), leg[1] and via[1])
+                if up is None or path < up:
+                    up = path
+            if down is old_down and up is old_up:
+                return False
+            self.domain_updates += 1
+            empty = not _nonempty(down, up)
+            if not empty and self.clamp and (
+                self.floor is not None
+                or not _certify(self.walks, k, j, down is not old_down, up is not old_up)
+            ):
+                floor = self.floor
+                if floor is None:
+                    floor = self.floor = path_bounds(self.net).path_lb.bound
+                empty = (down is not None and down < floor) or (up is not None and up < floor)
+            if empty:
+                self.moved.pop(j, None)
+                self.net.set_pair(0, j, IntervalUnion.empty())
+            else:
+                downs[j] = down
+                ups[j] = up
+                self.moved[j] = None
+            return True
         self.revise_calls += 1
         grid = self.net.m
         old, via = grid[i][j], grid[i][k]
@@ -240,11 +331,11 @@ class _BoundsRun:
     ``w`` of :func:`_bounds_matrix`, with the members ``_worklist`` reads.
 
     A step narrows ``w`` and records its pair (i, j), i < j, in ``moved``,
-    which the caller writes back with :func:`_write_bounds` when the run
-    ends.  Only a step that empties its entry writes the network, the empty
-    label through ``set_pair``, and ends the run.  So the network is
-    unwritten when the floor is read, at the first narrowing write of a
-    clamped run, and path_lb read then is the run-start floor.
+    which ``end`` writes back with :func:`_write_bounds`.  Only a step that
+    empties its entry writes the network, the empty label through
+    ``set_pair``, and ends the run.  So the network is unwritten when the
+    floor is read, at the first narrowing write of a clamped run, and
+    path_lb read then is the run-start floor.
     """
 
     __slots__ = ("net", "clamp", "budget", "w", "moved", "floor",
@@ -260,7 +351,8 @@ class _BoundsRun:
         self.revise_calls = 0
         self.domain_updates = 0
 
-    def report(self, outcome: Outcome) -> RunReport:
+    def end(self, outcome: Outcome) -> RunReport:
+        _write_bounds(self.net, self.w, self.moved)
         return RunReport(outcome, self.revise_calls, self.domain_updates)
 
     def revise(self, i: int, k: int, j: int) -> bool:
@@ -307,7 +399,10 @@ def revise(
 ) -> bool:
     """One arc step on its own: returns whether the domain of X_k changed."""
     net._check(k, m)
-    return _Run(net, "revise", weak=weak, trace=trace, arcs=True).revise(0, m, k)
+    run = _Run(net, "revise", weak=weak, trace=trace, arcs=True)
+    changed = run.revise(0, m, k)
+    run.write_back()
+    return changed
 
 
 def _worklist(
@@ -324,6 +419,7 @@ def _worklist(
     the steps of ``again(i, k, j)`` not yet pending.  The pending dict keeps
     insertion order, which ``select`` sees; the deque beside it makes a FIFO
     or LIFO pop O(1) (under ``select`` it has length 0 and drops pushes).
+    ``run.end`` writes back what the run holds and reports the outcome.
     """
     pending = dict.fromkeys(seed)
     queue = deque(pending, maxlen=None if select is None else 0)
@@ -338,18 +434,18 @@ def _worklist(
     push, revise, grid, budget = queue.append, run.revise, run.net.m, run.budget
     while pending:
         if budget is not None and run.revise_calls >= budget:
-            return run.report(Outcome.BUDGET_EXHAUSTED)
+            return run.end(Outcome.BUDGET_EXHAUSTED)
         step = pop()
         del pending[step]
         i, k, j = step
         if revise(i, k, j):
             if grid[i][j].is_empty():
-                return run.report(Outcome.EMPTY_DOMAIN)
+                return run.end(Outcome.EMPTY_DOMAIN)
             for later in again(i, k, j):
                 if later not in pending:
                     pending[later] = None
                     push(later)
-    return run.report(Outcome.CONSISTENT)
+    return run.end(Outcome.CONSISTENT)
 
 
 def _mask_pairs(net: Tcsp) -> List[_Pair]:
@@ -430,6 +526,19 @@ def bdac3(
     matrix for an empty one.  Without the precondition it may stop short of
     the fixpoint or miss an empty entry.  The default, None, seeds every
     constrained arc.
+
+    Untraced, with every domain one piece, the run keeps the domains as two
+    vectors of bounds and reads each constraint label's ends from the
+    matrix.  It writes a domain that a step empties at once, and every
+    other domain that moved once, with ``set_pair``, when the run ends,
+    whatever the outcome.  So the network is unwritten while the run goes
+    on, and the floor, read at the first narrowing write that no walk
+    certifies, is path_lb of the network as it stands.  At the first step
+    that reads a constraint label of more than one piece (or none), the run
+    writes the moved domains and goes on over labels, writing each step as
+    it goes and reading the floor with the domains it wrote set back.
+    Either way the counts, the clamp's decisions and the final network are
+    those of a traced run.
     """
     return _bdac3(net, lifo=lifo, trace=trace, changed=changed)
 
@@ -453,6 +562,11 @@ def wbdac3(
     full-strength composition.  Seeded from such a network the run still
     removes only values no solution uses, but its domains may differ from a
     full run's.
+
+    Untraced, the run steps over domain bounds as :func:`bdac3` describes.
+    A weak step reads a constraint label by its hull ends, as ``narrow``
+    does, so it keeps a one-piece domain one piece whatever the label's
+    pieces, and only an empty label sends the run over to labels.
     """
     return _bdac3(net, weak=True, lifo=lifo, trace=trace, alg="wbdac3", changed=changed)
 
@@ -482,13 +596,13 @@ def _bdac1(
         changed_any = False
         for k, m in pairs:
             if budget is not None and run.revise_calls >= budget:
-                return run.report(Outcome.BUDGET_EXHAUSTED)
+                return run.end(Outcome.BUDGET_EXHAUSTED)
             if run.revise(0, m, k):
                 changed_any = True
                 if grid[0][k].is_empty():
-                    return run.report(Outcome.EMPTY_DOMAIN)
+                    return run.end(Outcome.EMPTY_DOMAIN)
         if not changed_any:
-            return run.report(Outcome.CONSISTENT)
+            return run.end(Outcome.CONSISTENT)
 
 
 def bdac1(
@@ -498,7 +612,8 @@ def bdac1(
 
     The default order is both orientations of the constrained pairs,
     lexicographically; an explicit ``order`` must list such pairs.
-    An empty domain stops the run mid-pass.
+    An empty domain stops the run mid-pass.  Untraced, the run steps over
+    domain bounds as :func:`bdac3` describes.
     """
     return _bdac1(net, order=order, trace=trace)
 
@@ -583,7 +698,7 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                 if written[i][j]:
                     net.set_pair(i, j, grid[i][j])
         run.revise_calls = step
-        return run.report(outcome)
+        return run.end(outcome)
 
     while True:
         changed_any = False
@@ -721,11 +836,9 @@ def _pc2(
         )
 
     if trace is None and is_stp(net):
-        bounds = _BoundsRun(net, clamp=clamp, budget=budget)
-        report = _worklist(bounds, seed, again, select=select)
-        _write_bounds(net, bounds.w, bounds.moved)
-        return report
-    run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
+        run = _BoundsRun(net, clamp=clamp, budget=budget)
+    else:
+        run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
     return _worklist(run, seed, again, select=select)
 
 

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randnets import chain_stp, fragmenting_tcsp, hidden_circuit_stp
+from randnets import (
+    chain_stp,
+    creeping_circuit_stp,
+    fragmenting_tcsp,
+    hidden_circuit_stp,
+    random_disjunctive_tcsp,
+)
 from tcsp import (
     EmptyLabel,
     NegativeCircuitReachable,
@@ -177,6 +183,28 @@ def test_check_trace_file_replays_the_run(capsys, tmp_path, appb):
     bdac3(chain_stp(), trace=replay)
     expected = "".join(format_trace_line(entry) + "\n" for entry in replay)
     assert trace_path.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("algorithm", ["bdac3", "wbdac3", "bdac3-minus"])
+def test_check_prints_the_same_with_and_without_a_trace(capsys, tmp_path, algorithm):
+    # a traced arc pass runs over labels; an untraced one on one-piece
+    # domains steps over bounds, and a full-strength one goes over to labels
+    # at a label of two pieces
+    rng = random.Random(8)
+    nets = [chain_stp(), hidden_circuit_stp(), creeping_circuit_stp()]
+    nets += [random_disjunctive_tcsp(rng) for _ in range(12)]
+    assert any(
+        all(len(domain.parts) == 1 for domain in net.m[0])
+        and any(len(net.m[a][b].parts) == 2 for a, row in enumerate(net.neighbours) for b in row)
+        for net in nets
+    )
+    for k, net in enumerate(nets):
+        path = tmp_path / f"{k}.json"
+        path.write_text(network_to_json(net), encoding="utf-8")
+        argv = ("check", str(path), "--algorithm", algorithm, "--budget", "40")
+        plain = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--trace", str(tmp_path / "run.trace")) == plain
+        assert plain[0] in (0, 1, 3) and plain[2] == ""
 
 
 def test_check_rejects_an_empty_label_at_build_time(capsys, tmp_path):

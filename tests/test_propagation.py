@@ -8,6 +8,7 @@ agreement with an all-pairs shortest-path oracle.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -31,6 +32,7 @@ from randnets import (
     rebuilt_by_set_pair,
 )
 from tcsp import (
+    Interval,
     IntervalUnion,
     Outcome,
     RunReport,
@@ -908,6 +910,111 @@ def test_untraced_pc2_on_an_stp_equals_the_label_run():
     # FIFO clamps on the pinned network (index 3); the random networks
     # clamp only under the last-in pick (9 of them here)
     assert (3, True) in clamped and len(clamped) >= 5
+
+
+def _has_pieces(net):
+    """Does a constrained pair off the origin hold more than one piece?"""
+    return any(len(net.m[a][b].parts) > 1 for a, row in enumerate(net.neighbours) for b in row)
+
+
+def _with_a_second_piece(net, rng):
+    """``net`` with one off-origin one-piece label given a second piece past
+    one of its finite ends, or None when no label has one."""
+    ends = [(a, b) for a, row in enumerate(net.neighbours) for b in row
+            if len(net.m[a][b].parts) == 1 and not net.m[a][b].is_universal()]
+    if not ends:
+        return None
+    a, b = rng.choice(ends)
+    label = net.m[a][b]
+    hi, lo = label.upper_bound(), label.lower_bound()
+    extra = Interval(hi[0] + 2, hi[0] + 3) if hi else Interval(lo[0] - 3, lo[0] - 2)
+    twisted = net.copy()
+    twisted.set_pair(a, b, IntervalUnion(label.parts + (extra,)))
+    return twisted
+
+
+def test_untraced_arc_passes_equal_the_label_run(monkeypatch):
+    # a traced arc pass runs over labels; an untraced one on one-piece
+    # domains starts over bounds and writes back at a label it cannot take
+    calls = _counting_path_bounds(monkeypatch)
+    seen = collections.Counter()
+    start, leave, end = propagation._Run.__init__, propagation._Run.write_back, propagation._Run.end
+
+    def started(run, net, alg, **settings):
+        start(run, net, alg, **settings)
+        if run.arcs:
+            seen[run.down is not None, run.weak, _has_pieces(net)] += 1
+
+    def left(run):  # at the end of a run over bounds, or midway
+        seen["left", run.weak] += run.down is not None
+        leave(run)
+
+    def ended(run, outcome):
+        seen["ended", run.weak] += run.down is not None
+        return end(run, outcome)
+
+    monkeypatch.setattr(propagation._Run, "__init__", started)
+    monkeypatch.setattr(propagation._Run, "write_back", left)
+    monkeypatch.setattr(propagation._Run, "end", ended)
+    rng = random.Random(52817)
+    # each engine, and the pass whose fixpoint its written starts follow
+    fixpoints = {"bdac3": bdac3, "wbdac3": wbdac3, "bdac3-minus": bdac3, "bdac1": bdac3,
+                 "bdac1-minus": bdac3}
+    outcomes = {name: set() for name in fixpoints}
+    reads = 0
+    nets = list(itertools.chain(_differential_cases(rng), _circuit_cases(random.Random(83))))
+    # a full-strength run writes back at the second piece, some after moving
+    # domains or reading the floor
+    nets += [net for net in (_with_a_second_piece(net, rng) for net in nets) if net]
+    for net in nets:
+        for name, fixpoint in fixpoints.items():
+            engine, settings = ALGORITHMS[name]
+            # the clamped runs take at most a few hundred steps: a budget
+            # they reach fails the test instead of spinning
+            budget = 30 if name.endswith("-minus") else 10_000
+            for begin, changed in [(net, None), *_writes_after_a_fixpoint(rng, net, fixpoint)]:
+                if name.startswith("bdac1"):
+                    options = [{}]  # sweeps from the written network, unseeded
+                else:
+                    options = [{"lifo": lifo, "changed": changed} for lifo in (False, True)]
+                for option in options:
+                    ends = []
+                    for trace in (None, CappedTrace(10_000)):
+                        worked = begin.copy()
+                        del calls[:]
+                        report = engine(worked, trace=trace, alg=name, budget=budget, **option,
+                                        **settings)
+                        ends.append((report, worked, worked.neighbours, len(calls)))
+                    assert ends[0] == ends[1], (name, option, begin.m)
+                    outcomes[name].add(report.outcome)
+                    reads += len(calls)
+    assert outcomes == {
+        name: set(Outcome) if name.endswith("-minus") else {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN}
+        for name in fixpoints
+    }
+    assert reads > 0
+    # full-strength runs write back midway at a two-piece label; weak ones
+    # read its hull ends and stay over bounds
+    assert seen["left", False] > seen["ended", False]
+    assert seen["left", True] == seen["ended", True] > 0
+    assert seen[True, False, False] > 0 and seen[True, True, True] > 0
+
+
+@pytest.mark.parametrize("algorithm", [bdac3, wbdac3], ids=["bdac3", "wbdac3"])
+@pytest.mark.parametrize("broken", [(3, 2), (1, 0)], ids=["empty-label", "second-empty-domain"])
+def test_a_seeded_run_off_its_precondition_ends_as_the_label_run(algorithm, broken):
+    # X4 is pinned after a fixpoint, and one more entry is emptied behind the
+    # run's back: the label the run reads after narrowing X3 (a run over
+    # bounds writes back there), or another domain (the run never starts
+    # over bounds)
+    net = chain_stp()
+    assert algorithm(net).outcome is Outcome.CONSISTENT
+    net.set_pair(0, 4, IntervalUnion.point(65))
+    net.set_pair(*broken, IntervalUnion.empty())
+    worked, labelled = net.copy(), net.copy()
+    report = algorithm(worked, changed=(0, 4))
+    assert report == algorithm(labelled, changed=(0, 4), trace=CappedTrace(100))
+    assert worked == labelled and worked.neighbours == labelled.neighbours
 
 
 def test_every_algorithm_leaves_the_matrix_mirrored_and_its_entries_declared():
