@@ -43,6 +43,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .intervals import (
@@ -50,6 +52,7 @@ from .intervals import (
     Bound,
     IntervalUnion,
     _add,
+    _exact,
     _nonempty,
     _piece,
     _plus,
@@ -128,6 +131,23 @@ def _certify(walks: dict, k: int, j: int, down_moved: bool, up_moved: bool) -> b
     return True
 
 
+def _scaled(bounds: List[Bound], scale: int) -> List[Bound]:
+    """Each bound's value times ``scale``, a multiple of its denominator: an int."""
+    return [b if b is None else (
+        b[0] * scale if type(b[0]) is int else b[0].numerator * (scale // b[0].denominator), b[1]
+    ) for b in bounds]
+
+
+def _unscaled(bound: Bound, scale: int) -> Bound:
+    """``bound``'s value divided by ``scale``, in the kernel's exact form."""
+    if bound is None or scale == 1:
+        return bound
+    value = bound[0]
+    if type(value) is int and not value % scale:
+        return (value // scale, bound[1])
+    return (_exact(Fraction(value, scale)), bound[1])
+
+
 class _Run:
     """Shared mutable state of one algorithm invocation.
 
@@ -154,11 +174,18 @@ class _Run:
     An untraced arc pass whose domains are all one piece starts over
     bounds: ``down[j]`` and ``up[j]`` are the ends of X_j's domain, and a
     step reads its constraint label's ends from ``net.m``, which an arc pass
-    never writes, the hull ends under ``weak`` as ``narrow`` reads them.  A
-    step that empties a domain writes it at once; ``write_back`` writes
-    every other domain that moved when the run ends.  So the network is the
-    run-start network while the run is over bounds, and the floor is read
-    from it as it stands.  At a label that could leave a domain in pieces
+    never writes, the hull ends under ``weak`` as ``narrow`` reads them.
+    Both vectors and every label end a step reads are held times ``scale``,
+    the lcm of the row's denominators, so domains pinned to Fraction
+    midpoints step as ints; ``write_back`` divides by it.  Scaling every
+    weight by one positive int keeps each sum exact and each comparison and
+    sign as it was, so the steps, certificates and clamp decisions are
+    those of the unscaled run; the floor is compared at the scale and kept
+    unscaled in ``floor`` for a run that goes on over labels.  A step that
+    empties a domain writes it at once; ``write_back`` writes every other
+    domain that moved when the run ends.  So the network is the run-start
+    network while the run is over bounds, and the floor is read from it as
+    it stands.  At a label that could leave a domain in pieces
     (more than one piece, under full strength) or empty (none), the run
     writes back and goes on over labels, writing each step through
     ``set_pair``.  To read the floor, a run over labels sets each domain it
@@ -166,8 +193,8 @@ class _Run:
     (``first``) for that one read.
     """
 
-    __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor",
-                 "walks", "first", "revise_calls", "domain_updates", "down", "up", "moved")
+    __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor", "walks",
+                 "first", "revise_calls", "domain_updates", "down", "up", "moved", "scale")
 
     def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
                  budget: Optional[int] = None, trace: Optional[Trace] = None,
@@ -194,7 +221,11 @@ class _Run:
                 down.append(parts[0]._down)
                 up.append(parts[0]._up)
             else:
-                self.down, self.up, self.moved = down, up, {}
+                # an int's denominator is 1
+                scale = lcm(*{b[0].denominator for b in down + up if b is not None})
+                if scale != 1:
+                    down, up = _scaled(down, scale), _scaled(up, scale)
+                self.down, self.up, self.moved, self.scale = down, up, {}, scale
 
     def write_back(self) -> None:
         """Leave the bounds, if the run is over them: write each domain that
@@ -202,10 +233,11 @@ class _Run:
         down = self.down
         if down is not None:
             self.down = None
-            net, up, row = self.net, self.up, self.net.m[0]
+            net, up, row, scale = self.net, self.up, self.net.m[0], self.scale
             self.first = {j: row[j] for j in self.moved}
             for j in self.moved:
-                net.set_pair(0, j, _union((_piece(down[j], up[j]),)))
+                piece = _piece(_unscaled(down[j], scale), _unscaled(up[j], scale))
+                net.set_pair(0, j, _union((piece,)))
 
     def end(self, outcome: Outcome) -> RunReport:
         self.write_back()
@@ -257,18 +289,18 @@ class _Run:
             # arc step (0, k, j) over bounds: each end to the least of itself
             # and the legs' sum, as narrow takes it, with _add inlined
             self.revise_calls += 1
-            ups = self.up
+            ups, scale = self.up, self.scale
             down = old_down = downs[j]
             leg, via = downs[k], parts[0]._down
             if leg is not None and via is not None:
-                a, b = leg[0], via[0]
+                a, b = leg[0], via[0] * scale
                 path = (a + b if type(a) is int is type(b) else _plus(a, b), leg[1] and via[1])
                 if down is None or path < down:
                     down = path
             up = old_up = ups[j]
             leg, via = ups[k], parts[-1]._up
             if leg is not None and via is not None:
-                a, b = leg[0], via[0]
+                a, b = leg[0], via[0] * scale
                 path = (a + b if type(a) is int is type(b) else _plus(a, b), leg[1] and via[1])
                 if up is None or path < up:
                     up = path
@@ -283,6 +315,7 @@ class _Run:
                 floor = self.floor
                 if floor is None:
                     floor = self.floor = path_bounds(self.net).path_lb.bound
+                floor = (floor[0] * scale, floor[1])
                 empty = (down is not None and down < floor) or (up is not None and up < floor)
             if empty:
                 self.moved.pop(j, None)
@@ -529,14 +562,17 @@ def bdac3(
 
     Untraced, with every domain one piece, the run keeps the domains as two
     vectors of bounds and reads each constraint label's ends from the
-    matrix.  It writes a domain that a step empties at once, and every
-    other domain that moved once, with ``set_pair``, when the run ends,
-    whatever the outcome.  So the network is unwritten while the run goes
-    on, and the floor, read at the first narrowing write that no walk
-    certifies, is path_lb of the network as it stands.  At the first step
-    that reads a constraint label of more than one piece (or none), the run
-    writes the moved domains and goes on over labels, writing each step as
-    it goes and reading the floor with the domains it wrote set back.
+    matrix, both times the lcm of the domains' denominators: weights scaled
+    by one positive int keep their sums exact and their order, so the steps
+    are the same, and after extraction's Fraction pins they add ints.  It
+    writes a domain that a step empties at once, and every other domain that
+    moved once, with ``set_pair``, when the run ends, whatever the outcome.
+    So the network is unwritten while the run goes on, and the floor, read
+    at the first narrowing write that no walk certifies, is path_lb of the
+    network as it stands.  At the first step that reads a constraint label
+    of more than one piece (or none), the run writes the moved domains and
+    goes on over labels, writing each step as it goes and reading the floor
+    with the domains it wrote set back.
     Either way the counts, the clamp's decisions and the final network are
     those of a traced run.
     """

@@ -1017,6 +1017,176 @@ def test_a_seeded_run_off_its_precondition_ends_as_the_label_run(algorithm, brok
     assert worked == labelled and worked.neighbours == labelled.neighbours
 
 
+_DENOMINATORS = (2, 3, 4, 7)
+
+
+def _fractional_stp(rng):
+    """An STP around a hidden witness of Fraction values, every label end a
+    fraction of denominator 2, 3, 4 or 7 away from it, open or closed at
+    random; some labels lack an end, and in one of three a label is moved
+    off the witness, which may leave no solution or a circuit to clamp."""
+    n = rng.randint(2, 6)
+    xs = [Fraction(0)] + [Fraction(rng.randint(-60, 60), rng.choice(_DENOMINATORS))
+                          for _ in range(n)]
+    pairs = {(rng.randrange(i), i) for i in range(1, n + 1)}
+    pairs |= {tuple(sorted(rng.sample(range(n + 1), 2))) for _ in range(n)}
+    moved = rng.choice(sorted(pairs)) if rng.random() < 1 / 3 else None
+    constraints = []
+    for i, j in sorted(pairs):
+        diff = xs[j] - xs[i]
+        if (i, j) == moved:
+            diff += rng.choice((-1, 1)) * Fraction(rng.randint(30, 90), rng.choice(_DENOMINATORS))
+        lo, hi = (None if rng.random() < 0.2 else
+                  diff + sign * Fraction(rng.randint(1, 24), rng.choice(_DENOMINATORS))
+                  for sign in (-1, 1))
+        constraints.append((i, j, IntervalUnion.span(
+            lo, hi, lo is not None and rng.random() < 0.5, hi is not None and rng.random() < 0.5)))
+    return build_tcsp(n, constraints)
+
+
+def _in_exact_form(net):
+    """Is every end value of every label an int, or a Fraction that is not whole?"""
+    return all(type(end[0]) is int or (type(end[0]) is Fraction and end[0].denominator > 1)
+               for row in net.m for label in row for piece in label.parts
+               for end in (piece._down, piece._up) if end is not None)
+
+
+def _pinned_to_a_midpoint(rng, net, algorithm):
+    """``net`` at ``algorithm``'s fixpoint with one domain of two finite ends
+    pinned to its midpoint, and the pinned entry; None when there is none."""
+    base = net.copy()
+    if not _fixpoint(algorithm, base):
+        return None
+    finite = [j for j in range(1, base.n_vars + 1)
+              if None not in (base.m[0][j].parts[0]._down, base.m[0][j].parts[0]._up)]
+    if not finite:
+        return None
+    j = rng.choice(finite)
+    piece = base.m[0][j].parts[0]
+    base.set_pair(0, j, IntervalUnion.point(Fraction(piece._up[0] - piece._down[0], 2)))
+    return base, rng.choice(((0, j), (j, 0)))
+
+
+def test_untraced_arc_passes_on_fractional_networks_equal_the_label_run(monkeypatch):
+    # the bound vectors are held times the lcm of the domains' denominators:
+    # every run on these networks steps over ints or Fractions at a scale,
+    # and what it writes back is divided back into the kernel's exact form
+    scales = collections.Counter()
+    start = propagation._Run.__init__
+
+    def started(run, net, alg, **settings):
+        start(run, net, alg, **settings)
+        if run.arcs and run.down is not None:
+            scales[run.scale > 1] += 1
+
+    monkeypatch.setattr(propagation._Run, "__init__", started)
+    rng = random.Random(24024)
+    outcomes = collections.defaultdict(set)
+    pinned = 0
+    for _ in range(120):
+        net = _fractional_stp(rng)
+        for name, algorithm in (("bdac3", bdac3), ("wbdac3", wbdac3), ("bdac1", bdac3)):
+            starts = [(net, None)]
+            midpoint = _pinned_to_a_midpoint(rng, net, algorithm)
+            if midpoint is not None:
+                starts.append(midpoint)
+                pinned += 1
+            for begin, changed in starts:
+                if name == "bdac1":
+                    options = [{}]  # sweeps from the pinned network, unseeded
+                else:
+                    options = [{"lifo": lifo, "changed": changed} for lifo in (False, True)]
+                for option in options:
+                    engine, settings = ALGORITHMS[name]
+                    worked, labelled = begin.copy(), begin.copy()
+                    report = engine(worked, alg=name, **settings, **option)
+                    traced = engine(labelled, alg=name, trace=CappedTrace(10_000), **settings,
+                                    **option)
+                    assert report == traced, (name, option, begin.m)
+                    assert worked == labelled and worked.neighbours == labelled.neighbours
+                    assert _in_exact_form(worked), (name, option, begin.m)
+                    outcomes[name].add(report.outcome)
+    assert all(found == {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN} for found in outcomes.values())
+    assert pinned >= 100
+    assert scales[True] > scales[False] > 0
+
+
+def _quartered(net):
+    """``net`` with every label end divided by 4: the worked circuits' ends
+    are even, so halving them would leave them whole."""
+    quarter = lambda end: None if end is None else end / 4
+    quartered = Tcsp(net.n_vars)
+    for i in range(net.n_vars + 1):
+        for j in range(i + 1, net.n_vars + 1):
+            label = net.m[i][j]
+            if not label.is_universal():
+                quartered.set_pair(i, j, IntervalUnion([
+                    Interval(quarter(p.lo), quarter(p.hi), p.lo_closed, p.hi_closed)
+                    for p in label.parts]))
+    return quartered
+
+
+@pytest.mark.parametrize("name, option",
+                         [("bdac3", {}), ("bdac3", {"lifo": True}), ("wbdac3", {}), ("bdac1", {})])
+@pytest.mark.parametrize("make", [hidden_circuit_stp, creeping_circuit_stp])
+def test_an_untraced_run_compares_the_floor_at_its_scale(monkeypatch, make, name, option):
+    # the domains' ends are halves, so the run holds its bounds times 2 when
+    # it reads the floor; a floor compared unscaled would clamp elsewhere
+    net = _quartered(make())
+    runs, reads = [], []
+    start, original = propagation._Run.__init__, propagation.path_bounds
+
+    def started(run, *args, **settings):
+        start(run, *args, **settings)
+        runs.append(run)
+
+    def read(network):
+        reads.append(runs[-1].scale if runs[-1].down is not None else None)
+        return original(network)
+
+    monkeypatch.setattr(propagation._Run, "__init__", started)
+    monkeypatch.setattr(propagation, "path_bounds", read)
+    engine, settings = ALGORITHMS[name]
+    worked, labelled = net.copy(), net.copy()
+    report = engine(worked, alg=name, **settings, **option)
+    assert reads == [2]
+    trace = CappedTrace(1000)
+    assert engine(labelled, alg=name, trace=trace, **settings, **option) == report
+    assert report.outcome is Outcome.EMPTY_DOMAIN and trace[-1].clamped
+    assert worked == labelled and worked.neighbours == labelled.neighbours
+
+
+def test_extraction_on_integer_labels_adds_no_fraction(monkeypatch):
+    # backtrack_free pins Fraction midpoints; the runs after each pin hold
+    # their bounds times the pins' denominators, so every sum adds ints
+    from tcsp import solver
+
+    rng = random.Random(24)
+    nets = [chain_stp()] + [random_consistent_stp(rng, 8)[0] for _ in range(12)]
+
+    def extracted(net):
+        assert solver.bdac3(net).outcome is Outcome.CONSISTENT and connect_x0(net)
+        return extract_solution(backtrack_free(net))
+
+    with monkeypatch.context() as labelled:
+        # the same extraction with every run over labels
+        labelled.setattr(solver, "bdac3", functools.partial(bdac3, trace=[]))
+        expected = [extracted(net.copy()) for net in nets]
+    sums = []
+    plus = propagation._plus
+
+    def counted(a, b):
+        sums.append((a, b))
+        return plus(a, b)
+
+    monkeypatch.setattr(propagation, "_plus", counted)
+    solutions = [extracted(net.copy()) for net in nets]
+    assert sums == []
+    assert solutions == expected
+    assert solutions[0] == [0, 10, 40, 20, 60]
+    assert any(value.denominator > 1 for solution in solutions for value in solution)
+
+
 def test_every_algorithm_leaves_the_matrix_mirrored_and_its_entries_declared():
     rng = random.Random(16016)
     seen = {name: set() for name in ALGORITHMS}
