@@ -528,8 +528,8 @@ def _bdac3(
     neighbours = net.neighbours
 
     def again(_: int, m: int, k: int) -> List[_Triple]:
-        # every arc (a, k) reads the domain of X_k; the arc back, (m, k), stays out
-        return [(0, k, a) for a in neighbours[k] if a != m]
+        # every arc (a, k) reads X_k; bdac3 skips the arc back (see wbdac3)
+        return [(0, k, a) for a in neighbours[k] if a != m or weak]
 
     run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace, arcs=True)
     return _worklist(run, seed, again, lifo=lifo)
@@ -560,21 +560,14 @@ def bdac3(
     the fixpoint or miss an empty entry.  The default, None, seeds every
     constrained arc.
 
-    Untraced, with every domain one piece, the run keeps the domains as two
-    vectors of bounds and reads each constraint label's ends from the
-    matrix, both times the lcm of the domains' denominators: weights scaled
-    by one positive int keep their sums exact and their order, so the steps
-    are the same, and after extraction's Fraction pins they add ints.  It
-    writes a domain that a step empties at once, and every other domain that
-    moved once, with ``set_pair``, when the run ends, whatever the outcome.
-    So the network is unwritten while the run goes on, and the floor, read
-    at the first narrowing write that no walk certifies, is path_lb of the
-    network as it stands.  At the first step that reads a constraint label
-    of more than one piece (or none), the run writes the moved domains and
-    goes on over labels, writing each step as it goes and reading the floor
-    with the domains it wrote set back.
-    Either way the counts, the clamp's decisions and the final network are
-    those of a traced run.
+    Untraced, with every domain one piece, the run steps over two vectors of
+    domain bounds scaled to ints (see ``_Run``).  It writes a domain that a
+    step empties at once, and every other moved domain with ``set_pair``
+    when it ends, whatever the outcome, so the network is unwritten while it
+    goes on.  At a constraint label of more than one piece (or none) it
+    writes the moved domains and goes on over labels.  Either way the
+    counts, the clamp's decisions and the final network are those of a
+    traced run.
     """
     return _bdac3(net, lifo=lifo, trace=trace, changed=changed)
 
@@ -588,16 +581,22 @@ def wbdac3(
 ) -> RunReport:
     """Like bdac3 but composing convex closures, so domains stay convex-ish cheap.
 
-    ``changed=(i, j)`` seeds only the arcs reading entry (i, j), as in
-    :func:`bdac3`, with the same precondition (the network was at the end of
-    a CONSISTENT wbdac3 run before (i, j) was narrowed, so no other entry is
-    empty) and the same guarantee; a seeded run checks only (i, j) for
-    emptiness.  Note
-    that one wbdac3 run need not end at the wbdac3 fixpoint: after revising
-    X_k through X_m the queue skips the arc back, which is exact only for
-    full-strength composition.  Seeded from such a network the run still
-    removes only values no solution uses, but its domains may differ from a
-    full run's.
+    A narrowed X_k puts back every arc reading it, the arc back (m, k)
+    included: bdac3's skip of that arc is exact for full composition, not
+    for hulls, where the step can shrink the hull that alone supports a
+    value of X_m.  So a run that ends CONSISTENT ends at the wbdac3
+    fixpoint: a step is ``X_k & H``, with H fixed while X_m is (an arc pass
+    writes no constraint label); every arc (k, m) ran after X_m's last
+    write, and later writes only narrow X_k inside that H.  The steps are
+    monotone narrowings, so this is the greatest fixpoint below the
+    run-start network, whatever the queue order.  On an all-convex network,
+    row 0 included, hull composition is composition, so it is the bdac3
+    fixpoint: a bdac3 run from it changes nothing.  The clamp's termination
+    argument does not depend on which arcs are queued.
+
+    ``changed=(i, j)`` seeds only the arcs reading entry (i, j), with the
+    precondition (the network ended a CONSISTENT wbdac3 run before (i, j)
+    was narrowed) and the guarantee of :func:`bdac3`.
 
     Untraced, the run steps over domain bounds as :func:`bdac3` describes.
     A weak step reads a constraint label by its hull ends, as ``narrow``

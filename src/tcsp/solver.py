@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from .errors import ExtractionDeadEnd, NotAnStp, PreconditionViolated
 from .intervals import IntervalUnion
-from .network import Tcsp, check_solution, disconnected_variables, is_stp
+from .network import Tcsp, check_solution, disconnected_variables, first_empty_entry, is_stp
 from .propagation import Outcome, bdac3, is_bd_arc_consistent, refinements, wbdac3
 
 
@@ -86,15 +86,15 @@ def backtrack_free(net: Tcsp) -> Tcsp:
     """
     if not is_stp(net):
         raise PreconditionViolated("not an all-convex network")
-    n = net.n_vars
-    if any(net.m[0][i].is_empty() for i in range(1, n + 1)):
-        raise PreconditionViolated("a domain is already empty")
+    empty = first_empty_entry(net)
+    if empty is not None:
+        raise PreconditionViolated(f"entry {empty} is already empty")
     loose = disconnected_variables(net)
     if loose:
         raise PreconditionViolated(f"X{loose[0]} is not connected with the origin")
     if not is_bd_arc_consistent(net):
         raise PreconditionViolated("network is not bdArc-consistent")
-    for target in range(1, n + 1):
+    for target in range(1, net.n_vars + 1):
         domain = net.m[0][target]
         if len(domain.parts) == 1 and domain.parts[0].is_degenerate():
             continue
@@ -134,18 +134,16 @@ def _search(net: Tcsp) -> Optional[Tuple[Tcsp, List[Fraction]]]:
     Returns the anchored leaf together with an assignment extracted from
     it, or None when no refinement has solutions.  The nodes are those of
     :func:`~tcsp.propagation.refinements` under wbdac3, branching on
-    :func:`_select_disjunctive`.  A node's parent ended a wbdac3 run, which
-    need not be the wbdac3 fixpoint, so a child's domains may differ from
-    those of a full-seed run; both are sound, and the leaf's full bdac3
-    pass and extraction decide the leaf either way.
+    :func:`_select_disjunctive`.  Every node is at the wbdac3 fixpoint, and
+    on an all-convex leaf that is the bdac3 fixpoint (see
+    :func:`~tcsp.propagation.wbdac3`), so a leaf goes straight to anchoring.
     """
     for node, _, branch in refinements(net, wbdac3):
         target = _select_disjunctive(node)
         if target is not None:
             branch(target)
             continue
-        # all-convex leaf: run the full-strength pass before anchoring
-        if bdac3(node).outcome is not Outcome.CONSISTENT or not connect_x0(node):
+        if not connect_x0(node):
             continue
         fixed = node.copy()
         try:

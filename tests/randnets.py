@@ -242,9 +242,13 @@ def random_bounded_stp(rng: random.Random, cells: Optional[set] = None) -> Tcsp:
     return build_tcsp(n, constraints)
 
 
-def random_disjunctive_tcsp(rng: random.Random) -> Tcsp:
-    """A small general network: n <= 3, up to two pieces per label, bounds in [-10, 10]."""
-    n = rng.randint(1, 3)
+def random_disjunctive_tcsp(rng: random.Random, n: Optional[int] = None) -> Tcsp:
+    """A small general network: up to two pieces per label, bounds in [-10, 10].
+
+    ``n`` variables when given, else 1 to 3 drawn from ``rng``.
+    """
+    if n is None:
+        n = rng.randint(1, 3)
     constraints = []
     for i in range(n + 1):
         for j in range(i + 1, n + 1):

@@ -112,6 +112,32 @@ def test_check_alternate_algorithms_agree_on_an_stp(capsys, appb, algorithm):
     assert out.startswith("consistent\ndomains: [10,20] [40,50] [20,30] [60,70]\n")
 
 
+def test_check_wbdac3_ends_at_its_fixpoint_on_a_disjunctive_network(capsys, tmp_path):
+    # narrowing X2 to [-1,0] through X1 puts back the arc back, which then
+    # cuts X1 to [-5,-4]; without it the run would end with X1 at [-5,-3]
+    path = tmp_path / "weak.json"
+    net = build_tcsp(2, [(0, 1, parse_union("(-inf,-3]")),
+                         (0, 2, parse_union("[-1,0] u [3,5]")),
+                         (1, 2, parse_union("{4}"))])
+    path.write_text(network_to_json(net), encoding="utf-8")
+    expected = (
+        "consistent\n"
+        "domains: [-5,-4] [-1,0]\n"
+        "revise calls: 4\n"
+        "domain updates: 3\n"
+    )
+    argv = ("check", str(path), "--algorithm", "wbdac3")
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    trace_path = tmp_path / "weak.trace"
+    assert run_cli(capsys, *argv, "--trace", str(trace_path)) == (0, expected, "")
+    assert trace_path.read_text(encoding="utf-8") == (
+        "wbdac3\t(1,2)\t(-inf,-3]\t[-5,-3]\t[-5,-3]\n"
+        "wbdac3\t(2,1)\t[-1,0] u [3,5]\t[-1,0]\t[-1,0]\n"
+        "wbdac3\t(1,2)\t[-5,-3]\t[-5,-4]\t[-5,-4]\n"
+        "wbdac3\t(2,1)\t[-1,0]\t[-1,0]\t[-1,0]\n"
+    )
+
+
 def test_check_minus_variant_exhausts_its_budget(capsys, appc):
     code, out, _ = run_cli(capsys, "check", appc, "--algorithm", "bdac3-minus")
     assert code == 3

@@ -474,7 +474,8 @@ def test_wbdac3_keeps_domains_convex_on_disjunctive_networks():
     trace = []
     report = wbdac3(net, trace=trace)
     assert report.outcome is Outcome.CONSISTENT
-    assert report.revise_calls == 2 and report.domain_updates == 1
+    # the narrowed X2 puts back the arc back, (1, 2), which changes nothing
+    assert report.revise_calls == 3 and report.domain_updates == 1
     assert net.entry(0, 2) == U("[-6,-1] u [1,20]")
     assert all(e.alg == "wbdac3" for e in trace)
 
@@ -494,6 +495,27 @@ def test_wbdac3_equals_bdac3_on_convex_networks():
         assert wbdac3(weak).outcome is Outcome.CONSISTENT
         assert bdac3(strong).outcome is Outcome.CONSISTENT
         assert weak == strong
+
+
+def test_a_consistent_wbdac3_run_ends_at_the_weak_fixpoint():
+    # the arc back is queued too, so a second run moves no domain, and on an
+    # all-convex network a full-strength run moves none either: hull
+    # composition is composition there
+    rng = random.Random(1)
+    consistent = convex = 0
+    for _ in range(3000):
+        net = random_disjunctive_tcsp(rng)
+        if wbdac3(net).outcome is not Outcome.CONSISTENT:
+            continue
+        consistent += 1
+        rerun = net.copy()
+        report = wbdac3(rerun)
+        assert report.outcome is Outcome.CONSISTENT and report.domain_updates == 0
+        if is_stp(net):
+            convex += 1
+            full = net.copy()
+            assert bdac3(full).domain_updates == 0 and full == net
+    assert consistent == 2495 and convex > 0
 
 
 # -- degenerate inputs -------------------------------------------------------------------------
@@ -1256,12 +1278,11 @@ def _circuit_cases(rng):
 def _fixpoint(algorithm, net, budget=10_000) -> bool:
     """Run ``algorithm`` until a run changes nothing; False on any other verdict.
 
-    One bdac3 run ends at its fixpoint.  One wbdac3 run may not: its queue
-    skips the arc back through the variable just revised through, a rule
-    that is exact only for full-strength composition.  The runs go through
-    the algorithm's engine and share ``budget`` revise calls, about forty
-    times the most any network of these tests takes (236), so a clamp that
-    never fires fails the test instead of running on.
+    One bdac3 or wbdac3 run ends at its fixpoint, so a second run here
+    changes nothing.  The runs go through the algorithm's engine and share
+    ``budget`` revise calls, about forty times the most any network of these
+    tests takes (236), so a clamp that never fires fails the test instead of
+    running on.
     """
     engine, settings = ALGORITHMS[algorithm.__name__]
     while True:
@@ -1371,8 +1392,8 @@ def _below_floor(label, floor):
 def _arc_pass_as_specified(net, *, weak=False, lifo=False, changed=None, clamp=True, budget=None):
     """bdac3/wbdac3 as specified: a queue of the constrained arcs (k, m), each
     narrowing the domain of X_k through X_m; a narrowed domain puts back every
-    arc into X_k except the arc back, and the clamp's floor is path_lb of the
-    network the run starts on."""
+    arc into X_k, except the arc back under full strength, and the clamp's
+    floor is path_lb of the network the run starts on."""
     size = net.n_vars + 1
     arcs = [(a, b) for a, row in enumerate(net.neighbours) for b in row]
     if changed is None:
@@ -1397,7 +1418,7 @@ def _arc_pass_as_specified(net, *, weak=False, lifo=False, changed=None, clamp=T
             updates += 1
             if row[3].is_empty():
                 return Outcome.EMPTY_DOMAIN, calls, updates, trace
-            queue += [(a, k) for a, b in arcs if b == k and a != m and (a, k) not in queue]
+            queue += [(a, k) for a, b in arcs if b == k and (a != m or weak) and (a, k) not in queue]
     return Outcome.CONSISTENT, calls, updates, trace
 
 
