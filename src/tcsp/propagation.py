@@ -30,7 +30,9 @@ over bounds, on which that kernel is a pair of minima: ``pc1`` and ``pc2``
 on an STP over a matrix of the labels' bounds, and the arc passes on
 one-piece domains over two vectors of domain bounds.  Those runs write the
 network when they end, or at once where a step empties an entry, with the
-counts and the network a run over labels ends with.  Every step can be
+counts and the network a run over labels ends with; extraction's pins go on
+over one held pair of vectors and write the network once, when the last pin
+ends or one empties a domain (see ``_pin_in_turn``).  Every step can be
 recorded: pass a list as ``trace=`` and one :class:`TraceEntry` per call
 is appended.
 
@@ -191,10 +193,15 @@ class _Run:
     ``set_pair``.  To read the floor, a run over labels sets each domain it
     wrote back to the label it held before the run first wrote it
     (``first``) for that one read.
+
+    A held run (:meth:`pin`) keeps its bounds, ``scale`` and ``moved`` from
+    one seeded worklist to the next, and its holder writes it back; a pin's
+    first floor read first writes ``start``, the bounds its run began with.
     """
 
     __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor", "walks",
-                 "first", "revise_calls", "domain_updates", "down", "up", "moved", "scale")
+                 "first", "revise_calls", "domain_updates", "down", "up", "moved", "scale",
+                 "start")
 
     def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
                  budget: Optional[int] = None, trace: Optional[Trace] = None,
@@ -211,7 +218,7 @@ class _Run:
         self.first = {}
         self.revise_calls = 0
         self.domain_updates = 0
-        self.down = None
+        self.down = self.start = None
         if arcs and trace is None:
             down, up = [], []
             for label in net.m[0]:
@@ -233,15 +240,37 @@ class _Run:
         down = self.down
         if down is not None:
             self.down = None
-            net, up, row, scale = self.net, self.up, self.net.m[0], self.scale
+            row = self.net.m[0]
             self.first = {j: row[j] for j in self.moved}
-            for j in self.moved:
-                piece = _piece(_unscaled(down[j], scale), _unscaled(up[j], scale))
-                net.set_pair(0, j, _union((piece,)))
+            self._write(down, self.up)
+
+    def _write(self, down: List[Bound], up: List[Bound]) -> None:
+        """Write each moved domain from the scaled bounds ``down`` and ``up``."""
+        net, scale = self.net, self.scale
+        for j in self.moved:
+            piece = _piece(_unscaled(down[j], scale), _unscaled(up[j], scale))
+            net.set_pair(0, j, _union((piece,)))
 
     def end(self, outcome: Outcome) -> RunReport:
-        self.write_back()
+        if self.start is None:  # a held run's holder writes the network
+            self.write_back()
         return RunReport(outcome, self.revise_calls, self.domain_updates)
+
+    def pin(self, j: int, value: Union[int, Fraction]) -> None:
+        """Hold X_j at ``value`` and begin a run from there, with fresh walks
+        and floor and the bounds, pin included, kept in ``start``.  A value
+        whose denominator does not divide ``scale`` first rescales every
+        bound to the lcm."""
+        scale, denominator = self.scale, value.denominator
+        if scale % denominator:
+            factor = lcm(scale, denominator) // scale
+            self.down, self.up = _scaled(self.down, factor), _scaled(self.up, factor)
+            self.scale = scale = scale * factor
+        v = value.numerator * (scale // denominator)
+        self.down[j], self.up[j] = (-v, True), (v, True)
+        self.moved[j] = None
+        self.walks, self.floor = {}, None
+        self.start = (self.down[:], self.up[:])
 
     def _elementary(self, k: int, j: int, old: IntervalUnion, via: IntervalUnion,
                     temp: IntervalUnion) -> bool:
@@ -314,6 +343,8 @@ class _Run:
             ):
                 floor = self.floor
                 if floor is None:
+                    if self.start is not None:
+                        self._write(*self.start)
                     floor = self.floor = path_bounds(self.net).path_lb.bound
                 floor = (floor[0] * scale, floor[1])
                 empty = (down is not None and down < floor) or (up is not None and up < floor)
@@ -525,14 +556,18 @@ def _bdac3(
         if net.m[changed[0]][changed[1]].is_empty():
             return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
 
-    neighbours = net.neighbours
+    run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace, arcs=True)
+    return _worklist(run, seed, _requeue(net.neighbours, weak), lifo=lifo)
+
+
+def _requeue(neighbours: List[Tuple[int, ...]], weak: bool) -> Callable[..., List[_Triple]]:
+    """The arc steps that a write to X_k through X_m puts back on the queue."""
 
     def again(_: int, m: int, k: int) -> List[_Triple]:
         # every arc (a, k) reads X_k; bdac3 skips the arc back (see wbdac3)
         return [(0, k, a) for a in neighbours[k] if a != m or weak]
 
-    run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace, arcs=True)
-    return _worklist(run, seed, again, lifo=lifo)
+    return again
 
 
 def bdac3(
@@ -604,6 +639,31 @@ def wbdac3(
     pieces, and only an empty label sends the run over to labels.
     """
     return _bdac3(net, weak=True, lifo=lifo, trace=trace, alg="wbdac3", changed=changed)
+
+
+def _pin_in_turn(
+    net: Tcsp, pick: Callable[[Bound, Bound], Union[int, Fraction]]
+) -> Tuple[RunReport, Optional[int]]:
+    """Pin each X_t whose domain is not a point to ``pick(down, up)`` of its
+    bounds, in index order, and re-propagate it as ``bdac3(net, changed=(0,
+    t))`` would, all over one held run (see ``solver.backtrack_free``).
+    ``net`` is an STP at the bdac3 fixpoint with no empty entry.  Returns
+    the pins' summed report and the variable whose pin emptied a domain,
+    or None."""
+    run = _Run(net, "bdac3", arcs=True)
+    again = _requeue(net.neighbours, False)
+    report, dead = RunReport(Outcome.CONSISTENT, 0, 0), None
+    for t in range(1, net.n_vars + 1):
+        down, up = run.down[t], run.up[t]
+        if _add(up, down) == _CLOSED_ZERO:
+            continue  # X_t is already a point
+        run.pin(t, pick(_unscaled(down, run.scale), _unscaled(up, run.scale)))
+        report = _worklist(run, _arcs_reading(net, (0, t)), again)
+        if report.outcome is not Outcome.CONSISTENT:
+            dead = t
+            break
+    run.write_back()
+    return report, dead
 
 
 def _bdac1(

@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import ExtractionDeadEnd, NotAnStp, PreconditionViolated
-from .intervals import IntervalUnion
+from .intervals import Bound, IntervalUnion
 from .network import Tcsp, check_solution, disconnected_variables, first_empty_entry, is_stp
-from .propagation import Outcome, bdac3, is_bd_arc_consistent, refinements, wbdac3
+from .propagation import Outcome, _pin_in_turn, bdac3, is_bd_arc_consistent, refinements, wbdac3
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,9 @@ def connect_x0(net: Tcsp) -> bool:
     return True
 
 
-def _pick_value(domain: IntervalUnion):
-    """A deterministic member of a nonempty convex domain, as an exact value
-    (int or Fraction) for :meth:`IntervalUnion.point`."""
-    down, up = domain.parts[0]._down, domain.parts[0]._up
+def _pick_value(down: Bound, up: Bound):
+    """A deterministic member of the nonempty convex domain whose bounds are
+    ``down`` and ``up``, as an exact value (int or Fraction)."""
     if down is not None:
         if down[1]:
             return -down[0]
@@ -83,6 +82,15 @@ def backtrack_free(net: Tcsp) -> Tcsp:
     a dead end; an input harboring a strict-zero-weight circuit (the one
     inconsistency domain propagation cannot surface) dead-ends and raises
     ExtractionDeadEnd.
+
+    Each round makes the steps, counts and clamp decisions of ``bdac3(net,
+    changed=(0, t))``, but all rounds step over one held pair of domain
+    bound vectors, and the network is written once, when the last round
+    ends or one dead-ends.  A pin whose denominator does not divide the
+    vectors' scale first rescales every bound to the lcm.  The floor is per
+    round: a pin lowers path_lb, so a round's first clamp check that no
+    walk certifies writes the bounds the round began with, earlier pins
+    included, and reads path_lb of that network.
     """
     if not is_stp(net):
         raise PreconditionViolated("not an all-convex network")
@@ -94,15 +102,9 @@ def backtrack_free(net: Tcsp) -> Tcsp:
         raise PreconditionViolated(f"X{loose[0]} is not connected with the origin")
     if not is_bd_arc_consistent(net):
         raise PreconditionViolated("network is not bdArc-consistent")
-    for target in range(1, net.n_vars + 1):
-        domain = net.m[0][target]
-        if len(domain.parts) == 1 and domain.parts[0].is_degenerate():
-            continue
-        net.set_pair(0, target, IntervalUnion.point(_pick_value(domain)))
-        if bdac3(net, changed=(0, target)).outcome is not Outcome.CONSISTENT:
-            raise ExtractionDeadEnd(
-                f"fixing X{target} emptied a domain; the network has no solutions"
-            )
+    _, dead = _pin_in_turn(net, _pick_value)
+    if dead is not None:
+        raise ExtractionDeadEnd(f"fixing X{dead} emptied a domain; the network has no solutions")
     return net
 
 

@@ -7,9 +7,12 @@ share no code with the algorithms under test.
 
 from __future__ import annotations
 
+import importlib
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from tcsp import (
@@ -108,6 +111,34 @@ def fragmenting_tcsp() -> Tcsp:
             (0, 2, parse_union("[-7,-1] u [1,20]")),
         ],
     )
+
+
+def strict_zero_circuit_stp() -> Tcsp:
+    """Inconsistent STP whose circuit X1 -> X2 -> X3 -> X1 weighs (-2)~ + (-3)
+    + 5: strictly negative with zero slack, so propagation keeps every domain
+    nonempty and only extraction disproves it."""
+    from tcsp import parse_union as U
+
+    return build_tcsp(
+        3,
+        [
+            (0, 1, U("[-6,0)")),
+            (1, 2, U("[-5,-2)")),
+            (1, 3, U("{-5}")),
+            (2, 3, U("{-3}")),
+        ],
+    )
+
+
+_BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+
+
+def bench_module(name: str):
+    """A module of the benchmark under ``bench/`` (``corpus``, ``reference``),
+    which import their siblings by bare name."""
+    if _BENCH not in sys.path:
+        sys.path.append(_BENCH)
+    return importlib.import_module(name)
 
 
 def random_consistent_stp(rng: random.Random, n: Optional[int] = None) -> Tuple[Tcsp, List[int]]:

@@ -18,6 +18,7 @@ import pytest
 
 from randnets import (
     CappedTrace,
+    bench_module,
     chain_stp,
     creeping_circuit_stp,
     fragmenting_tcsp,
@@ -30,8 +31,10 @@ from randnets import (
     random_disjunctive_tcsp,
     random_zero_circuit_stp,
     rebuilt_by_set_pair,
+    strict_zero_circuit_stp,
 )
 from tcsp import (
+    ExtractionDeadEnd,
     Interval,
     IntervalUnion,
     Outcome,
@@ -52,6 +55,7 @@ from tcsp import (
     is_stp,
     down_weight,
     minus_variant,
+    network_from_json,
     parse_union,
     path_bounds,
     pc1,
@@ -62,7 +66,7 @@ from tcsp import (
     w_less,
     wbdac3,
 )
-from tcsp import propagation
+from tcsp import propagation, solver
 from tcsp.intervals import narrow
 from tcsp.propagation import ALGORITHMS, refinements, run_algorithm
 
@@ -1178,22 +1182,130 @@ def test_an_untraced_run_compares_the_floor_at_its_scale(monkeypatch, make, name
     assert worked == labelled and worked.neighbours == labelled.neighbours
 
 
-def test_extraction_on_integer_labels_adds_no_fraction(monkeypatch):
-    # backtrack_free pins Fraction midpoints; the runs after each pin hold
-    # their bounds times the pins' denominators, so every sum adds ints
-    from tcsp import solver
+def _pins_one_run_each(net, trace=None):
+    """backtrack_free's rounds as separate runs: each pin written with
+    ``set_pair``, then ``bdac3(net, changed=(0, t), trace=trace)``.  Returns
+    the summed revise calls and domain updates, and the dead end's message
+    (None when every pin propagates)."""
+    calls = updates = 0
+    for t in range(1, net.n_vars + 1):
+        piece = net.m[0][t].parts[0]
+        if piece.is_degenerate():
+            continue
+        net.set_pair(0, t, IntervalUnion.point(solver._pick_value(piece._down, piece._up)))
+        report = bdac3(net, changed=(0, t), trace=trace)
+        calls += report.revise_calls
+        updates += report.domain_updates
+        if report.outcome is not Outcome.CONSISTENT:
+            return calls, updates, f"fixing X{t} emptied a domain; the network has no solutions"
+    return calls, updates, None
 
+
+def _anchored(net):
+    """``net`` at the bdac3 fixpoint and anchored, or None when either fails."""
+    if bdac3(net).outcome is not Outcome.CONSISTENT or not connect_x0(net):
+        return None
+    return net
+
+
+def _disjunctive_leaves(count):
+    """The anchored all-convex leaves that ``solve``'s search reaches on the
+    first ``count`` seed-5 networks of the benchmark's disjunctive-solve
+    corpus, up to each network's first leaf that extraction solves."""
+    for item in bench_module("corpus").make("disjunctive-solve", 5, count):
+        for node, _, branch in refinements(network_from_json(item["text"]), wbdac3):
+            target = solver._select_disjunctive(node)
+            if target is not None:
+                branch(target)
+            elif connect_x0(node):
+                yield node.copy()
+                try:
+                    backtrack_free(node.copy())
+                    break
+                except ExtractionDeadEnd:
+                    pass
+
+
+def _floor_after_an_earlier_pin_stp() -> Tcsp:
+    """An STP whose second pin reads a floor that only the first pin lowers.
+
+    X3 - X1 > 0, X3 - X2 <= 60, and X3, X4, X5 close a strict-zero circuit.
+    Pinning X1 to 31 lifts X3 above 31 with an open end, which no lap
+    narrows.  Pinning X2 to 1 caps X3 at 61, closed, and the lap that opens
+    that end walks the circuit, so the clamp reads the floor.  With both
+    pins written, path_lb is -122~, below X3's lower end -31; a network
+    without the first pin gives -11~, which would cut X3 to empty at X2's
+    pin.  The strict-zero circuit dead-ends extraction at X3.
+    """
+    return build_tcsp(5, [
+        (0, 1, U("(-2,100]")), (0, 2, U("(-2,4]")), (1, 3, U("(0,+inf)")),
+        (2, 3, U("(-inf,60]")), (3, 4, U("[-5,-2)")), (3, 5, U("{-5}")), (4, 5, U("{-3}")),
+    ])
+
+
+def test_the_held_pins_run_as_one_bdac3_run_per_pin(monkeypatch):
+    # every pin steps over one held pair of bound vectors; the reference
+    # writes each pin and runs bdac3 from it, so each pin's floor is path_lb
+    # of the network with every earlier pin written
+    reports, reads = [], []
+    held = solver._pin_in_turn
+
+    def pinned(net, pick):
+        reports.append(held(net, pick))
+        return reports[-1]
+
+    monkeypatch.setattr(solver, "_pin_in_turn", pinned)
+    original = propagation.path_bounds
+    monkeypatch.setattr(propagation, "path_bounds",
+                        lambda net: reads.append(None) or original(net))
+    rng = random.Random(26026)
+    starts = [strict_zero_circuit_stp(), _floor_after_an_earlier_pin_stp()]
+    starts += [random_consistent_stp(rng)[0] for _ in range(60)]
+    starts += [_fractional_stp(rng) for _ in range(120)]
+    stps = [net for net in map(_anchored, starts) if net is not None]
+    leaves = list(_disjunctive_leaves(400))
+    dead_ends = floor_reads = leaf_reads = 0
+    for number, net in enumerate(stps + leaves):
+        worked, reference = net.copy(), net.copy()
+        del reads[:]
+        try:
+            backtrack_free(worked)
+            message = None
+        except ExtractionDeadEnd as dead_end:
+            message = str(dead_end)
+        report, dead = reports[-1]
+        held_reads = len(reads)
+        del reads[:]
+        calls, updates, expected = _pins_one_run_each(reference)
+        assert message == expected, net.m
+        assert worked == reference and worked.neighbours == reference.neighbours, net.m
+        assert (report.revise_calls, report.domain_updates) == (calls, updates), net.m
+        assert held_reads == len(reads), net.m
+        assert (dead is None) == (message is None) == (report.outcome is Outcome.CONSISTENT)
+        dead_ends += message is not None
+        floor_reads += held_reads
+        leaf_reads += held_reads if number >= len(stps) else 0
+    assert dead_ends >= 1 and floor_reads >= leaf_reads >= 1
+
+
+def test_extraction_on_integer_labels_adds_no_fraction(monkeypatch):
+    # backtrack_free pins Fraction midpoints; the held bounds are scaled by
+    # the pins' denominators, so every sum adds ints
     rng = random.Random(24)
     nets = [chain_stp()] + [random_consistent_stp(rng, 8)[0] for _ in range(12)]
 
     def extracted(net):
-        assert solver.bdac3(net).outcome is Outcome.CONSISTENT and connect_x0(net)
+        assert _anchored(net) is net
         return extract_solution(backtrack_free(net))
 
-    with monkeypatch.context() as labelled:
-        # the same extraction with every run over labels
-        labelled.setattr(solver, "bdac3", functools.partial(bdac3, trace=[]))
-        expected = [extracted(net.copy()) for net in nets]
+    def labelled(net):
+        # the same extraction over labels: bdac3 traced, then each pin its own
+        # traced run
+        assert bdac3(net, trace=[]).outcome is Outcome.CONSISTENT and connect_x0(net)
+        assert _pins_one_run_each(net, trace=[])[2] is None
+        return extract_solution(net)
+
+    expected = [labelled(net.copy()) for net in nets]
     sums = []
     plus = propagation._plus
 

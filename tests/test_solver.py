@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randnets import (
+    bench_module,
     chain_stp,
     fragmenting_tcsp,
     hidden_circuit_stp,
@@ -20,6 +21,7 @@ from randnets import (
     random_detached_stp,
     random_disjunctive_tcsp,
     rebuilt_by_set_pair,
+    strict_zero_circuit_stp,
 )
 from tcsp import (
     ExtractionDeadEnd,
@@ -48,7 +50,7 @@ from tcsp import (
     stp_to_graph,
     wbdac3,
 )
-from tcsp import solver
+from tcsp import propagation, solver
 
 U = parse_union
 
@@ -314,15 +316,7 @@ def test_a_strict_zero_circuit_hides_from_propagation_but_not_from_extraction():
     # negative with zero slack, so each pass tightens domains only by a
     # strictness flip and the fixpoint keeps every domain nonempty --
     # propagation alone cannot disprove this network
-    net = build_tcsp(
-        3,
-        [
-            (0, 1, U("[-6,0)")),
-            (1, 2, U("[-5,-2)")),
-            (1, 3, U("{-5}")),
-            (2, 3, U("{-3}")),
-        ],
-    )
+    net = strict_zero_circuit_stp()
     with pytest.raises(NegativeCircuit):
         floyd_warshall(stp_to_graph(net))  # the oracle's view: inconsistent
     probe = net.copy()
@@ -391,6 +385,71 @@ def test_solve_agrees_with_the_exhaustive_oracle_at_scale(n, count):
             assert check_solution(net, result.solution)
             assert is_refinement(result.witness, net)
     assert consistent_seen >= 3
+
+
+_DENOMINATORS = (2, 3, 7)
+
+
+def _fractional_constraints(rng, n):
+    """The constraints of a consistent STP on n variables, in the reference's
+    form, around a hidden witness whose values have denominators 2, 3 and 7.
+
+    X1..X(n-3) hang off X0 by a random tree, and the last three variables
+    form a tree of their own, which anchoring has to reach.  2n - 2 more
+    pairs within a part get a label too.  Each label holds the witness strictly
+    inside, its ends a fraction of denominator 2, 3 or 7 away and open or
+    closed at random; one end in five is missing.
+    """
+    xs = [Fraction(0)] + [Fraction(rng.randint(-300, 300), rng.choice(_DENOMINATORS))
+                          for _ in range(n)]
+    linked = n - 3
+    pairs = {(rng.randrange(i), i) for i in range(1, linked + 1)}
+    pairs |= {(rng.randrange(linked + 1, j), j) for j in range(linked + 2, n + 1)}
+    while len(pairs) < 3 * n - 3:
+        i, j = sorted(rng.sample(range(n + 1), 2))
+        if (i <= linked) == (j <= linked):
+            pairs.add((i, j))
+    constraints = []
+    for i, j in sorted(pairs):
+        diff = xs[j] - xs[i]
+        lo, hi = (None if rng.random() < 0.2 else
+                  diff + sign * Fraction(rng.randint(1, 30), rng.choice(_DENOMINATORS))
+                  for sign in (-1, 1))
+        constraints.append((i, j, [(lo, hi, lo is not None and rng.random() < 0.5,
+                                    hi is not None and rng.random() < 0.5)]))
+    return constraints
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [40, 80])
+def test_extraction_agrees_with_the_reference_at_scale(monkeypatch, n):
+    # the program against bench/reference.py, which shares no code with it:
+    # bdac3's domains are the shortest-path domains, and the extracted
+    # solution meets every constraint, open and closed ends exact
+    reference = bench_module("reference")
+    rescaled = []
+    pin = propagation._Run.pin
+
+    def pinned(run, j, value):
+        scale = run.scale
+        pin(run, j, value)
+        rescaled.append(run.scale != scale)
+
+    monkeypatch.setattr(propagation._Run, "pin", pinned)
+    rng = random.Random(n)
+    for _ in range(3):  # the reference's Fraction sums take about 2 s at n = 80
+        constraints = _fractional_constraints(rng, n)
+        net = build_tcsp(n, [(i, j, IntervalUnion([Interval(*piece) for piece in label]))
+                             for i, j, label in constraints])
+        distances = reference.shortest_paths(n, constraints)
+        assert distances is not None
+        assert bdac3(net).outcome is Outcome.CONSISTENT
+        pieces = [domain.parts[0] for domain in net.domains()]
+        assert [(p.lo, p.hi, p.lo_closed, p.hi_closed) for p in pieces] == [
+            reference.entry_from_distances(distances, 0, i) for i in range(1, n + 1)]
+        assert connect_x0(net)
+        assert reference.satisfies(constraints, extract_solution(backtrack_free(net)))
+    assert any(rescaled) and not all(rescaled)
 
 
 def test_solve_a_network_assembled_with_set_pair():
