@@ -25,16 +25,16 @@ how the divergence the clamp prevents is made observable in tests.
 
 Every step narrows its entry through one kernel,
 :func:`~tcsp.intervals.narrow` (``old & x.compose(y)``, handing back
-``old`` itself when nothing narrows), except in untraced runs that step
-over bounds, on which that kernel is a pair of minima: ``pc1`` and ``pc2``
-on an STP over a matrix of the labels' bounds, and the arc passes on
-one-piece domains over two vectors of domain bounds.  Those runs write the
-network when they end, or at once where a step empties an entry, with the
-counts and the network a run over labels ends with; extraction's pins go on
-over one held pair of vectors and write the network once, when the last pin
-ends or one empties a domain (see ``_pin_in_turn``).  Every step can be
-recorded: pass a list as ``trace=`` and one :class:`TraceEntry` per call
-is appended.
+``old`` itself when nothing narrows), except in untraced runs over bounds,
+where a step is a pair of minima.  One run state, ``_Run``, holds those
+bounds, two vectors of domain bounds for the arc passes on one-piece
+domains or the matrix of the labels' bounds for ``pc1`` and ``pc2`` on an
+STP, and steps each through its own kernel.  It writes the network when the
+run ends, or at once where a step empties an entry, with the counts and the
+network a run over labels ends with; extraction's pins go on over one held
+run and write the network once, when the last pin ends or one empties a
+domain (see ``_pin_in_turn``).  Every step can be recorded: pass a list as
+``trace=`` and one :class:`TraceEntry` per call is appended.
 
 :func:`refinements` is the depth-first loop of the solver's and the
 scheduler's searches.
@@ -133,11 +133,20 @@ def _certify(walks: dict, k: int, j: int, down_moved: bool, up_moved: bool) -> b
     return True
 
 
+def _times(value: Union[int, Fraction], scale: int) -> Union[int, Fraction]:
+    """``value`` times ``scale``: an int when ``value``'s denominator divides it."""
+    if scale == 1:
+        return value
+    if type(value) is int:
+        return value * scale
+    whole, rest = divmod(scale, value.denominator)
+    return value * scale if rest else value.numerator * whole
+
+
 def _scaled(bounds: List[Bound], scale: int) -> List[Bound]:
     """Each bound's value times ``scale``, a multiple of its denominator: an int."""
     return [b if b is None else (
-        b[0] * scale if type(b[0]) is int else b[0].numerator * (scale // b[0].denominator), b[1]
-    ) for b in bounds]
+        b[0] * scale if type(b[0]) is int else _times(b[0], scale), b[1]) for b in bounds]
 
 
 def _unscaled(bound: Bound, scale: int) -> Bound:
@@ -173,26 +182,28 @@ class _Run:
     X_j, no lower than X_j's end, plus a circuit, so it narrows only through
     a circuit below ``(0, True)``.
 
-    An untraced arc pass whose domains are all one piece starts over
-    bounds: ``down[j]`` and ``up[j]`` are the ends of X_j's domain, and a
-    step reads its constraint label's ends from ``net.m``, which an arc pass
-    never writes, the hull ends under ``weak`` as ``narrow`` reads them.
-    Both vectors and every label end a step reads are held times ``scale``,
-    the lcm of the row's denominators, so domains pinned to Fraction
-    midpoints step as ints; ``write_back`` divides by it.  Scaling every
-    weight by one positive int keeps each sum exact and each comparison and
-    sign as it was, so the steps, certificates and clamp decisions are
-    those of the unscaled run; the floor is compared at the scale and kept
-    unscaled in ``floor`` for a run that goes on over labels.  A step that
-    empties a domain writes it at once; ``write_back`` writes every other
-    domain that moved when the run ends.  So the network is the run-start
-    network while the run is over bounds, and the floor is read from it as
-    it stands.  At a label that could leave a domain in pieces
-    (more than one piece, under full strength) or empty (none), the run
-    writes back and goes on over labels, writing each step through
-    ``set_pair``.  To read the floor, a run over labels sets each domain it
-    wrote back to the label it held before the run first wrote it
-    (``first``) for that one read.
+    An untraced run steps over bounds where its labels allow, through one of
+    two kernels, each a pair of minima with ``_add`` inlined: ``revise``
+    while an arc pass holds ``down[j]`` and ``up[j]``, the ends of X_j's
+    domain (all one piece), and ``_path_step`` while pc1 or pc2 on an STP
+    (``stp``, tested by the caller) holds ``w``, the labels' bounds,
+    ``w[i][j]`` the edge i -> j.  An arc step reads its label's ends from
+    ``net.m``, which an arc pass never writes, the hull ends under ``weak``.
+    ``moved`` keys what moved, j or (i, j) with i < j, for ``write_back``
+    to write when the run ends; a step that empties an entry writes it at
+    once.  So the network is the run-start network while the run is over
+    bounds, and ``_below_floor``, called at a narrowing write only, reads
+    the floor from it as it stands.  Domain bounds, and each label end an
+    arc step reads, are held times ``scale``, the lcm of the row's
+    denominators, so domains pinned to Fraction midpoints step as ints.
+    Scaling every weight by one positive int keeps each sum exact and each
+    comparison and sign as it was, so the steps, certificates and clamp
+    decisions are those of the unscaled run; ``floor`` stays unscaled.  At
+    a label that could leave a domain in pieces (more than one piece, under
+    full strength) or empty (none), an arc pass writes back and goes on
+    over labels, through ``set_pair``.  To read the floor, a run over labels
+    sets each domain it wrote back to the label it held before the run first
+    wrote it (``first``) for that one read.
 
     A held run (:meth:`pin`) keeps its bounds, ``scale`` and ``moved`` from
     one seeded worklist to the next, and its holder writes it back; a pin's
@@ -200,25 +211,18 @@ class _Run:
     """
 
     __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor", "walks",
-                 "first", "revise_calls", "domain_updates", "down", "up", "moved", "scale",
-                 "start")
+                 "first", "revise_calls", "domain_updates", "down", "up", "w", "moved",
+                 "scale", "start")
 
     def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
                  budget: Optional[int] = None, trace: Optional[Trace] = None,
-                 arcs: bool = False):
-        self.net = net
-        self.alg = alg
-        self.weak = weak
-        self.clamp = clamp
-        self.budget = budget
-        self.trace = trace
-        self.arcs = arcs
-        self.floor = None
-        self.walks = {}
-        self.first = {}
-        self.revise_calls = 0
-        self.domain_updates = 0
-        self.down = self.start = None
+                 arcs: bool = False, stp: bool = False):
+        self.net, self.alg, self.trace, self.arcs = net, alg, trace, arcs
+        self.weak, self.clamp, self.budget = weak, clamp, budget
+        self.floor, self.walks, self.first = None, {}, {}
+        self.revise_calls = self.domain_updates = 0
+        self.down = self.w = self.start = None
+        self.moved, self.scale = {}, 1
         if arcs and trace is None:
             down, up = [], []
             for label in net.m[0]:
@@ -232,17 +236,21 @@ class _Run:
                 scale = lcm(*{b[0].denominator for b in down + up if b is not None})
                 if scale != 1:
                     down, up = _scaled(down, scale), _scaled(up, scale)
-                self.down, self.up, self.moved, self.scale = down, up, {}, scale
+                self.down, self.up, self.scale = down, up, scale
+        elif stp:
+            self.w = [[label.parts[0]._up for label in row] for row in net.m]
 
     def write_back(self) -> None:
-        """Leave the bounds, if the run is over them: write each domain that
-        moved, and record its run-start label in ``first``."""
-        down = self.down
-        if down is not None:
-            self.down = None
-            row = self.net.m[0]
-            self.first = {j: row[j] for j in self.moved}
-            self._write(down, self.up)
+        """Leave the bounds, if the run is over them, for labels at scale 1: write
+        each entry that moved, and record each moved domain's run-start label in ``first``."""
+        net, w = self.net, self.w
+        if self.down is not None:
+            self.first = {j: net.m[0][j] for j in self.moved}
+            self._write(self.down, self.up)
+            self.down, self.scale = None, 1
+        elif w is not None:
+            for i, j in self.moved:
+                net.set_pair(i, j, _union((_piece(w[j][i], w[i][j]),)))
 
     def _write(self, down: List[Bound], up: List[Bound]) -> None:
         """Write each moved domain from the scaled bounds ``down`` and ``up``."""
@@ -272,6 +280,18 @@ class _Run:
         self.walks, self.floor = {}, None
         self.start = (self.down[:], self.up[:])
 
+    def _below_floor(self, down: Bound, up: Bound) -> bool:
+        """Does either bound, held at ``scale``, sink below the floor?  A run over
+        bounds reads the floor at its first call, a held run after writing ``start``."""
+        floor = self.floor
+        if floor is None:
+            if self.start is not None:
+                self._write(*self.start)
+            floor = self.floor = path_bounds(self.net).path_lb.bound
+        if self.scale != 1:
+            floor = (floor[0] * self.scale, floor[1])
+        return (down is not None and down < floor) or (up is not None and up < floor)
+
     def _elementary(self, k: int, j: int, old: IntervalUnion, via: IntervalUnion,
                     temp: IntervalUnion) -> bool:
         """Does step (0, k, j) move only ends onto elementary walks?  If so,
@@ -298,13 +318,11 @@ class _Run:
     def _clamp_to_empty(self, k: int, j: int, old: IntervalUnion, via: IntervalUnion,
                         temp: IntervalUnion) -> bool:
         """True when either endpoint weight of temp sinks below the floor."""
-        floor = self.floor
-        if floor is None:
+        if self.floor is None:
             if self._elementary(k, j, old, via, temp):
                 return False
-            floor = self.floor = self._run_start_floor()
-        down, up = temp.parts[0]._down, temp.parts[-1]._up
-        return (down is not None and down < floor) or (up is not None and up < floor)
+            self.floor = self._run_start_floor()
+        return self._below_floor(temp.parts[0]._down, temp.parts[-1]._up)
 
     def revise(self, i: int, k: int, j: int) -> bool:
         """Step (i, k, j): narrow entry (i, j) by m[i][k] and m[k][j], mirrored."""
@@ -316,21 +334,24 @@ class _Run:
                 downs = None
         if downs is not None:
             # arc step (0, k, j) over bounds: each end to the least of itself
-            # and the legs' sum, as narrow takes it, with _add inlined
+            # and the legs' sum, as narrow takes it, with _add inlined and the
+            # label's end times scale
             self.revise_calls += 1
             ups, scale = self.up, self.scale
             down = old_down = downs[j]
             leg, via = downs[k], parts[0]._down
             if leg is not None and via is not None:
-                a, b = leg[0], via[0] * scale
-                path = (a + b if type(a) is int is type(b) else _plus(a, b), leg[1] and via[1])
+                a, b = leg[0], via[0]
+                path = (a + b * scale if type(a) is int is type(b) else _plus(a, _times(b, scale)),
+                        leg[1] and via[1])
                 if down is None or path < down:
                     down = path
             up = old_up = ups[j]
             leg, via = ups[k], parts[-1]._up
             if leg is not None and via is not None:
-                a, b = leg[0], via[0] * scale
-                path = (a + b if type(a) is int is type(b) else _plus(a, b), leg[1] and via[1])
+                a, b = leg[0], via[0]
+                path = (a + b * scale if type(a) is int is type(b) else _plus(a, _times(b, scale)),
+                        leg[1] and via[1])
                 if up is None or path < up:
                     up = path
             if down is old_down and up is old_up:
@@ -341,13 +362,7 @@ class _Run:
                 self.floor is not None
                 or not _certify(self.walks, k, j, down is not old_down, up is not old_up)
             ):
-                floor = self.floor
-                if floor is None:
-                    if self.start is not None:
-                        self._write(*self.start)
-                    floor = self.floor = path_bounds(self.net).path_lb.bound
-                floor = (floor[0] * scale, floor[1])
-                empty = (down is not None and down < floor) or (up is not None and up < floor)
+                empty = self._below_floor(down, up)
             if empty:
                 self.moved.pop(j, None)
                 self.net.set_pair(0, j, IntervalUnion.empty())
@@ -376,52 +391,9 @@ class _Run:
             self.trace.append(TraceEntry(self.alg, target, old, temp, new, clamped, changed))
         return changed
 
-
-def _bounds_matrix(net: Tcsp) -> List[List[Bound]]:
-    """The bounds of an STP's labels: ``w[i][j]`` is the edge i -> j, the
-    upper bound of (i, j) and, by the mirror, the lower bound of (j, i)."""
-    return [[label.parts[0]._up for label in row] for row in net.m]
-
-
-def _write_bounds(net: Tcsp, w: List[List[Bound]], pairs) -> None:
-    """Write each pair (i, j) of ``pairs`` from ``w`` as one piece through
-    ``set_pair``, which restores the mirror and declares the pair."""
-    for i, j in pairs:
-        net.set_pair(i, j, _union((_piece(w[j][i], w[i][j]),)))
-
-
-class _BoundsRun:
-    """The state of one untraced pc2 run on an STP, over the bounds matrix
-    ``w`` of :func:`_bounds_matrix`, with the members ``_worklist`` reads.
-
-    A step narrows ``w`` and records its pair (i, j), i < j, in ``moved``,
-    which ``end`` writes back with :func:`_write_bounds`.  Only a step that
-    empties its entry writes the network, the empty label through
-    ``set_pair``, and ends the run.  So the network is unwritten when the
-    floor is read, at the first narrowing write of a clamped run, and
-    path_lb read then is the run-start floor.
-    """
-
-    __slots__ = ("net", "clamp", "budget", "w", "moved", "floor",
-                 "revise_calls", "domain_updates")
-
-    def __init__(self, net: Tcsp, *, clamp: bool, budget: Optional[int]):
-        self.net = net
-        self.clamp = clamp
-        self.budget = budget
-        self.w = _bounds_matrix(net)
-        self.moved: dict = {}
-        self.floor = None
-        self.revise_calls = 0
-        self.domain_updates = 0
-
-    def end(self, outcome: Outcome) -> RunReport:
-        _write_bounds(self.net, self.w, self.moved)
-        return RunReport(outcome, self.revise_calls, self.domain_updates)
-
-    def revise(self, i: int, k: int, j: int) -> bool:
-        """Step (i, k, j) as ``_Run.revise`` takes it on one-piece labels:
-        each bound to the least of itself and the legs' sum, ``_add`` inlined."""
+    def _path_step(self, i: int, k: int, j: int) -> bool:
+        """Step (i, k, j) over ``w``, as ``revise`` takes it on one-piece
+        labels: each bound to the least of itself and the legs' sum."""
         self.revise_calls += 1
         w = self.w
         row_i, row_k, row_j = w[i], w[k], w[j]
@@ -444,10 +416,7 @@ class _BoundsRun:
         self.domain_updates += 1
         empty = not _nonempty(down, up)
         if not empty and self.clamp:
-            floor = self.floor
-            if floor is None:
-                floor = self.floor = path_bounds(self.net).path_lb.bound
-            empty = (down is not None and down < floor) or (up is not None and up < floor)
+            empty = self._below_floor(down, up)
         if empty:
             self.moved.pop((i, j), None)
             self.net.set_pair(i, j, IntervalUnion.empty())
@@ -470,7 +439,7 @@ def revise(
 
 
 def _worklist(
-    run: Union[_Run, _BoundsRun],
+    run: _Run,
     seed: Sequence[_Triple],
     again: Callable[[int, int, int], List[_Triple]],
     *,
@@ -483,7 +452,8 @@ def _worklist(
     the steps of ``again(i, k, j)`` not yet pending.  The pending dict keeps
     insertion order, which ``select`` sees; the deque beside it makes a FIFO
     or LIFO pop O(1) (under ``select`` it has length 0 and drops pushes).
-    ``run.end`` writes back what the run holds and reports the outcome.
+    A run over an STP's bounds steps through its path kernel; ``run.end``
+    writes back what the run holds and reports the outcome.
     """
     pending = dict.fromkeys(seed)
     queue = deque(pending, maxlen=None if select is None else 0)
@@ -495,7 +465,8 @@ def _worklist(
             if step not in pending:
                 raise ValueError(f"select returned {step!r}, which is not pending")
             return step
-    push, revise, grid, budget = queue.append, run.revise, run.net.m, run.budget
+    revise = run.revise if run.w is None else run._path_step
+    push, grid, budget = queue.append, run.net.m, run.budget
     while pending:
         if budget is not None and run.revise_calls >= budget:
             return run.end(Outcome.BUDGET_EXHAUSTED)
@@ -596,13 +567,11 @@ def bdac3(
     constrained arc.
 
     Untraced, with every domain one piece, the run steps over two vectors of
-    domain bounds scaled to ints (see ``_Run``).  It writes a domain that a
-    step empties at once, and every other moved domain with ``set_pair``
-    when it ends, whatever the outcome, so the network is unwritten while it
-    goes on.  At a constraint label of more than one piece (or none) it
-    writes the moved domains and goes on over labels.  Either way the
-    counts, the clamp's decisions and the final network are those of a
-    traced run.
+    domain bounds scaled to ints, through ``_Run``'s arc kernel, and writes
+    each moved domain when it ends, whatever the outcome, or at once where a
+    step empties it.  At a constraint label of more than one piece (or none)
+    it writes them and goes on over labels.  Either way the counts, the
+    clamp's decisions and the final network are those of a traced run.
     """
     return _bdac3(net, lifo=lifo, trace=trace, changed=changed)
 
@@ -713,57 +682,37 @@ def bdac1(
     return _bdac1(net, order=order, trace=trace)
 
 
-def _pc1_on_bounds(net: Tcsp) -> RunReport:
-    """pc1 on an STP, untraced: one Floyd-Warshall pass over the labels'
-    bounds, counted as the label sweep counts it (see pc1)."""
-    size = net.n_vars + 1
-    w = _bounds_matrix(net)
-    moved: dict = {}  # the pairs (i, j), i < j, that moved, written back at the end
-    updates = 0
-
-    def finish(outcome: Outcome, step: int, domain_updates: int) -> RunReport:
-        _write_bounds(net, w, moved)
-        return RunReport(outcome, step, domain_updates)
-
+def _pc1_on_bounds(run: _Run) -> RunReport:
+    """pc1 on an STP, untraced: one Floyd-Warshall pass through the path
+    kernel, counted as the label sweep counts it (see pc1)."""
+    w, step, grid = run.w, run._path_step, run.net.m
+    size = len(w)
     for k in range(size):
         via = w[k]
-        to_k = [row[k] for row in w]  # row k and column k stay fixed in round k
         ends = []  # j of each pair (i, j) moved in round k
         for i in range(size):
-            ik, ki = to_k[i], via[i]
-            if i == k or (ik is None and ki is None):
+            if i == k or (w[i][k] is None and via[i] is None):
                 continue  # no path through X_k leaves or reaches X_i
-            row = w[i]
             for j in range(i + 1, size):
-                if j == k:
+                if j == k or not step(i, k, j):
                     continue
-                old_up = up = row[j]
-                old_down = down = w[j][i]
-                if ik is not None:
-                    path = _add(ik, via[j])
-                    if path is not None and (up is None or path < up):
-                        up = path
-                if ki is not None:
-                    path = _add(to_k[j], ki)
-                    if path is not None and (down is None or path < down):
-                        down = path
-                if up is old_up and down is old_down:
-                    continue
-                if up is not None and down is not None and _add(up, down) < _CLOSED_ZERO:
-                    # step (i, k, j) empties its entry, which stays unwritten;
-                    # it comes before the mirror (j', k, i') of each pair moved
-                    # this round whose j' lies past row i
+                if grid[i][j].is_empty():
+                    # the label sweep leaves the emptied entry as the step
+                    # found it, which w still holds; the step comes before
+                    # the mirror (j', k, i') of each pair moved this round
+                    # whose j' lies past row i
+                    run.moved[i, j] = None
                     late = sum(1 for end in ends if end > i)
-                    step = (k * size + i) * size + j + 1
-                    return finish(Outcome.EMPTY_DOMAIN, step, updates - late)
-                row[j] = up
-                w[j][i] = down
-                moved[i, j] = None
+                    run.revise_calls = (k * size + i) * size + j + 1
+                    run.domain_updates = 2 * (run.domain_updates - 1) - late
+                    return run.end(Outcome.EMPTY_DOMAIN)
                 ends.append(j)
-                updates += 2  # at (i, k, j) and at its mirror (j, k, i)
-    # a pass that moved a bound is followed by a second sweep, which the
-    # label sweep counts and which changes nothing
-    return finish(Outcome.CONSISTENT, size ** 3 * (2 if moved else 1), updates)
+    # each move counts at (i, k, j) and at its mirror (j, k, i); a pass that
+    # moved a bound is followed by a second sweep, which the label sweep
+    # counts and which changes nothing
+    run.domain_updates *= 2
+    run.revise_calls = size ** 3 * (2 if run.moved else 1)
+    return run.end(Outcome.CONSISTENT)
 
 
 def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunReport:
@@ -771,9 +720,9 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
     # an STP is settled by its first sweep (see pc1)
     settled = is_stp(net)
-    if settled and trace is None:
-        return _pc1_on_bounds(net)
-    run = _Run(net, alg, clamp=False, trace=trace)
+    run = _Run(net, alg, clamp=False, trace=trace, stp=settled and trace is None)
+    if run.w is not None:
+        return _pc1_on_bounds(run)
     grid = net.m
     size = net.n_vars + 1
     sweep = size ** 3
@@ -879,14 +828,13 @@ def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
     step can tighten one.  Later sweeps are counted and traced as steps
     that change nothing.
 
-    Untraced, an STP runs as that one pass over a matrix of bounds, ``w[i][j]``
-    the edge i -> j, and builds labels only for the pairs that moved, which
-    it writes with ``set_pair`` when it ends.  Steps (i, k, j) and (j, k, i)
-    take the same two minima, from the same round-k legs, so the pass
+    Untraced, an STP runs as that one pass through ``_Run``'s path kernel
+    and writes the pairs that moved when it ends.  Steps (i, k, j) and (j,
+    k, i) take the same two minima, from the same round-k legs, so the pass
     relaxes each pair once per round and counts a moved pair twice, once at
     each position.  A run that stops at step (i, k, j), i < j (the first of
-    the two positions of the emptied pair, which is not written), counts
-    ``k*size**2 + i*size + j + 1`` steps, and of each pair (a, b), a < b,
+    the two positions of the emptied pair, which keeps the label it held),
+    counts ``k*size**2 + i*size + j + 1`` steps, and of each pair (a, b), a < b,
     moved earlier in round k it counts the mirror (b, k, a) only when row b
     comes no later than row i.  A pass that empties nothing counts one
     sweep when no bound moved, and otherwise two.
@@ -930,10 +878,8 @@ def _pc2(
             + [(m, j, i) for m in range(i) if row_j[m]]
         )
 
-    if trace is None and is_stp(net):
-        run = _BoundsRun(net, clamp=clamp, budget=budget)
-    else:
-        run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace)
+    run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace,
+               stp=trace is None and is_stp(net))
     return _worklist(run, seed, again, select=select)
 
 
@@ -954,14 +900,12 @@ def pc2(
     On an STP a full-strength step keeps one piece or none (see pc1), so the
     network stays an STP, and a step takes each bound of (i, j) to the least
     of itself and the sum of the legs' bounds.  Untraced, an STP runs the
-    same worklist -- seed, queue, ``select``, budget and counts -- over a
-    matrix of bounds, ``w[i][j]`` the edge i -> j.  A step that empties its
-    entry writes the empty label with ``set_pair`` and ends the run; every
-    other pair that moved is built as a label and written with ``set_pair``
-    when the run ends, whatever the outcome.  Nothing is written before the
-    end, so the floor, read at the first narrowing write, is path_lb of the
-    network the run started on, as a traced run reads it before its first
-    write.
+    same worklist -- seed, queue, ``select``, budget and counts -- through
+    ``_Run``'s path kernel over the labels' bounds.  A step that empties its
+    entry writes it at once and ends the run; every other pair that moved is
+    written when the run ends, whatever the outcome.  So the floor, read at
+    the first narrowing write, is path_lb of the network the run started
+    on, as a traced run reads it before its first write.
     """
     return _pc2(net, select=select, trace=trace)
 

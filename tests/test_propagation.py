@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -889,6 +890,8 @@ def test_untraced_pc1_on_an_stp_equals_the_label_sweep():
     for _ in range(260):
         nets += [random_consistent_stp(rng)[0], random_bounded_stp(rng),
                  random_zero_circuit_stp(rng), random_detached_stp(rng)]
+    fractional = random.Random(27027)  # non-whole label ends
+    nets += [_fractional_stp(fractional) for _ in range(300)]
     outcomes, stops, late_mirror_stops = set(), 0, 0
     for net in nets:
         assert is_stp(net)
@@ -917,6 +920,8 @@ def test_untraced_pc2_on_an_stp_equals_the_label_run():
     for _ in range(100):
         nets += [random_consistent_stp(rng)[0], random_bounded_stp(rng),
                  random_zero_circuit_stp(rng), random_detached_stp(rng)]
+    fractional = random.Random(27027)  # non-whole label ends
+    nets += [_fractional_stp(fractional) for _ in range(300)]
     outcomes, clamped = set(), []
     for index, net in enumerate(nets):
         assert is_stp(net)
@@ -971,12 +976,12 @@ def test_untraced_arc_passes_equal_the_label_run(monkeypatch):
         if run.arcs:
             seen[run.down is not None, run.weak, _has_pieces(net)] += 1
 
-    def left(run):  # at the end of a run over bounds, or midway
-        seen["left", run.weak] += run.down is not None
+    def left(run):  # at the end of an arc run over bounds, or midway
+        seen["left", run.weak] += run.arcs and run.down is not None
         leave(run)
 
     def ended(run, outcome):
-        seen["ended", run.weak] += run.down is not None
+        seen["ended", run.weak] += run.arcs and run.down is not None
         return end(run, outcome)
 
     monkeypatch.setattr(propagation._Run, "__init__", started)
@@ -1164,7 +1169,8 @@ def test_an_untraced_run_compares_the_floor_at_its_scale(monkeypatch, make, name
 
     def started(run, *args, **settings):
         start(run, *args, **settings)
-        runs.append(run)
+        if run.arcs:
+            runs.append(run)
 
     def read(network):
         reads.append(runs[-1].scale if runs[-1].down is not None else None)
@@ -1319,6 +1325,23 @@ def test_extraction_on_integer_labels_adds_no_fraction(monkeypatch):
     assert solutions == expected
     assert solutions[0] == [0, 10, 40, 20, 60]
     assert any(value.denominator > 1 for solution in solutions for value in solution)
+
+
+def test_runs_leave_no_reference_cycle():
+    # a run that kept a bound method of itself would form a cycle that only
+    # the cyclic collector frees, and every run would outlive its call
+    rng = random.Random(27)
+    nets = [chain_stp()] + [random_consistent_stp(rng)[0] for _ in range(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        for net in nets:
+            for algorithm in (bdac3, wbdac3, bdac1, pc1, pc2):
+                algorithm(net.copy())
+            backtrack_free(_anchored(net.copy()))
+        assert not [run for run in gc.get_objects() if isinstance(run, propagation._Run)]
+    finally:
+        gc.enable()
 
 
 def test_every_algorithm_leaves_the_matrix_mirrored_and_its_entries_declared():
