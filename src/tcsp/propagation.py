@@ -29,12 +29,14 @@ Every step narrows its entry through one kernel,
 where a step is a pair of minima.  One run state, ``_Run``, holds those
 bounds, two vectors of domain bounds for the arc passes on one-piece
 domains or the matrix of the labels' bounds for ``pc1`` and ``pc2`` on an
-STP, and steps each through its own kernel.  It writes the network when the
-run ends, or at once where a step empties an entry, with the counts and the
-network a run over labels ends with; extraction's pins go on over one held
-run and write the network once, when the last pin ends or one empties a
-domain (see ``_pin_in_turn``).  Every step can be recorded: pass a list as
-``trace=`` and one :class:`TraceEntry` per call is appended.
+STP, and steps each through its own kernel, with the counts and the
+network a run over labels ends with.  Every arc pass, over bounds or
+labels, holds row 0 and writes each moved domain once, when the run ends,
+or at once where a step empties it, which ends the run; so it reads the
+floor off the network it started on.  Extraction's pins go on over one
+held run and write the network once, when the last pin ends or one
+empties a domain (see ``_pin_in_turn``).  Every step can be recorded:
+pass a list as ``trace=`` and one :class:`TraceEntry` per call is appended.
 
 :func:`refinements` is the depth-first loop of the solver's and the
 scheduler's searches.
@@ -189,21 +191,24 @@ class _Run:
     (``stp``, tested by the caller) holds ``w``, the labels' bounds,
     ``w[i][j]`` the edge i -> j.  An arc step reads its label's ends from
     ``net.m``, which an arc pass never writes, the hull ends under ``weak``.
-    ``moved`` keys what moved, j or (i, j) with i < j, for ``write_back``
-    to write when the run ends; a step that empties an entry writes it at
-    once.  So the network is the run-start network while the run is over
-    bounds, and ``_below_floor``, called at a narrowing write only, reads
-    the floor from it as it stands.  Domain bounds, and each label end an
-    arc step reads, are held times ``scale``, the lcm of the row's
-    denominators, so domains pinned to Fraction midpoints step as ints.
-    Scaling every weight by one positive int keeps each sum exact and each
-    comparison and sign as it was, so the steps, certificates and clamp
-    decisions are those of the unscaled run; ``floor`` stays unscaled.  At
-    a label that could leave a domain in pieces (more than one piece, under
-    full strength) or empty (none), an arc pass writes back and goes on
-    over labels, through ``set_pair``.  To read the floor, a run over labels
-    sets each domain it wrote back to the label it held before the run first
-    wrote it (``first``) for that one read.
+    Domain bounds, and each label end an arc step reads, are held times
+    ``scale``, the lcm of the row's denominators, so domains pinned to
+    Fraction midpoints step as ints.  Scaling every weight by one positive
+    int keeps each sum exact and each comparison and sign as it was, so the
+    steps, certificates and clamp decisions are those of the unscaled run;
+    ``floor`` stays unscaled.  At a label that could leave a domain in
+    pieces (more than one piece, under full strength) or empty (none), an
+    arc pass leaves its bounds for ``row``, row 0 as the bounds stand, and
+    goes on over labels; a traced arc pass, or one that starts on a domain
+    of more than one piece, holds ``row`` from the start.
+
+    The write rule: ``moved`` keys what moved, j or (i, j) with i < j, for
+    ``write_back`` to write from the bounds or ``row`` when the run ends; a
+    step that empties an entry writes it at once, and the run ends there.
+    So an arc pass, or a run over an STP's bounds, leaves the network as it
+    began until it ends, and ``_below_floor``, called at a narrowing write
+    only, reads the floor off it.  pc2 over labels writes each step at once,
+    as later steps read it as a leg, and reads the floor before that write.
 
     A held run (:meth:`pin`) keeps its bounds, ``scale`` and ``moved`` from
     one seeded worklist to the next, and its holder writes it back; a pin's
@@ -211,17 +216,17 @@ class _Run:
     """
 
     __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor", "walks",
-                 "first", "revise_calls", "domain_updates", "down", "up", "w", "moved",
-                 "scale", "start")
+                 "revise_calls", "domain_updates", "down", "up", "w", "row", "moved", "scale",
+                 "start")
 
     def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
                  budget: Optional[int] = None, trace: Optional[Trace] = None,
                  arcs: bool = False, stp: bool = False):
         self.net, self.alg, self.trace, self.arcs = net, alg, trace, arcs
         self.weak, self.clamp, self.budget = weak, clamp, budget
-        self.floor, self.walks, self.first = None, {}, {}
+        self.floor, self.walks = None, {}
         self.revise_calls = self.domain_updates = 0
-        self.down = self.w = self.start = None
+        self.down = self.w = self.row = self.start = None
         self.moved, self.scale = {}, 1
         if arcs and trace is None:
             down, up = [], []
@@ -239,25 +244,33 @@ class _Run:
                 self.down, self.up, self.scale = down, up, scale
         elif stp:
             self.w = [[label.parts[0]._up for label in row] for row in net.m]
+        if arcs and self.down is None:
+            self.row = net.m[0][:]
+
+    def _row(self, down: List[Bound], up: List[Bound]) -> List[IntervalUnion]:
+        """Row 0 with each moved domain built from the scaled bounds ``down`` and ``up``."""
+        row, scale = self.net.m[0][:], self.scale
+        for j in self.moved:
+            row[j] = _union((_piece(_unscaled(down[j], scale), _unscaled(up[j], scale)),))
+        return row
+
+    def _write(self, row: List[IntervalUnion]) -> None:
+        """Write each moved domain from ``row``."""
+        for j in self.moved:
+            self.net.set_pair(0, j, row[j])
+
+    def _leave_bounds(self) -> None:
+        """Go on over labels: hold row 0 as the bounds stand, at scale 1."""
+        self.row, self.down, self.scale = self._row(self.down, self.up), None, 1
 
     def write_back(self) -> None:
-        """Leave the bounds, if the run is over them, for labels at scale 1: write
-        each entry that moved, and record each moved domain's run-start label in ``first``."""
-        net, w = self.net, self.w
-        if self.down is not None:
-            self.first = {j: net.m[0][j] for j in self.moved}
-            self._write(self.down, self.up)
-            self.down, self.scale = None, 1
-        elif w is not None:
+        """Write each entry that moved, from the bounds or labels the run holds."""
+        w = self.w
+        if w is not None:
             for i, j in self.moved:
-                net.set_pair(i, j, _union((_piece(w[j][i], w[i][j]),)))
-
-    def _write(self, down: List[Bound], up: List[Bound]) -> None:
-        """Write each moved domain from the scaled bounds ``down`` and ``up``."""
-        net, scale = self.net, self.scale
-        for j in self.moved:
-            piece = _piece(_unscaled(down[j], scale), _unscaled(up[j], scale))
-            net.set_pair(0, j, _union((piece,)))
+                self.net.set_pair(i, j, _union((_piece(w[j][i], w[i][j]),)))
+        else:  # a path pass over labels holds no row and moves nothing
+            self._write(self.row if self.down is None else self._row(self.down, self.up))
 
     def end(self, outcome: Outcome) -> RunReport:
         if self.start is None:  # a held run's holder writes the network
@@ -281,12 +294,12 @@ class _Run:
         self.start = (self.down[:], self.up[:])
 
     def _below_floor(self, down: Bound, up: Bound) -> bool:
-        """Does either bound, held at ``scale``, sink below the floor?  A run over
-        bounds reads the floor at its first call, a held run after writing ``start``."""
+        """Does either bound, held at ``scale``, sink below the floor?  A run
+        reads the floor at its first call, a held run after writing ``start``."""
         floor = self.floor
         if floor is None:
             if self.start is not None:
-                self._write(*self.start)
+                self._write(self._row(*self.start))
             floor = self.floor = path_bounds(self.net).path_lb.bound
         if self.scale != 1:
             floor = (floor[0] * self.scale, floor[1])
@@ -294,35 +307,11 @@ class _Run:
 
     def _elementary(self, k: int, j: int, old: IntervalUnion, via: IntervalUnion,
                     temp: IntervalUnion) -> bool:
-        """Does step (0, k, j) move only ends onto elementary walks?  If so,
-        records those walks and the label X_j held before the run wrote it."""
+        """Does step (0, k, j) move only ends onto elementary walks?  If so, records them."""
         if not self.arcs or not len(old.parts) == len(via.parts) == len(temp.parts) == 1:
             return False
         o, t = old.parts[0], temp.parts[0]
-        if not _certify(self.walks, k, j, t._down != o._down, t._up != o._up):
-            return False
-        self.first.setdefault(j, old)
-        return True
-
-    def _run_start_floor(self) -> Bound:
-        """path_lb of the network as it was before the run's first write."""
-        net, first = self.net, self.first
-        now = [(j, net.m[0][j]) for j in first]
-        for j, label in first.items():
-            net.set_pair(0, j, label)
-        floor = path_bounds(net).path_lb.bound
-        for j, label in now:
-            net.set_pair(0, j, label)
-        return floor
-
-    def _clamp_to_empty(self, k: int, j: int, old: IntervalUnion, via: IntervalUnion,
-                        temp: IntervalUnion) -> bool:
-        """True when either endpoint weight of temp sinks below the floor."""
-        if self.floor is None:
-            if self._elementary(k, j, old, via, temp):
-                return False
-            self.floor = self._run_start_floor()
-        return self._below_floor(temp.parts[0]._down, temp.parts[-1]._up)
+        return _certify(self.walks, k, j, t._down != o._down, t._up != o._up)
 
     def revise(self, i: int, k: int, j: int) -> bool:
         """Step (i, k, j): narrow entry (i, j) by m[i][k] and m[k][j], mirrored."""
@@ -330,7 +319,7 @@ class _Run:
         if downs is not None:
             parts = self.net.m[k][j].parts
             if len(parts) != 1 and not (parts and self.weak):
-                self.write_back()
+                self._leave_bounds()
                 downs = None
         if downs is not None:
             # arc step (0, k, j) over bounds: each end to the least of itself
@@ -372,20 +361,29 @@ class _Run:
                 self.moved[j] = None
             return True
         self.revise_calls += 1
-        grid = self.net.m
-        old, via = grid[i][j], grid[i][k]
+        grid, row = self.net.m, self.row
+        if row is None:
+            row = grid[i]
+        old, via = row[j], row[k]
         temp = narrow(old, via, grid[k][j], self.weak)
         clamped = False
         new = temp
-        if (self.clamp and temp is not old and not temp.is_empty()
-                and self._clamp_to_empty(k, j, old, via, temp)):
+        if self.clamp and temp is not old and not temp.is_empty() and (
+            self.floor is not None or not self._elementary(k, j, old, via, temp)
+        ) and self._below_floor(temp.parts[0]._down, temp.parts[-1]._up):
             new = IntervalUnion.empty()
             clamped = True
         # narrow hands back old itself when nothing narrows
         changed = new is not old
         if changed:
-            self.net.set_pair(i, j, new)
             self.domain_updates += 1
+            # pc2 writes each step at once, an arc pass only an emptied domain
+            if row is grid[i] or new.is_empty():
+                self.moved.pop(j, None)
+                self.net.set_pair(i, j, new)
+            else:
+                row[j] = new
+                self.moved[j] = None
         if self.trace is not None:
             target = (j, k) if self.arcs else (i, k, j)
             self.trace.append(TraceEntry(self.alg, target, old, temp, new, clamped, changed))
@@ -567,11 +565,12 @@ def bdac3(
     constrained arc.
 
     Untraced, with every domain one piece, the run steps over two vectors of
-    domain bounds scaled to ints, through ``_Run``'s arc kernel, and writes
-    each moved domain when it ends, whatever the outcome, or at once where a
-    step empties it.  At a constraint label of more than one piece (or none)
-    it writes them and goes on over labels.  Either way the counts, the
-    clamp's decisions and the final network are those of a traced run.
+    domain bounds scaled to ints, through ``_Run``'s arc kernel.  At a
+    constraint label of more than one piece (or none) it goes on over
+    labels, from the domains as the bounds stand.  Traced or not, the run
+    holds row 0 and writes each moved domain once, when it ends, whatever
+    the outcome, or at once where a step empties it.  Either way the counts,
+    the clamp's decisions and the final network are those of a traced run.
     """
     return _bdac3(net, lifo=lifo, trace=trace, changed=changed)
 

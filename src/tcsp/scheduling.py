@@ -198,11 +198,22 @@ def head_bound(
     earliest starts rise, and when starting every task at its earliest
     start is a schedule it is at most that schedule's makespan, ``olb``.
     Like ``olb`` it raises MalformedDomain unless every domain it reads has
-    a closed finite lower endpoint.
+    a closed finite lower endpoint, DimensionMismatch unless there is one
+    duration per task, and InvalidInstance for a clique member that is not
+    a task or a clique that names one twice.
     """
+    n = net.n_vars
+    if len(durations) != n:
+        raise DimensionMismatch(f"expected {n} durations, got {len(durations)}")
     best = 0
     for clique in cliques:
-        est = {i: _earliest_start(net, i) for i in clique}
+        est = {}
+        for i in clique:
+            if not 0 < i <= n:
+                raise InvalidInstance(f"clique member {i} is not a task")
+            est[i] = _earliest_start(net, i)
+        if len(est) != len(clique):
+            raise InvalidInstance(f"clique {tuple(clique)} names a task twice")
         tail = 0
         for i in sorted(clique, key=est.__getitem__, reverse=True):
             tail += _exact(durations[i - 1])

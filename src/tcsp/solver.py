@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import ExtractionDeadEnd, NotAnStp, PreconditionViolated
+from .errors import EmptyLabel, ExtractionDeadEnd, NotAnStp, PreconditionViolated
 from .intervals import Bound, IntervalUnion
 from .network import Tcsp, check_solution, disconnected_variables, first_empty_entry, is_stp
 from .propagation import Outcome, _pin_in_turn, bdac3, is_bd_arc_consistent, refinements, wbdac3
@@ -94,10 +94,10 @@ def backtrack_free(net: Tcsp) -> Tcsp:
     """
     if not is_stp(net):
         raise PreconditionViolated("not an all-convex network")
-    empty = first_empty_entry(net)
-    if empty is not None:
-        raise PreconditionViolated(f"entry {empty} is already empty")
-    loose = disconnected_variables(net)
+    try:
+        loose = disconnected_variables(net)
+    except EmptyLabel:
+        raise PreconditionViolated(f"entry {first_empty_entry(net)} is already empty") from None
     if loose:
         raise PreconditionViolated(f"X{loose[0]} is not connected with the origin")
     if not is_bd_arc_consistent(net):

@@ -30,6 +30,7 @@ from randnets import (
     random_consistent_stp,
     random_detached_stp,
     random_disjunctive_tcsp,
+    random_instance,
     random_zero_circuit_stp,
     rebuilt_by_set_pair,
     strict_zero_circuit_stp,
@@ -67,7 +68,7 @@ from tcsp import (
     w_less,
     wbdac3,
 )
-from tcsp import propagation, solver
+from tcsp import propagation, scheduling, solver
 from tcsp.intervals import narrow
 from tcsp.propagation import ALGORITHMS, refinements, run_algorithm
 
@@ -966,25 +967,33 @@ def _with_a_second_piece(net, rng):
 
 def test_untraced_arc_passes_equal_the_label_run(monkeypatch):
     # a traced arc pass runs over labels; an untraced one on one-piece
-    # domains starts over bounds and writes back at a label it cannot take
-    calls = _counting_path_bounds(monkeypatch)
+    # domains starts over bounds and goes on over labels at a label it
+    # cannot take
+    kinds = collections.Counter()
+    calls = _counting_path_bounds(monkeypatch, kinds=kinds)
     seen = collections.Counter()
-    start, leave, end = propagation._Run.__init__, propagation._Run.write_back, propagation._Run.end
+    start, switch = propagation._Run.__init__, propagation._Run._leave_bounds
+    leave, end = propagation._Run.write_back, propagation._Run.end
 
     def started(run, net, alg, **settings):
         start(run, net, alg, **settings)
         if run.arcs:
             seen[run.down is not None, run.weak, _has_pieces(net)] += 1
 
-    def left(run):  # at the end of an arc run over bounds, or midway
-        seen["left", run.weak] += run.arcs and run.down is not None
+    def switched(run):  # midway, from bounds to labels
+        seen["switched", run.weak] += 1
+        switch(run)
+
+    def left(run):  # the write-back of an arc run
+        seen["left", run.weak] += run.arcs
         leave(run)
 
     def ended(run, outcome):
-        seen["ended", run.weak] += run.arcs and run.down is not None
+        seen["ended", run.weak] += run.arcs
         return end(run, outcome)
 
     monkeypatch.setattr(propagation._Run, "__init__", started)
+    monkeypatch.setattr(propagation._Run, "_leave_bounds", switched)
     monkeypatch.setattr(propagation._Run, "write_back", left)
     monkeypatch.setattr(propagation._Run, "end", ended)
     rng = random.Random(52817)
@@ -1023,12 +1032,78 @@ def test_untraced_arc_passes_equal_the_label_run(monkeypatch):
         name: set(Outcome) if name.endswith("-minus") else {Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN}
         for name in fixpoints
     }
-    assert reads > 0
-    # full-strength runs write back midway at a two-piece label; weak ones
-    # read its hull ends and stay over bounds
-    assert seen["left", False] > seen["ended", False]
+    assert reads > 0 and kinds["traced"] and kinds["untraced"] and kinds["switched"]
+    # full-strength runs leave their bounds midway at a two-piece label; weak
+    # ones read its hull ends and stay over bounds; every arc run writes
+    # back once, when it ends
+    assert seen["switched", False] > 0 and seen["switched", True] == 0
+    assert seen["left", False] == seen["ended", False] > 0
     assert seen["left", True] == seen["ended", True] > 0
     assert seen[True, False, False] > 0 and seen[True, True, True] > 0
+
+
+def _scheduler_nodes(monkeypatch, count):
+    """Each search node that ``optimum`` propagates on ``count`` random
+    instances and whose domains hold more than one piece, as (network,
+    written pair), the network copied before its run."""
+    nodes, propagate = [], scheduling.bdac3
+
+    def recorded(net, changed=None):
+        if any(len(domain.parts) > 1 for domain in net.m[0]):
+            nodes.append((net.copy(), changed))
+        return propagate(net, changed=changed)
+
+    rng = random.Random(28)
+    with monkeypatch.context() as patched:
+        patched.setattr(scheduling, "bdac3", recorded)
+        for _ in range(count):
+            scheduling.optimum(random_instance(rng))
+    return nodes
+
+
+def test_an_arc_pass_writes_each_domain_once_when_it_ends(monkeypatch):
+    # whatever the run holds, bounds or labels, it writes each moved domain
+    # once, after its last step; only a domain it empties is written at once,
+    # in the step that empties it
+    nodes = _scheduler_nodes(monkeypatch, 150)
+    rng = random.Random(28028)
+    nets = list(itertools.chain(_differential_cases(rng), _circuit_cases(random.Random(83))))
+    nets += [net for net in (_with_a_second_piece(net, rng) for net in nets) if net]
+    steps, writes = [0], []
+    set_pair, step = Tcsp.set_pair, propagation._Run.revise
+
+    def written(net, i, j, label):
+        writes.append((steps[0], i, j, label))
+        set_pair(net, i, j, label)
+
+    def stepped(run, i, k, j):
+        changed = step(run, i, k, j)
+        steps[0] += 1
+        return changed
+
+    monkeypatch.setattr(Tcsp, "set_pair", written)
+    monkeypatch.setattr(propagation._Run, "revise", stepped)
+    outcomes = collections.Counter()
+    for net, changed in [(net, None) for net in nets] + nodes:
+        for algorithm in (bdac3, wbdac3, bdac1):
+            option = {} if algorithm is bdac1 else {"changed": changed}
+            for trace in (None, CappedTrace(10_000)):
+                worked = net.copy()
+                steps[0] = 0
+                del writes[:]
+                report = algorithm(worked, trace=trace, **option)
+                assert report.revise_calls == steps[0]
+                assert trace is None or len(trace) == steps[0]
+                domains = [i or j for _, i, j, _ in writes]
+                assert all(0 in (i, j) for _, i, j, _ in writes), net.m
+                assert len(set(domains)) == len(domains), net.m
+                for done, _, _, label in writes:
+                    assert done == (steps[0] - 1 if label.is_empty() else steps[0]), net.m
+                outcomes[report.outcome, trace is None, bool(writes)] += 1
+    assert len(nodes) >= 20
+    assert all(outcomes[outcome, untraced, True] > 0
+               for outcome in (Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN)
+               for untraced in (False, True))
 
 
 @pytest.mark.parametrize("algorithm", [bdac3, wbdac3], ids=["bdac3", "wbdac3"])
@@ -1036,8 +1111,8 @@ def test_untraced_arc_passes_equal_the_label_run(monkeypatch):
 def test_a_seeded_run_off_its_precondition_ends_as_the_label_run(algorithm, broken):
     # X4 is pinned after a fixpoint, and one more entry is emptied behind the
     # run's back: the label the run reads after narrowing X3 (a run over
-    # bounds writes back there), or another domain (the run never starts
-    # over bounds)
+    # bounds leaves its bounds there), or another domain (the run never
+    # starts over bounds)
     net = chain_stp()
     assert algorithm(net).outcome is Outcome.CONSISTENT
     net.set_pair(0, 4, IntervalUnion.point(65))
@@ -1706,16 +1781,32 @@ def test_bdac1_runs_as_specified():
     assert clamped > 0
 
 
-def _counting_path_bounds(monkeypatch, trace=None):
+def _counting_path_bounds(monkeypatch, trace=None, kinds=None):
     """Wrap the ``path_bounds`` the clamp calls; each call appends the
-    length ``trace`` had then (None without a trace)."""
-    calls = []
-    original = propagation.path_bounds
+    length ``trace`` had then (None without a trace).  A run that holds no
+    pins must hand it the network it began on; ``kinds``, a Counter, counts
+    the arc passes' calls by the run's kind: "traced", "untraced" or, for
+    an untraced run that left its bounds after moving a domain, "switched"."""
+    calls, begun = [], []
+    original, start = propagation.path_bounds, propagation._Run.__init__
+
+    def started(run, net, alg, **settings):
+        begun[:] = [run, net.copy()]
+        start(run, net, alg, **settings)
 
     def counted(net):
+        run, copy = begun
+        if run.start is None:  # a pin's run begins where the last one ended
+            assert net == copy and net.neighbours == copy.neighbours
+            if kinds is not None and run.arcs:
+                one_piece = all(len(domain.parts) == 1 for domain in copy.m[0])
+                switched = run.trace is None and one_piece and run.down is None and run.moved
+                kinds["traced" if run.trace is not None else
+                      "switched" if switched else "untraced"] += 1
         calls.append(None if trace is None else len(trace))
         return original(net)
 
+    monkeypatch.setattr(propagation._Run, "__init__", started)
     monkeypatch.setattr(propagation, "path_bounds", counted)
     return calls
 

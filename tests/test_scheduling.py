@@ -207,6 +207,22 @@ def test_head_bound_refuses_a_domain_without_a_closed_finite_start_like_olb():
             head_bound(bad, (1, 1), [(1, 2)])
 
 
+def test_head_bound_refuses_a_clique_member_or_a_durations_list_that_fits_no_task():
+    # X0's {0} and durations[-1] once gave 6; -1 wrapped to the last task
+    net = compile_instance(_inst([Task(1), Task(5)]))
+    for member in (0, -1, 3):
+        with pytest.raises(InvalidInstance, match=f"clique member {member} "):
+            head_bound(net, [1, 5], [(member, 1)])
+    for durations in ([1], [1, 5, 2]):
+        with pytest.raises(DimensionMismatch, match=f"got {len(durations)}"):
+            head_bound(net, durations, [(1, 2)])
+    with pytest.raises(DimensionMismatch):
+        head_bound(net, [1], [])  # checked even when no clique reads it, as olb does
+    with pytest.raises(InvalidInstance, match="twice"):
+        head_bound(net, [1, 5], [(2, 1, 2)])  # would count task 2's duration twice
+    assert head_bound(net, [1, 5], [(1, 2)]) == 6
+
+
 def _inter_task_convex(net) -> bool:
     return all(
         net.m[i][j].is_convex()
