@@ -65,8 +65,8 @@ class Tcsp:
 
     Writes go through :meth:`set_pair`, which keeps the mirror invariant and
     declares the pair.  The one exception is ``pc1``'s label sweep (traced
-    runs, and networks that are not STPs), which writes ``m`` directly and
-    passes every pair it narrowed to :meth:`set_pair` when it ends.
+    runs, and networks that are not STPs), which writes ``m`` directly; the
+    run's ``write_back`` passes each pair it narrowed to :meth:`set_pair`.
     """
 
     __slots__ = ("n_vars", "m", "neighbours")

@@ -208,7 +208,8 @@ class _Run:
     So an arc pass, or a run over an STP's bounds, leaves the network as it
     began until it ends, and ``_below_floor``, called at a narrowing write
     only, reads the floor off it.  pc2 over labels writes each step at once,
-    as later steps read it as a leg, and reads the floor before that write.
+    as later steps read it as a leg, and reads the floor before that write;
+    pc1's label sweep writes m[i][j] alone, which ``write_back`` mirrors.
 
     A held run (:meth:`pin`) keeps its bounds, ``scale`` and ``moved`` from
     one seeded worklist to the next, and its holder writes it back; a pin's
@@ -265,12 +266,12 @@ class _Run:
 
     def write_back(self) -> None:
         """Write each entry that moved, from the bounds or labels the run holds."""
-        w = self.w
-        if w is not None:
-            for i, j in self.moved:
-                self.net.set_pair(i, j, _union((_piece(w[j][i], w[i][j]),)))
-        else:  # a path pass over labels holds no row and moves nothing
+        if self.arcs:
             self._write(self.row if self.down is None else self._row(self.down, self.up))
+            return
+        net, w = self.net, self.w
+        for i, j in self.moved:  # (i, j) with i < j: the upper triangle is current
+            net.set_pair(i, j, net.m[i][j] if w is None else _union((_piece(w[j][i], w[i][j]),)))
 
     def end(self, outcome: Outcome) -> RunReport:
         if self.start is None:  # a held run's holder writes the network
@@ -428,8 +429,10 @@ class _Run:
 def revise(
     net: Tcsp, k: int, m: int, *, weak: bool = False, trace: Optional[Trace] = None
 ) -> bool:
-    """One arc step on its own: returns whether the domain of X_k changed."""
+    """One arc step on its own, k in 1..n: returns whether the domain of X_k changed."""
     net._check(k, m)
+    if k == 0:
+        raise ValueError(f"arc (0, {m}) revises X0, which has no binarized domain")
     run = _Run(net, "revise", weak=weak, trace=trace, arcs=True)
     changed = run.revise(0, m, k)
     run.write_back()
@@ -725,48 +728,25 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
     grid = net.m
     size = net.n_vars + 1
     sweep = size ** 3
-    # written[i][j] is the step (the revise_calls count) that last narrowed
-    # entry (i, j).  A step repeats one sweep later with the same two legs;
-    # entries only narrow, so its target already lies inside what those legs
-    # allowed then, and the step can narrow it only if a leg was written since.
-    written = [[0] * size for _ in range(size)]
     step = 0
-
-    def finish(outcome: Outcome) -> RunReport:
-        # the sweep wrote m past set_pair; the upper triangle is current even
-        # mid-sweep, so writing each narrowed pair from it restores the mirror
-        # and declares the pair
-        for i in range(size):
-            for j in range(i + 1, size):
-                if written[i][j]:
-                    net.set_pair(i, j, grid[i][j])
-        run.revise_calls = step
-        return run.end(outcome)
-
     while True:
         changed_any = False
         for k in range(size):
             # row k and column k stay fixed while k is the middle variable:
             # their triples run through the diagonal, which never narrows
             via = grid[k]
-            via_written = written[k]
             open_via = [label.is_universal() for label in via]
             for i in range(size):
                 row = grid[i]
-                row_written = written[i]
                 leg = row[k]
                 open_leg = i == k or leg.is_universal()
                 for j in range(size):
                     step += 1
                     old = row[j]
-                    if open_leg or j == k or j == i or open_via[j] or (
-                        step > sweep
-                        and (settled or max(row_written[k], via_written[j]) <= step - sweep)
-                    ):
+                    if open_leg or j == k or j == i or open_via[j] or (settled and step > sweep):
                         # a path through the pinned diagonal {0} or an
-                        # unconstrained leg, a diagonal target (see pc1), legs
-                        # as the step last read them, or a settled STP cannot
-                        # narrow old: temp is old
+                        # unconstrained leg, a diagonal target (see pc1), or a
+                        # settled STP cannot narrow old: temp is old
                         if trace is not None:
                             trace.append(TraceEntry(alg, (i, k, j), old, old, old, False, False))
                         continue
@@ -774,24 +754,21 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
                     if temp.is_empty():
                         # inconsistency: report without writing the entry
                         if trace is not None:
-                            trace.append(
-                                TraceEntry(alg, (i, k, j), old, temp, old, False, False)
-                            )
-                        return finish(Outcome.EMPTY_DOMAIN)
+                            trace.append(TraceEntry(alg, (i, k, j), old, temp, old, False, False))
+                        run.revise_calls = step
+                        return run.end(Outcome.EMPTY_DOMAIN)
                     changed = temp is not old
                     if changed:
-                        # deliberately no mirror write: the sweep itself
-                        # restores the converse entry before k advances
+                        # no mirror write: the sweep restores it before k advances
                         row[j] = temp
-                        row_written[j] = step
+                        run.moved[min(i, j), max(i, j)] = None
                         run.domain_updates += 1
                         changed_any = True
                     if trace is not None:
-                        trace.append(
-                            TraceEntry(alg, (i, k, j), old, temp, temp, False, changed)
-                        )
+                        trace.append(TraceEntry(alg, (i, k, j), old, temp, temp, False, changed))
         if not changed_any:
-            return finish(Outcome.CONSISTENT)
+            run.revise_calls = step
+            return run.end(Outcome.CONSISTENT)
 
 
 def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
@@ -804,8 +781,9 @@ def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
     never narrows, and inconsistency surfaces at a step (i, k, j) with
     i != j.  Every step is counted and traced, but a step that cannot narrow
     its entry -- its target is diagonal, its path runs through the diagonal
-    or an unconstrained leg, its two legs are unchanged since it last ran,
-    or it lies past the first sweep of an STP -- is not composed.
+    or an unconstrained leg, or it lies past the first sweep of an STP -- is
+    not composed.  The sweep writes a narrowed entry alone, and the pair,
+    mirror included, goes through ``_Run.write_back`` when the run ends.
 
     The one-sweep rule for an STP (every label convex on entry): a label is
     one piece, two bounds in the ordered monoid of ``(value, closed)``

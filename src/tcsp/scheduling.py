@@ -200,7 +200,7 @@ def head_bound(
     Like ``olb`` it raises MalformedDomain unless every domain it reads has
     a closed finite lower endpoint, DimensionMismatch unless there is one
     duration per task, and InvalidInstance for a clique member that is not
-    a task or a clique that names one twice.
+    a task or lacks a positive duration, or a clique that names one twice.
     """
     n = net.n_vars
     if len(durations) != n:
@@ -216,7 +216,10 @@ def head_bound(
             raise InvalidInstance(f"clique {tuple(clique)} names a task twice")
         tail = 0
         for i in sorted(clique, key=est.__getitem__, reverse=True):
-            tail += _exact(durations[i - 1])
+            duration = _exact(durations[i - 1])
+            if duration <= 0:
+                raise InvalidInstance(f"task {i} needs a positive duration")
+            tail += duration
             if est[i] + tail > best:
                 best = est[i] + tail
     return Fraction(best)

@@ -270,6 +270,21 @@ def test_solve_inconsistent_network_json(capsys, appc):
     assert json.loads(out) == {"consistent": False, "solution": None}
 
 
+def test_check_and_solve_on_constraints_that_intersect_to_the_empty_set(capsys, tmp_path):
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps({"variables": 1, "constraints": [
+        {"i": 0, "j": 1, "label": "[0,1]"}, {"i": 0, "j": 1, "label": "[2,3]"},
+    ]}), encoding="utf-8")
+    error = "constraints on (0, 1) intersect to the empty set"
+    for command, doc in [
+        ("check", {"outcome": "empty-domain", "error": error}),
+        ("solve", {"consistent": False, "solution": None}),
+    ]:
+        json_out = json.dumps(doc, indent=2) + "\n"
+        assert run_cli(capsys, command, str(path), "--format", "json") == (1, json_out, "")
+        assert run_cli(capsys, command, str(path)) == (1, f"inconsistent: {error}\n", "")
+
+
 # -- shortest-paths --------------------------------------------------------------
 
 

@@ -114,6 +114,19 @@ def test_revise_rejects_a_variable_out_of_range(k, m):
     assert trace == [] and net == chain_stp()
 
 
+def test_revise_rejects_the_arc_of_x0():
+    # X0 has no binarized domain: the step (0, m, 0) would narrow the
+    # diagonal, which once raised inside set_pair when X_m's domain was
+    # empty and otherwise changed nothing
+    emptied = chain_stp()
+    emptied.set_pair(0, 1, IntervalUnion.empty())
+    for net in (chain_stp(), emptied):
+        before, trace = net.copy(), []
+        with pytest.raises(ValueError, match=r"^arc \(0, 1\) revises X0"):
+            revise(net, 0, 1, trace=trace)
+        assert trace == [] and net == before
+
+
 # -- bdac3 on the consistent chain -------------------------------------------------------
 
 
@@ -277,6 +290,13 @@ def test_minus_variant_rejects_unknown_algorithms():
         minus_variant("pc1", chain_stp())
     with pytest.raises(ValueError):
         minus_variant("bdac2", chain_stp())
+
+
+def test_minus_variant_rejects_a_negative_budget():
+    net = hidden_circuit_stp()
+    with pytest.raises(ValueError, match="^budget must be >= 0$"):
+        minus_variant("bdac3", net, budget=-1)
+    assert net == hidden_circuit_stp()
 
 
 # -- bdac1 -------------------------------------------------------------------------------
@@ -719,8 +739,8 @@ def test_the_arc_passes_reach_the_minimal_domains_at_scale(n):
 @pytest.mark.parametrize("algorithm", [pc1, pc2], ids=["pc1", "pc2"])
 def test_path_consistency_reaches_the_minimal_network_at_sixty_variables(algorithm):
     # pc2's default pop is O(1), so it takes a second or so at this size, not
-    # the minutes a pop that scans the pending queue would take; pc1 composes
-    # in its first sweep only, and takes about as long
+    # the minutes a pop that scans the pending queue would take; untraced pc1
+    # on an STP is one Floyd-Warshall pass over the labels' bounds
     net, _ = random_consistent_stp(random.Random(60), n=60)
     minimal = graph_to_stp(floyd_warshall(stp_to_graph(net)))
     assert algorithm(net).outcome is Outcome.CONSISTENT
@@ -787,6 +807,7 @@ def test_pc1_steps_it_does_not_compose_change_nothing():
         )
         assert _rows(trace) == want_trace
         assert worked == expected
+        _assert_mirrored_and_declared(worked)
         # untraced, an STP's run ends after its first sweep and counts the second
         untraced = net.copy()
         assert pc1(untraced) == report

@@ -223,6 +223,18 @@ def test_head_bound_refuses_a_clique_member_or_a_durations_list_that_fits_no_tas
     assert head_bound(net, [1, 5], [(1, 2)]) == 6
 
 
+def test_head_bound_refuses_a_nonpositive_duration_like_olb():
+    # three tasks free to start at 0 on one machine: durations 0, 3, 4 once
+    # gave 7 and -2, 3, 4 gave 5, where olb refuses both
+    net = build_tcsp(3, [(0, i, U("[0,+inf)")) for i in (1, 2, 3)])
+    for durations in ([0, 3, 4], [-2, 3, 4]):
+        with pytest.raises(InvalidInstance, match="^task 1 needs a positive duration$"):
+            olb(net, durations)
+        with pytest.raises(InvalidInstance, match="^task 1 needs a positive duration$"):
+            head_bound(net, durations, [(1, 2, 3)])
+    assert head_bound(net, [1, 3, 4], [(1, 2, 3)]) == 8
+
+
 def _inter_task_convex(net) -> bool:
     return all(
         net.m[i][j].is_convex()

@@ -45,6 +45,7 @@ from tcsp import (
     is_refinement,
     is_stp,
     parse_union,
+    pc1,
     pc2,
     solve,
     stp_to_graph,
@@ -450,6 +451,32 @@ def test_extraction_agrees_with_the_reference_at_scale(monkeypatch, n):
         assert connect_x0(net)
         assert reference.satisfies(constraints, extract_solution(backtrack_free(net)))
     assert any(rescaled) and not all(rescaled)
+
+
+@pytest.mark.slow
+def test_path_consistency_agrees_with_the_reference_at_forty_variables():
+    # pc1 and pc2, traced (over labels) and untraced (over the labels'
+    # bounds), against bench/reference.py: every entry is the shortest-path
+    # entry, open and closed ends exact, the detached variables' universal
+    reference = bench_module("reference")
+    n = 40
+    rng = random.Random(n)
+    for _ in range(2):
+        constraints = _fractional_constraints(rng, n)
+        net = build_tcsp(n, [(i, j, IntervalUnion([Interval(*piece) for piece in label]))
+                             for i, j, label in constraints])
+        distances = reference.shortest_paths(n, constraints)
+        assert distances is not None
+        for algorithm in (pc1, pc2):
+            for trace in (None, []):
+                worked = net.copy()
+                assert algorithm(worked, trace=trace).outcome is Outcome.CONSISTENT
+                mismatched = [
+                    (i, j) for i in range(n + 1) for j in range(n + 1)
+                    if [(p.lo, p.hi, p.lo_closed, p.hi_closed) for p in worked.m[i][j].parts]
+                    != [reference.entry_from_distances(distances, i, j)]
+                ]
+                assert mismatched == [], (algorithm.__name__, trace is not None)
 
 
 def test_solve_a_network_assembled_with_set_pair():
