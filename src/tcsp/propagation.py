@@ -943,16 +943,15 @@ def refinements(root: Tcsp, propagate: Callable[..., RunReport]) -> Iterator[tup
     """Refine ``root`` (owned by the caller) depth first, on an explicit stack.
 
     Each node that ``propagate`` leaves CONSISTENT is yielded as ``(node,
-    note, branch)``: the root, propagated from a full seed, then its
-    descendants.  ``branch(pair, note=None)`` stacks one child per convex
-    piece of the node's entry ``pair``, the first piece on top, each with
-    ``note``.  A child is copied from its parent when reached, its piece
-    written with ``set_pair``, and run through ``propagate(child,
-    changed=pair)``.
+    branch)``: the root, propagated from a full seed, then its descendants.
+    ``branch(pair)`` stacks one child per convex piece of the node's entry
+    ``pair``, the first piece on top.  A child is copied from its parent
+    when reached, its piece written with ``set_pair``, and run through
+    ``propagate(child, changed=pair)``.
     """
-    stack: list = [(root, None, None, None)]
+    stack: list = [(root, None, None)]
     while stack:
-        node, pair, piece, note = stack.pop()
+        node, pair, piece = stack.pop()
         if piece is not None:
             node = node.copy()
             node.set_pair(*pair, piece)
@@ -960,11 +959,11 @@ def refinements(root: Tcsp, propagate: Callable[..., RunReport]) -> Iterator[tup
             continue
         children: list = []
 
-        def branch(pair: _Pair, note=None) -> None:
+        def branch(pair: _Pair) -> None:
             i, j = pair
-            children.extend((node, pair, piece, note) for piece in node.m[i][j].convex_parts())
+            children.extend((node, pair, piece) for piece in node.m[i][j].convex_parts())
 
-        yield node, note, branch
+        yield node, branch
         stack.extend(reversed(children))
 
 

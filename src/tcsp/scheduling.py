@@ -29,7 +29,7 @@ from .errors import (
 )
 from .graph import MAX_VERTICES
 from .intervals import (
-    _CLOSED_ZERO, Interval, IntervalUnion, RatLike, _exact, _parse_rational, as_rational,
+    Interval, IntervalUnion, RatLike, _exact, _parse_rational, as_rational,
 )
 from .network import Tcsp, _json_object, build_tcsp, check_solution
 from .propagation import bdac3, refinements
@@ -128,21 +128,22 @@ def olb(net: Tcsp, durations: Sequence[RatLike]) -> Fraction:
     have a closed finite lower endpoint -- anything else raises
     MalformedDomain.
     """
-    if len(durations) != net.n_vars:
-        raise DimensionMismatch(
-            f"expected {net.n_vars} durations, got {len(durations)}"
-        )
+    lengths = _durations(net, durations)
     if net.n_vars == 0:
         raise InvalidInstance("no tasks to bound")
-    best = None
-    for i in range(1, net.n_vars + 1):
-        duration = _exact(durations[i - 1])
+    return Fraction(max(_earliest_start(net, i) + d for i, d in enumerate(lengths, 1)))
+
+
+def _durations(net: Tcsp, durations: Sequence[RatLike]) -> list:
+    """One duration per task, each positive, in the kernel's exact form;
+    DimensionMismatch or InvalidInstance otherwise."""
+    if len(durations) != net.n_vars:
+        raise DimensionMismatch(f"expected {net.n_vars} durations, got {len(durations)}")
+    lengths = [_exact(d) for d in durations]
+    for i, duration in enumerate(lengths, 1):
         if duration <= 0:
             raise InvalidInstance(f"task {i} needs a positive duration")
-        finish = _earliest_start(net, i) + duration
-        if best is None or finish > best:
-            best = finish
-    return Fraction(best)
+    return lengths
 
 
 def _earliest_start(net: Tcsp, i: int):
@@ -199,82 +200,27 @@ def head_bound(
     start is a schedule it is at most that schedule's makespan, ``olb``.
     Like ``olb`` it raises MalformedDomain unless every domain it reads has
     a closed finite lower endpoint, DimensionMismatch unless there is one
-    duration per task, and InvalidInstance for a clique member that is not
-    a task or lacks a positive duration, or a clique that names one twice.
+    duration per task, and InvalidInstance unless every duration is
+    positive; also for a clique member that is not a task number (an int,
+    not a bool, in 1..n), or a clique that names one twice.
     """
     n = net.n_vars
-    if len(durations) != n:
-        raise DimensionMismatch(f"expected {n} durations, got {len(durations)}")
+    lengths = _durations(net, durations)
     best = 0
     for clique in cliques:
         est = {}
         for i in clique:
-            if not 0 < i <= n:
-                raise InvalidInstance(f"clique member {i} is not a task")
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 < i <= n:
+                raise InvalidInstance(f"clique member {i!r} is not a task")
             est[i] = _earliest_start(net, i)
         if len(est) != len(clique):
             raise InvalidInstance(f"clique {tuple(clique)} names a task twice")
         tail = 0
         for i in sorted(clique, key=est.__getitem__, reverse=True):
-            duration = _exact(durations[i - 1])
-            if duration <= 0:
-                raise InvalidInstance(f"task {i} needs a positive duration")
-            tail += duration
+            tail += lengths[i - 1]
             if est[i] + tail > best:
                 best = est[i] + tail
     return Fraction(best)
-
-
-def _closure_violation(net: Tcsp) -> Optional[str]:
-    """Check the label forms the scheduler relies on; None when all is well.
-
-    A bounded window composed with a disjunction can fragment a binarized
-    domain, so domains may hold several pieces -- but every piece must keep
-    closed finite ends (an open or unreachable earliest start would make the
-    lower-bound schedule unattainable) and the earliest start must be at or
-    after 0.  Every constrained inter-task entry must be (-inf,a] with a<0,
-    [b,+inf) with b>0, or the union of both.
-    """
-    for i in range(1, net.n_vars + 1):
-        domain = net.m[0][i]
-        if domain.is_empty():
-            return f"domain of task {i} is empty"
-        for p in domain.parts:
-            if p._down is None or not p._down[1]:
-                return f"domain of task {i} lost a closed start: {domain}"
-            if p._up is not None and not p._up[1]:
-                return f"domain of task {i} has an open upper end: {domain}"
-        if domain.parts[0]._down > _CLOSED_ZERO:  # its closed start lo has -lo > 0
-            return f"domain of task {i} starts before the origin: {domain}"
-    for i in range(1, net.n_vars + 1):
-        for j in range(i + 1, net.n_vars + 1):
-            label = net.m[i][j]
-            if label.is_universal():
-                continue
-            parts = label.parts
-            before = after = None
-            if len(parts) == 1:
-                if parts[0]._down is None:
-                    before = parts[0]
-                else:
-                    after = parts[0]
-            elif len(parts) == 2:
-                before, after = parts
-            else:
-                return f"entry ({i}, {j}) has {len(parts)} pieces: {label}"
-            # (-inf,a] with a < 0 has the closed upper bound (a, True) below
-            # (0, True), and [b,+inf) with b > 0 the closed lower bound (-b, True)
-            if before is not None and not (
-                before._down is None and before._up is not None
-                and before._up[1] and before._up < _CLOSED_ZERO
-            ):
-                return f"entry ({i}, {j}) is not in ordering form: {label}"
-            if after is not None and not (
-                after._up is None and after._down is not None
-                and after._down[1] and after._down < _CLOSED_ZERO
-            ):
-                return f"entry ({i}, {j}) is not in ordering form: {label}"
-    return None
 
 
 def _pick_disjunction(net: Tcsp) -> Optional[Tuple[int, int]]:
@@ -312,6 +258,29 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
     node, so only subtrees that cannot strictly improve are cut, and the
     first optimum found, the one returned, is the same as with ``olb`` alone.
 
+    Every node keeps the label forms that ``olb``, ``head_bound`` and
+    ``_pick_disjunction`` read:
+
+    * ``compile_instance`` builds each domain as [lo, hi] or [lo, +inf),
+      closed, with lo >= 0, and each inter-task entry as [d, +inf),
+      (-inf, -d] or their union, with d > 0.  ``build_tcsp`` intersects
+      duplicate constraints, which gives one of these forms again or an
+      empty label (EmptyLabel, and so None).
+    * ``bdac3`` writes row 0 only.  A piece it writes is an old piece cut by
+      the sum of a domain piece and a label piece.  Its lower end is the
+      larger of the old piece's, closed and finite, and the sum's, closed
+      or -inf: so it stays closed and finite, and never drops.  Its upper
+      end is the smaller of two ends, each closed or +inf.
+    * A child writes one convex piece of an entry in that form.
+
+    So every domain piece is closed with a finite lower end, the earliest
+    start is at least 0 and never drops along a branch, and neither does
+    the bound, which rises with the earliest starts.  The same forms are
+    why, at a leaf, starting every task at its earliest start meets every
+    constraint.  The search ends with a certificate: the incumbent's
+    makespan must equal the bound it was found at, and its start times
+    must satisfy the compiled network.
+
     ``node_check``, when given, is called with the propagated network at
     every consistent search node before branching — an inspection hook for
     tests and instrumentation.  It must not mutate the network.
@@ -326,15 +295,10 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
     best: Optional[Fraction] = None  # the incumbent's makespan
     starts: Tuple[Fraction, ...] = ()  # and its start times
 
-    for net, inherited, branch in refinements(root, bdac3):
-        trouble = _closure_violation(net)
-        if trouble is not None:
-            raise RuntimeError(f"scheduler label forms broke down: {trouble}")
+    for net, branch in refinements(root, bdac3):
         if node_check is not None:
             node_check(net)
         bound = max(olb(net, durations), head_bound(net, durations, cliques))
-        if inherited is not None and bound < inherited:
-            raise RuntimeError("completion bound decreased along a branch")
         if best is not None and best <= bound:
             continue  # cannot beat what we already have
         pair = _pick_disjunction(net)
@@ -350,7 +314,7 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
                 net.m[0][i].lower_bound()[0] for i in range(1, net.n_vars + 1)
             )
             continue
-        branch(pair, bound)  # the (-inf, a] order first; children check bound
+        branch(pair)  # the (-inf, a] order first
     if best is None:
         return None
     duration, latency = schedule_metrics(starts, durations)

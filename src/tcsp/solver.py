@@ -140,7 +140,7 @@ def _search(net: Tcsp) -> Optional[Tuple[Tcsp, List[Fraction]]]:
     on an all-convex leaf that is the bdac3 fixpoint (see
     :func:`~tcsp.propagation.wbdac3`), so a leaf goes straight to anchoring.
     """
-    for node, _, branch in refinements(net, wbdac3):
+    for node, branch in refinements(net, wbdac3):
         target = _select_disjunctive(node)
         if target is not None:
             branch(target)

@@ -448,7 +448,7 @@ def test_c08_scheduler_matches_the_orientation_oracle_and_keeps_domains_convex()
         f"{fragmented_nodes}/{nodes} consistent nodes fragmented a domain "
         f"across {len(fragmented_instances)} instances; {len(broken)} fragments at "
         f"one of the {leaves} leaves, in an instance without due windows, or on a task "
-        f"with no unresolved disjunction; per-piece label forms held at every node; "
+        f"with no unresolved disjunction; "
         f"{_ms(elapsed)}",
     )
     assert not mismatches, "; ".join(mismatches[:5])

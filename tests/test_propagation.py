@@ -747,6 +747,28 @@ def test_path_consistency_reaches_the_minimal_network_at_sixty_variables(algorit
     assert net == minimal
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [40, 80])
+def test_the_engines_agree_traced_and_untraced_on_both_circuit_kinds(n):
+    # bench/corpus.py's inconsistent STPs: a finite circuit, and a circuit
+    # that only the path-bounds clamp stops; bench/reference.py, which shares
+    # no code with the program, finds no shortest paths in either
+    corpus, reference = bench_module("corpus"), bench_module("reference")
+    rng = random.Random(n)
+    for make in (corpus.circuit_stp, corpus.circuit_stp, corpus.creeping_stp, corpus.creeping_stp):
+        constraints = make(rng, n, 3 * n // 2)
+        assert reference.shortest_paths(n, constraints) is None
+        net = build_tcsp(n, [(i, j, IntervalUnion([Interval(*piece) for piece in label]))
+                             for i, j, label in constraints])
+        for algorithm in (pc1, pc2, bdac3, wbdac3):
+            where = (make.__name__, algorithm.__name__)
+            untraced, traced = net.copy(), net.copy()
+            report = algorithm(untraced)
+            assert report.outcome is Outcome.EMPTY_DOMAIN, where
+            assert algorithm(traced, trace=CappedTrace(1_000_000)) == report, where
+            assert traced == untraced, where
+
+
 def _pc1_composing_every_step(net):
     """pc1 as specified: compose at every (i, k, j), sweep after sweep.
 
@@ -1315,7 +1337,7 @@ def _disjunctive_leaves(count):
     first ``count`` seed-5 networks of the benchmark's disjunctive-solve
     corpus, up to each network's first leaf that extraction solves."""
     for item in bench_module("corpus").make("disjunctive-solve", 5, count):
-        for node, _, branch in refinements(network_from_json(item["text"]), wbdac3):
+        for node, branch in refinements(network_from_json(item["text"]), wbdac3):
             target = solver._select_disjunctive(node)
             if target is not None:
                 branch(target)
@@ -1977,39 +1999,34 @@ def _propagate_recording(calls, empty=()):
 
 
 def _explore(root, propagate):
-    """Branch on the first disjunctive domain, noting each child's depth;
-    return every node yielded, its note, and its domains when yielded."""
+    """Branch on the first disjunctive domain; return every node yielded
+    and its domains when yielded."""
     seen = []
-    for node, note, branch in refinements(root, propagate):
-        seen.append((node, note, _domains(node)))
+    for node, branch in refinements(root, propagate):
+        seen.append((node, _domains(node)))
         for pair in ((0, 1), (0, 2)):
             if not node.m[0][pair[1]].is_convex():
-                branch(pair, (note or 0) + 1)
+                branch(pair)
                 break
     return seen
 
 
 def test_refinements_visit_children_depth_first_in_piece_order():
     seen = _explore(_two_choices(), _propagate_recording([]))
-    assert [domains for _, _, domains in seen] == [
+    assert [domains for _, domains in seen] == [
         ("{1} u {2}", "{3} u {4}"),
         ("{1}", "{3} u {4}"), ("{1}", "{3}"), ("{1}", "{4}"),
         ("{2}", "{3} u {4}"), ("{2}", "{3}"), ("{2}", "{4}"),
     ]
 
 
-def test_refinements_pass_each_note_from_parent_to_child():
-    seen = _explore(_two_choices(), _propagate_recording([]))
-    assert [note for _, note, _ in seen] == [None, 1, 2, 2, 1, 2, 2]
-
-
 def test_a_refinement_writes_only_its_own_copy():
     root = _two_choices()
     seen = _explore(root, _propagate_recording([]))
     assert seen[0][0] is root
-    assert len({id(node) for node, _, _ in seen}) == len(seen)
+    assert len({id(node) for node, _ in seen}) == len(seen)
     # a child's write reaches neither its parent nor its siblings
-    assert [_domains(node) for node, _, _ in seen] == [domains for _, _, domains in seen]
+    assert [_domains(node) for node, _ in seen] == [domains for _, domains in seen]
 
 
 def test_refinements_propagate_the_root_from_a_full_seed_and_children_from_their_pair():
@@ -2021,7 +2038,7 @@ def test_refinements_propagate_the_root_from_a_full_seed_and_children_from_their
 def test_refinements_yield_no_node_that_propagates_to_an_empty_domain():
     calls = []
     seen = _explore(_two_choices(), _propagate_recording(calls, empty={("{1}", "{3} u {4}")}))
-    assert [domains for _, _, domains in seen] == [
+    assert [domains for _, domains in seen] == [
         ("{1} u {2}", "{3} u {4}"), ("{2}", "{3} u {4}"), ("{2}", "{3}"), ("{2}", "{4}"),
     ]
     # the emptied node was propagated, but never branched

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from randnets import oracle_makespan, random_instance
+from randnets import bench_module, oracle_makespan, random_instance
 from tcsp import (
     DimensionMismatch,
     EmptyLabel,
@@ -213,6 +213,12 @@ def test_head_bound_refuses_a_clique_member_or_a_durations_list_that_fits_no_tas
     for member in (0, -1, 3):
         with pytest.raises(InvalidInstance, match=f"clique member {member} "):
             head_bound(net, [1, 5], [(member, 1)])
+    # members are checked as task numbers are: 1.0 and "1" once raised
+    # TypeError, and True was read as task 1
+    three = compile_instance(_inst([Task(2), Task(3), Task(4)], disjunctions=[(2, 3)]))
+    for member in (1.0, "1", True):
+        with pytest.raises(InvalidInstance, match=rf"clique member {member!r} is not a task"):
+            head_bound(three, [2, 3, 4], [(member, 2)])
     for durations in ([1], [1, 5, 2]):
         with pytest.raises(DimensionMismatch, match=f"got {len(durations)}"):
             head_bound(net, durations, [(1, 2)])
@@ -230,8 +236,10 @@ def test_head_bound_refuses_a_nonpositive_duration_like_olb():
     for durations in ([0, 3, 4], [-2, 3, 4]):
         with pytest.raises(InvalidInstance, match="^task 1 needs a positive duration$"):
             olb(net, durations)
-        with pytest.raises(InvalidInstance, match="^task 1 needs a positive duration$"):
-            head_bound(net, durations, [(1, 2, 3)])
+        # whether or not a clique names task 1: (2, 3) once gave 7
+        for cliques in ([(1, 2, 3)], [(2, 3)], []):
+            with pytest.raises(InvalidInstance, match="^task 1 needs a positive duration$"):
+                head_bound(net, durations, cliques)
     assert head_bound(net, [1, 3, 4], [(1, 2, 3)]) == 8
 
 
@@ -272,6 +280,105 @@ def test_head_bound_is_sound_at_the_root_and_equals_olb_at_every_leaf():
         stronger += root_bound > olb(root, durations)
         assert root_bound <= sched.makespan
     assert checked >= 50 and multi_clique >= 15 and stronger >= 5 and leaves >= checked
+
+
+def _c8_instances():
+    rng = random.Random(80001)  # the corpus of C8 in test_acceptance.py
+    return [random_instance(rng) for _ in range(100)]
+
+
+def _ordering_piece(piece) -> bool:
+    """(-inf, -d] or [d, +inf) with d > 0, closed at its finite end."""
+    if piece.lo is None:
+        return piece.hi is not None and piece.hi_closed and piece.hi < 0
+    return piece.hi is None and piece.lo_closed and piece.lo > 0
+
+
+def _label_form_violation(net):
+    """Which label form of ``optimum``'s docstring a node breaks; None if none."""
+    for i, domain in enumerate(net.domains(), 1):
+        if domain.is_empty():
+            return f"domain of task {i} is empty"
+        for p in domain.parts:
+            if p.lo is None or not p.lo_closed or (p.hi is not None and not p.hi_closed):
+                return f"domain of task {i} has a piece that is not closed: {domain}"
+        if domain.parts[0].lo < 0:
+            return f"domain of task {i} starts before the origin: {domain}"
+    for i in range(1, net.n_vars + 1):
+        for j in range(i + 1, net.n_vars + 1):
+            label = net.m[i][j]
+            if label.is_universal():
+                continue
+            if len(label.parts) > 2 or not all(map(_ordering_piece, label.parts)):
+                return f"entry ({i}, {j}) is not in ordering form: {label}"
+    return None
+
+
+def test_every_search_node_keeps_the_label_forms_that_optimum_reads():
+    nodes, violations = 0, []
+
+    def node_check(net):
+        nonlocal nodes
+        nodes += 1
+        trouble = _label_form_violation(net)
+        if trouble is not None:
+            violations.append(f"node {nodes}: {trouble}")
+
+    for inst in _c8_instances():
+        optimum(inst, node_check=node_check)
+    assert nodes >= 100
+    assert violations == [], violations[:5]
+
+
+def test_no_child_of_a_search_node_lowers_the_completion_bound():
+    # every orientation below each root, branching on the first unresolved
+    # pair; a child is built as refinements builds it
+    children, drops = 0, []
+    for index, inst in enumerate(_c8_instances()):
+        durations = [t.duration for t in inst.tasks]
+        cliques = clique_cover(inst)
+        try:
+            root = compile_instance(inst)
+        except EmptyLabel:
+            continue
+        if bdac3(root).outcome is not Outcome.CONSISTENT:
+            continue
+        stack = [root]
+        while stack:
+            net = stack.pop()
+            bound = max(olb(net, durations), head_bound(net, durations, cliques))
+            n = net.n_vars
+            pair = next(((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                         if not net.m[i][j].is_convex()), None)
+            if pair is None:
+                continue
+            for piece in net.m[pair[0]][pair[1]].convex_parts():
+                child = net.copy()
+                child.set_pair(*pair, piece)
+                if bdac3(child, changed=pair).outcome is not Outcome.CONSISTENT:
+                    continue
+                children += 1
+                below = max(olb(child, durations), head_bound(child, durations, cliques))
+                if below < bound:
+                    drops.append(f"instance {index}, pair {pair}: {bound} -> {below}")
+                stack.append(child)
+    assert children >= 100
+    assert drops == [], drops[:5]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [6, 7])
+def test_optimum_agrees_with_the_reference_on_one_machine(monkeypatch, n):
+    # bench/corpus.py's jobshop instances, every pair disjunctive, at n tasks
+    # and with every other one windowed, against bench/reference.py's order
+    # enumeration, which shares no code with the program
+    corpus, reference = bench_module("corpus"), bench_module("reference")
+    monkeypatch.setattr(corpus, "JOB_TASKS", n)
+    monkeypatch.setattr(corpus, "JOB_WINDOWED", tuple(range(1, 16, 2)))
+    for item in corpus.jobshop(random.Random(n), 100):
+        sched = optimum(instance_from_json(item["text"]))
+        assert sched.makespan == reference.best_makespan(item["tasks"]), item["text"]
+        assert reference.schedule_violation(item["tasks"], sched.start_times) is None
 
 
 def _order_oracle(inst: SchedulingInstance) -> Fraction:
