@@ -34,8 +34,8 @@ network a run over labels ends with.  Every arc pass, over bounds or
 labels, holds row 0 and writes each moved domain once, when the run ends,
 or at once where a step empties it, which ends the run; so it reads the
 floor off the network it started on.  Extraction's pins go on over one
-held run and write the network once, when the last pin ends or one
-empties a domain (see ``_pin_in_turn``).  Every step can be recorded:
+held run, unclamped, and write the network once, when the last pin ends
+or one empties a domain (see ``_pin_in_turn``).  Every step can be recorded:
 pass a list as ``trace=`` and one :class:`TraceEntry` per call is appended.
 
 :func:`refinements` is the depth-first loop of the solver's and the
@@ -211,14 +211,13 @@ class _Run:
     as later steps read it as a leg, and reads the floor before that write;
     pc1's label sweep writes m[i][j] alone, which ``write_back`` mirrors.
 
-    A held run (:meth:`pin`) keeps its bounds, ``scale`` and ``moved`` from
-    one seeded worklist to the next, and its holder writes it back; a pin's
-    first floor read first writes ``start``, the bounds its run began with.
+    A held run (:meth:`pin`), unclamped, keeps its bounds, ``scale`` and
+    ``moved`` from one seeded worklist to the next; its holder writes it.
     """
 
     __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor", "walks",
                  "revise_calls", "domain_updates", "down", "up", "w", "row", "moved", "scale",
-                 "start")
+                 "held")
 
     def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
                  budget: Optional[int] = None, trace: Optional[Trace] = None,
@@ -227,8 +226,8 @@ class _Run:
         self.weak, self.clamp, self.budget = weak, clamp, budget
         self.floor, self.walks = None, {}
         self.revise_calls = self.domain_updates = 0
-        self.down = self.w = self.row = self.start = None
-        self.moved, self.scale = {}, 1
+        self.down = self.w = self.row = None
+        self.moved, self.scale, self.held = {}, 1, False
         if arcs and trace is None:
             down, up = [], []
             for label in net.m[0]:
@@ -248,39 +247,35 @@ class _Run:
         if arcs and self.down is None:
             self.row = net.m[0][:]
 
-    def _row(self, down: List[Bound], up: List[Bound]) -> List[IntervalUnion]:
-        """Row 0 with each moved domain built from the scaled bounds ``down`` and ``up``."""
-        row, scale = self.net.m[0][:], self.scale
+    def _row(self) -> List[IntervalUnion]:
+        """Row 0 with each moved domain built from the scaled bounds the run holds."""
+        row, scale, down, up = self.net.m[0][:], self.scale, self.down, self.up
         for j in self.moved:
             row[j] = _union((_piece(_unscaled(down[j], scale), _unscaled(up[j], scale)),))
         return row
 
-    def _write(self, row: List[IntervalUnion]) -> None:
-        """Write each moved domain from ``row``."""
-        for j in self.moved:
-            self.net.set_pair(0, j, row[j])
-
     def _leave_bounds(self) -> None:
         """Go on over labels: hold row 0 as the bounds stand, at scale 1."""
-        self.row, self.down, self.scale = self._row(self.down, self.up), None, 1
+        self.row, self.down, self.scale = self._row(), None, 1
 
     def write_back(self) -> None:
         """Write each entry that moved, from the bounds or labels the run holds."""
-        if self.arcs:
-            self._write(self.row if self.down is None else self._row(self.down, self.up))
-            return
         net, w = self.net, self.w
+        if self.arcs:
+            row = self.row if self.down is None else self._row()
+            for j in self.moved:
+                net.set_pair(0, j, row[j])
+            return
         for i, j in self.moved:  # (i, j) with i < j: the upper triangle is current
             net.set_pair(i, j, net.m[i][j] if w is None else _union((_piece(w[j][i], w[i][j]),)))
 
     def end(self, outcome: Outcome) -> RunReport:
-        if self.start is None:  # a held run's holder writes the network
+        if not self.held:  # a held run's holder writes the network
             self.write_back()
         return RunReport(outcome, self.revise_calls, self.domain_updates)
 
     def pin(self, j: int, value: Union[int, Fraction]) -> None:
-        """Hold X_j at ``value`` and begin a run from there, with fresh walks
-        and floor and the bounds, pin included, kept in ``start``.  A value
+        """Hold X_j at ``value``, and the run for the holder to write.  A value
         whose denominator does not divide ``scale`` first rescales every
         bound to the lcm."""
         scale, denominator = self.scale, value.denominator
@@ -291,16 +286,13 @@ class _Run:
         v = value.numerator * (scale // denominator)
         self.down[j], self.up[j] = (-v, True), (v, True)
         self.moved[j] = None
-        self.walks, self.floor = {}, None
-        self.start = (self.down[:], self.up[:])
+        self.held = True
 
     def _below_floor(self, down: Bound, up: Bound) -> bool:
         """Does either bound, held at ``scale``, sink below the floor?  A run
-        reads the floor at its first call, a held run after writing ``start``."""
+        reads the floor at its first call, off its still unwritten network."""
         floor = self.floor
         if floor is None:
-            if self.start is not None:
-                self._write(self._row(*self.start))
             floor = self.floor = path_bounds(self.net).path_lb.bound
         if self.scale != 1:
             floor = (floor[0] * self.scale, floor[1])
@@ -617,11 +609,11 @@ def _pin_in_turn(
 ) -> Tuple[RunReport, Optional[int]]:
     """Pin each X_t whose domain is not a point to ``pick(down, up)`` of its
     bounds, in index order, and re-propagate it as ``bdac3(net, changed=(0,
-    t))`` would, all over one held run (see ``solver.backtrack_free``).
-    ``net`` is an STP at the bdac3 fixpoint with no empty entry.  Returns
-    the pins' summed report and the variable whose pin emptied a domain,
-    or None."""
-    run = _Run(net, "bdac3", arcs=True)
+    t))`` would, all over one held run, unclamped: ``net`` is a connected STP
+    at the bdac3 fixpoint with no empty entry, where no pin's run needs the
+    clamp (``solver.backtrack_free``'s lemma).  Returns the pins' summed
+    report and the variable whose pin emptied a domain, or None."""
+    run = _Run(net, "bdac3", clamp=False, arcs=True)
     again = _requeue(net.neighbours, False)
     report, dead = RunReport(Outcome.CONSISTENT, 0, 0), None
     for t in range(1, net.n_vars + 1):

@@ -290,7 +290,7 @@ def optimum(inst: SchedulingInstance, *, node_check=None) -> Optional[Schedule]:
     except EmptyLabel:
         return None
     pristine = root.copy()
-    durations = [task.duration for task in inst.tasks]
+    durations = _durations(root, [task.duration for task in inst.tasks])
     cliques = clique_cover(inst)
     best: Optional[Fraction] = None  # the incumbent's makespan
     starts: Tuple[Fraction, ...] = ()  # and its start times

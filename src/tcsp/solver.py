@@ -5,11 +5,9 @@ time, pruning each node with the weak arc pass.  An all-convex leaf that
 survives full propagation and anchoring is almost always consistent, but
 not quite: a circuit whose total weight is strictly-zero (all strictness,
 no slack, e.g. built from [-5,-2) with {-5} and {-3}) leaves every domain
-nonempty at the fixpoint and propagation cannot see it.  So the leaf's
-certificate of consistency is the extraction itself: repeatedly fix the
-first unfixed variable to a value inside its domain and re-propagate.  On
-a consistent leaf this never dead-ends; a dead end disproves the leaf and
-the search moves on.
+nonempty at the fixpoint.  So the leaf's certificate of consistency is the
+extraction itself (:func:`backtrack_free`): a dead end disproves the leaf
+and the search moves on.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import EmptyLabel, ExtractionDeadEnd, NotAnStp, PreconditionViolated
+from .errors import ExtractionDeadEnd, NotAnStp, PreconditionViolated
 from .intervals import Bound, IntervalUnion
 from .network import Tcsp, check_solution, disconnected_variables, first_empty_entry, is_stp
 from .propagation import Outcome, _pin_in_turn, bdac3, is_bd_arc_consistent, refinements, wbdac3
@@ -38,12 +36,8 @@ def connect_x0(net: Tcsp) -> bool:
     and re-propagates, the first from a full seed (the input need not be at
     a fixpoint), the rest from the arcs it touched.  Returns False as soon
     as propagation finds a conflict.  Connectivity is searched once, up
-    front.  That is exact because every finite off-origin entry lies on a
-    constrained pair (:meth:`~tcsp.network.Tcsp.set_pair` declares each
-    pair it writes off X0): at the end of a CONSISTENT bdac3 run a finite
-    path from or to X0 then bounds every domain along it, so a variable is
-    disconnected exactly when its domain is universal, and a later loose
-    variable is anchored only while its domain stays universal.
+    front: by lemma (a) of :func:`backtrack_free`, after a CONSISTENT bdac3
+    run a variable is loose exactly while its domain stays universal.
     """
     if not is_stp(net):
         raise NotAnStp("connect_x0 needs an all-convex network")
@@ -75,33 +69,39 @@ def backtrack_free(net: Tcsp) -> Tcsp:
     """Fix every variable of a connected, bdArc-consistent STP, in place.
 
     Each round pins the lowest-index unfixed variable to a value of its
-    current domain and re-propagates from the arcs that read that domain,
-    the network having been at the bdac3 fixpoint before the pin.  A
-    consistent re-propagation keeps every earlier pin a point, so one pass
-    in index order fixes them all.  On a consistent input this never hits
-    a dead end; an input harboring a strict-zero-weight circuit (the one
-    inconsistency domain propagation cannot surface) dead-ends and raises
-    ExtractionDeadEnd.
+    domain and re-propagates, unclamped, over one held run that writes the
+    network once (``propagation._pin_in_turn``).  A consistent round keeps
+    earlier pins points, so one pass in index order fixes them all.
 
-    Each round makes the steps, counts and clamp decisions of ``bdac3(net,
-    changed=(0, t))``, but all rounds step over one held pair of domain
-    bound vectors, and the network is written once, when the last round
-    ends or one dead-ends.  A pin whose denominator does not divide the
-    vectors' scale first rescales every bound to the lcm.  The floor is per
-    round: a pin lowers path_lb, so a round's first clamp check that no
-    walk certifies writes the bounds the round began with, earlier pins
-    included, and reads path_lb of that network.
+    The lemma.  Read X_v's domain as the edges X0 -> X_v, of its upper end
+    up_v, and X_v -> X0, of down_v, its lower end negated.  Every finite
+    off-origin edge lies on a constrained pair (``Tcsp.set_pair`` declares
+    each), and at a bdArc-consistent STP with no empty entry each such arc
+    gives ``up_v <= up_u + up(m[u][v])`` and ``down_u <= up(m[u][v]) +
+    down_v``: a path from X0 to X_v weighs at least up_v, one from X_v to X0
+    at least down_v.  So (a) X_v is connected with X0 exactly when its
+    domain has a finite end; (b) when every variable is, no circuit is
+    negative: the up ends, or the down ends, of a circuit's variables are
+    all finite and telescope to 0, and one through X0 weighs at least some
+    up_v + down_v >= 0; (c) pinning X_t to a value x of its domain keeps (b),
+    a new circuit weighing at least x + down_t or up_t - x.  A pin's run
+    writes ends that weigh as walks of the network it began on (see
+    ``propagation._Run``): sums of its ends, by (c) none below its least
+    elementary path.  So each end takes finitely many values, opening at
+    most once at each, and the run ends without a clamp.  A strict-zero
+    circuit is not negative, but leaves no solution, so some pin dead-ends
+    and ExtractionDeadEnd is raised; on a consistent input none does.
     """
     if not is_stp(net):
         raise PreconditionViolated("not an all-convex network")
-    try:
-        loose = disconnected_variables(net)
-    except EmptyLabel:
-        raise PreconditionViolated(f"entry {first_empty_entry(net)} is already empty") from None
-    if loose:
-        raise PreconditionViolated(f"X{loose[0]} is not connected with the origin")
+    where = first_empty_entry(net)
+    if where is not None:
+        raise PreconditionViolated(f"entry {where} is already empty")
     if not is_bd_arc_consistent(net):
         raise PreconditionViolated("network is not bdArc-consistent")
+    for v in range(1, net.n_vars + 1):
+        if net.m[0][v].is_universal():  # (a): X_v is not connected with X0
+            raise PreconditionViolated(f"X{v} is not connected with the origin")
     _, dead = _pin_in_turn(net, _pick_value)
     if dead is not None:
         raise ExtractionDeadEnd(f"fixing X{dead} emptied a domain; the network has no solutions")

@@ -602,6 +602,27 @@ def test_json_nested_past_the_recursion_limit_is_a_format_error(capsys, tmp_path
     assert err == "error: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("check", "net.json", '{"variables": 1, "constraints": [5]}',
+         "constraint #0: must be an object"),
+        ("schedule", "inst.json", '{"tasks": [{"d": null}]}',
+         "tasks[0].d: expected a number, got NoneType"),
+        ("shortest-paths", "g.edges", "# vertices 2\n0 1 ~\n", "line 2: bad weight text: '~'"),
+        ("shortest-paths", "g.edges", "# vertices 2\n0 1 1/0\n",
+         "line 2: zero denominator in weight text: '1/0'"),
+    ],
+    ids=["check-constraint", "schedule-duration", "shortest-paths-tilde", "shortest-paths-zero"],
+)
+def test_a_malformed_document_exits_2_with_its_message(capsys, tmp_path, command, name, text,
+                                                         message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_an_edge_list_header_past_the_digit_limit_is_a_format_error(capsys, tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# vertices " + "9" * (sys.get_int_max_str_digits() + 1) + "\n", encoding="utf-8")

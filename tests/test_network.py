@@ -105,6 +105,17 @@ def test_build_tcsp_rejects_bad_input():
         build_tcsp(1, [(0, 5, U("[1,2]"))])
     with pytest.raises(ValueError):
         build_tcsp(-1, [])
+    with pytest.raises(TypeError, match="^label must be an IntervalUnion, got str$"):
+        build_tcsp(1, [(0, 1, "[1,2]")])
+
+
+def test_set_pair_rejects_the_diagonal_and_a_label_that_is_not_a_union():
+    net = build_tcsp(2, [])
+    with pytest.raises(ValueError, match="diagonal"):
+        net.set_pair(1, 1, U("[0,1]"))
+    with pytest.raises(TypeError, match="^label must be an IntervalUnion, got str$"):
+        net.set_pair(1, 2, "[0,1]")
+    assert net == build_tcsp(2, [])
 
 
 def test_set_pair_keeps_the_mirror_invariant():

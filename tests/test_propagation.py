@@ -1351,7 +1351,8 @@ def _disjunctive_leaves(count):
 
 
 def _floor_after_an_earlier_pin_stp() -> Tcsp:
-    """An STP whose second pin reads a floor that only the first pin lowers.
+    """An STP whose second pin, run clamped, reads a floor that only the
+    first pin lowers (the held pins run unclamped and read none).
 
     X3 - X1 > 0, X3 - X2 <= 60, and X3, X4, X5 close a strict-zero circuit.
     Pinning X1 to 31 lifts X3 above 31 with an open end, which no lap
@@ -1368,9 +1369,10 @@ def _floor_after_an_earlier_pin_stp() -> Tcsp:
 
 
 def test_the_held_pins_run_as_one_bdac3_run_per_pin(monkeypatch):
-    # every pin steps over one held pair of bound vectors; the reference
-    # writes each pin and runs bdac3 from it, so each pin's floor is path_lb
-    # of the network with every earlier pin written
+    # every pin steps over one held pair of bound vectors, unclamped; the
+    # reference writes each pin and runs clamped bdac3 from it, traced,
+    # whose clamp reads the floor of the network with every earlier pin
+    # written and, on this corpus, never cuts
     reports, reads = [], []
     held = solver._pin_in_turn
 
@@ -1398,17 +1400,17 @@ def test_the_held_pins_run_as_one_bdac3_run_per_pin(monkeypatch):
         except ExtractionDeadEnd as dead_end:
             message = str(dead_end)
         report, dead = reports[-1]
-        held_reads = len(reads)
-        del reads[:]
-        calls, updates, expected = _pins_one_run_each(reference)
+        assert reads == [], net.m
+        trace = CappedTrace(2000)  # over ten times the longest, 156 steps
+        calls, updates, expected = _pins_one_run_each(reference, trace=trace)
+        assert not any(entry.clamped for entry in trace), net.m
         assert message == expected, net.m
         assert worked == reference and worked.neighbours == reference.neighbours, net.m
         assert (report.revise_calls, report.domain_updates) == (calls, updates), net.m
-        assert held_reads == len(reads), net.m
         assert (dead is None) == (message is None) == (report.outcome is Outcome.CONSISTENT)
         dead_ends += message is not None
-        floor_reads += held_reads
-        leaf_reads += held_reads if number >= len(stps) else 0
+        floor_reads += len(reads)
+        leaf_reads += len(reads) if number >= len(stps) else 0
     assert dead_ends >= 1 and floor_reads >= leaf_reads >= 1
 
 
@@ -1826,10 +1828,10 @@ def test_bdac1_runs_as_specified():
 
 def _counting_path_bounds(monkeypatch, trace=None, kinds=None):
     """Wrap the ``path_bounds`` the clamp calls; each call appends the
-    length ``trace`` had then (None without a trace).  A run that holds no
-    pins must hand it the network it began on; ``kinds``, a Counter, counts
-    the arc passes' calls by the run's kind: "traced", "untraced" or, for
-    an untraced run that left its bounds after moving a domain, "switched"."""
+    length ``trace`` had then (None without a trace).  Every run must hand
+    it the network it began on; ``kinds``, a Counter, counts the arc
+    passes' calls by the run's kind: "traced", "untraced" or, for an
+    untraced run that left its bounds after moving a domain, "switched"."""
     calls, begun = [], []
     original, start = propagation.path_bounds, propagation._Run.__init__
 
@@ -1839,13 +1841,12 @@ def _counting_path_bounds(monkeypatch, trace=None, kinds=None):
 
     def counted(net):
         run, copy = begun
-        if run.start is None:  # a pin's run begins where the last one ended
-            assert net == copy and net.neighbours == copy.neighbours
-            if kinds is not None and run.arcs:
-                one_piece = all(len(domain.parts) == 1 for domain in copy.m[0])
-                switched = run.trace is None and one_piece and run.down is None and run.moved
-                kinds["traced" if run.trace is not None else
-                      "switched" if switched else "untraced"] += 1
+        assert net == copy and net.neighbours == copy.neighbours
+        if kinds is not None and run.arcs:
+            one_piece = all(len(domain.parts) == 1 for domain in copy.m[0])
+            switched = run.trace is None and one_piece and run.down is None and run.moved
+            kinds["traced" if run.trace is not None else
+                  "switched" if switched else "untraced"] += 1
         calls.append(None if trace is None else len(trace))
         return original(net)
 

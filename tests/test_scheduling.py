@@ -139,6 +139,8 @@ def test_olb_error_cases():
         olb(net, (1, 1))
     with pytest.raises(InvalidInstance):
         olb(net, (0,))
+    with pytest.raises(InvalidInstance, match="^no tasks to bound$"):
+        olb(build_tcsp(0, []), ())
     for label in ["(1,5]", "(-inf,5]", "{}"]:
         bad = build_tcsp(1, [(0, 1, U("[1,2]"))])
         bad.set_pair(0, 1, U(label))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from randnets import (
     random_consistent_stp,
     random_detached_stp,
     random_disjunctive_tcsp,
+    random_zero_circuit_stp,
     rebuilt_by_set_pair,
     strict_zero_circuit_stp,
 )
@@ -52,6 +54,7 @@ from tcsp import (
     wbdac3,
 )
 from tcsp import propagation, solver
+from tcsp.network import first_empty_entry
 
 U = parse_union
 
@@ -132,6 +135,29 @@ def test_a_consistent_fixpoint_is_disconnected_exactly_where_a_domain_is_univers
             assert _loose_iff_universal(net), str(net.domains())
             anchored += 1
     assert anchored >= 100 and after_pc2 >= 100, (anchored, after_pc2)
+
+
+def test_lemma_a_a_bd_arc_consistent_stp_is_loose_exactly_where_a_domain_is_universal():
+    # lemma (a) of backtrack_free, the one connectivity read it makes: on
+    # detached, fractional (a tree of three apart from X0) and strict-zero
+    # networks, at the bdac3 fixpoint
+    rng = random.Random(3131)
+    nets = [random_detached_stp(rng) for _ in range(500)]
+    for _ in range(300):
+        n = rng.randint(9, 12)  # fewer pairs lie within the parts than it asks for
+        nets.append(build_tcsp(n, [
+            (i, j, IntervalUnion([Interval(*piece) for piece in label]))
+            for i, j, label in _fractional_constraints(rng, n)]))
+    nets += [random_zero_circuit_stp(rng) for _ in range(300)]
+    checked = loose = 0
+    for net in nets:
+        if bdac3(net).outcome is not Outcome.CONSISTENT:
+            continue
+        assert is_bd_arc_consistent(net) and first_empty_entry(net) is None
+        assert _loose_iff_universal(net), str(net.domains())
+        checked += 1
+        loose += bool(disconnected_variables(net))
+    assert checked >= 900 and loose >= 700, (checked, loose)
 
 
 def _connect_x0_spec(net, trace, anchored) -> bool:
@@ -229,17 +255,23 @@ def test_backtrack_free_propagates_each_pin():
 
 
 def test_backtrack_free_preconditions():
-    with pytest.raises(PreconditionViolated):
-        backtrack_free(fragmenting_tcsp())  # not an STP
-    with pytest.raises(PreconditionViolated):
-        backtrack_free(chain_stp())  # not bdArc-consistent yet
+    with pytest.raises(PreconditionViolated, match="^not an all-convex network$"):
+        backtrack_free(fragmenting_tcsp())
+    with pytest.raises(PreconditionViolated, match="^network is not bdArc-consistent$"):
+        backtrack_free(chain_stp())  # not filtered yet
     disconnected = build_tcsp(2, [(0, 1, U("[1,2]"))])
     bdac3(disconnected)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^X2 is not connected with the origin$"):
         backtrack_free(disconnected)  # X2 floats free
+    # the universal-domain read is lemma (a) only at a bdArc-consistent
+    # network, so that check comes first: X2 is universal but connected
+    # through X1, and X3 floats free
+    unfiltered = build_tcsp(3, [(0, 1, U("[1,5]")), (1, 2, U("[0,1]"))])
+    with pytest.raises(PreconditionViolated, match="^network is not bdArc-consistent$"):
+        backtrack_free(unfiltered)
     empty = _filtered_chain()
     empty.set_pair(0, 2, IntervalUnion.empty())
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match=r"^entry \(0, 2\) is already empty$"):
         backtrack_free(empty)
     # an empty constraint between two nonempty domains is named, too
     empty_pair = build_tcsp(2, [(0, 1, U("[0,5]")), (0, 2, U("[0,5]"))])
@@ -477,6 +509,75 @@ def test_path_consistency_agrees_with_the_reference_at_forty_variables():
                     != [reference.entry_from_distances(distances, i, j)]
                 ]
                 assert mismatched == [], (algorithm.__name__, trace is not None)
+
+
+def _two_piece_constraints(rng, n):
+    """The constraints of a network on n variables, in the reference's form,
+    with at most 6 labels of two pieces and every other label convex.
+
+    A random tree over X0..Xn and n more pairs get a label around a hidden
+    integer witness, its ends 0..2 away, closed at 0 and otherwise open or
+    closed at random, one end in seven missing.
+    One to six of them are two closed pieces instead, 1..12 apart, one of
+    them around the witness.  In half the networks one of those has its
+    pieces on either side of the witness instead, 1..12 away, which may
+    leave no solution that the pieces' hulls would show.
+    """
+    xs = [0] + [rng.randint(-100, 100) for _ in range(n)]
+    pairs = {(rng.randrange(i), i) for i in range(1, n + 1)}
+    while len(pairs) < 2 * n:
+        pairs.add(tuple(sorted(rng.sample(range(n + 1), 2))))
+    pairs = sorted(pairs)
+    split = set(rng.sample(pairs, rng.randint(1, 6)))
+    moved = rng.choice(sorted(split)) if rng.random() < 0.5 else None
+    constraints = []
+    for i, j in pairs:
+        diff = xs[j] - xs[i]
+        if (i, j) == moved:
+            below, above = diff - rng.randint(1, 12), diff + rng.randint(1, 12)
+            label = [(below - rng.randint(0, 3), below, True, True),
+                     (above, above + rng.randint(0, 3), True, True)]
+        elif (i, j) in split:
+            lo, hi = diff - rng.randint(0, 3), diff + rng.randint(0, 3)
+            gap, width = rng.randint(1, 12), rng.randint(0, 3)
+            decoy = ((hi + gap, hi + gap + width, True, True) if rng.random() < 0.5
+                     else (lo - gap - width, lo - gap, True, True))
+            label = sorted([(lo, hi, True, True), decoy])
+        else:
+            lo, hi = (None if rng.random() < 1 / 7 else diff + sign * rng.randint(0, 2)
+                      for sign in (-1, 1))
+            label = [(lo, hi, lo is not None and (lo == diff or rng.random() < 0.5),
+                      hi is not None and (hi == diff or rng.random() < 0.5))]
+        constraints.append((i, j, label))
+    return constraints
+
+
+def _reference_consistent(reference, n, constraints) -> bool:
+    """Does any choice of one piece per label leave an STP that the
+    reference's shortest paths find consistent?"""
+    choices = itertools.product(*([(i, j, [piece]) for piece in label]
+                                  for i, j, label in constraints))
+    return any(reference.shortest_paths(n, list(choice)) is not None for choice in choices)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, count", [(20, 60), (30, 40), (40, 30)])
+def test_solve_agrees_with_the_reference_on_two_piece_networks(n, count):
+    # the reference enumerates every piece choice, 64 at most, and decides
+    # each with its own shortest paths; it shares no code with tcsp
+    reference = bench_module("reference")
+    rng = random.Random(n)
+    verdicts = set()
+    for _ in range(count):
+        constraints = _two_piece_constraints(rng, n)
+        net = build_tcsp(n, [(i, j, IntervalUnion([Interval(*piece) for piece in label]))
+                             for i, j, label in constraints])
+        result = solve(net)
+        assert result.consistent == _reference_consistent(reference, n, constraints), constraints
+        if result.consistent:
+            assert reference.satisfies(constraints, result.solution), constraints
+        verdicts.add(result.consistent)
+    assert verdicts == {True, False}
 
 
 def test_solve_a_network_assembled_with_set_pair():

@@ -132,6 +132,12 @@ def test_graph_diagonal_is_pinned_to_zero():
         g.set_edge(1, 1, weight(5))
 
 
+def test_graph_needs_a_nonnegative_vertex_count():
+    assert RootedDistanceGraph(0).w == [[ZERO]]
+    with pytest.raises(ValueError, match="^n_vars must be >= 0$"):
+        RootedDistanceGraph(-1)
+
+
 def test_graph_copy_is_independent():
     g = RootedDistanceGraph(1)
     g.set_edge(0, 1, weight(5))
