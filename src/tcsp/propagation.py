@@ -8,9 +8,11 @@ Two families operate in place on a :class:`~tcsp.network.Tcsp`:
   which tighten arbitrary entries through composition.
 
 Every step is a path step (i, k, j), narrowing entry (i, j) through X_k;
-revising the domain of X_k through X_m is the step (0, m, k).  So the two
-worklist algorithms share one loop and differ only in their seed and in
-the steps a write puts back on the queue.
+revising the domain of X_k through X_m is the step (0, m, k).  So every
+pass but ``pc1``'s sweeps steps through one loop, ``_worklist``, and the
+algorithms differ only in their seed and in the steps a write puts back on
+the queue; a ``bdac1`` pass is a worklist of every arc, in its fixed order,
+that puts nothing back.
 
 The clamped variants cut any domain whose endpoint weights fall below the
 path-derived lower bound of the network the run started on straight to
@@ -33,10 +35,12 @@ STP, and steps each through its own kernel, with the counts and the
 network a run over labels ends with.  Every arc pass, over bounds or
 labels, holds row 0 and writes each moved domain once, when the run ends,
 or at once where a step empties it, which ends the run; so it reads the
-floor off the network it started on.  Extraction's pins go on over one
-held run, unclamped, and write the network once, when the last pin ends
-or one empties a domain (see ``_pin_in_turn``).  Every step can be recorded:
-pass a list as ``trace=`` and one :class:`TraceEntry` per call is appended.
+floor off the network it started on.  A run may span several worklists,
+and its engine ends it: ``bdac1``'s passes are one run, and so are
+extraction's pins, unclamped, which write the network once, when the last
+pin ends or one empties a domain (see ``_pin_in_turn``).  Every step can
+be recorded: pass a list as ``trace=`` and one :class:`TraceEntry` per call
+is appended.
 
 :func:`refinements` is the depth-first loop of the solver's and the
 scheduler's searches.
@@ -211,13 +215,13 @@ class _Run:
     as later steps read it as a leg, and reads the floor before that write;
     pc1's label sweep writes m[i][j] alone, which ``write_back`` mirrors.
 
-    A held run (:meth:`pin`), unclamped, keeps its bounds, ``scale`` and
-    ``moved`` from one seeded worklist to the next; its holder writes it.
+    A run may span several worklists, and its engine ends it, once, with
+    ``end``: bdac1's passes, and extraction's pins (:meth:`pin`), keep the
+    bounds, ``scale`` and ``moved`` from one worklist to the next.
     """
 
     __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor", "walks",
-                 "revise_calls", "domain_updates", "down", "up", "w", "row", "moved", "scale",
-                 "held")
+                 "revise_calls", "domain_updates", "down", "up", "w", "row", "moved", "scale")
 
     def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
                  budget: Optional[int] = None, trace: Optional[Trace] = None,
@@ -227,7 +231,7 @@ class _Run:
         self.floor, self.walks = None, {}
         self.revise_calls = self.domain_updates = 0
         self.down = self.w = self.row = None
-        self.moved, self.scale, self.held = {}, 1, False
+        self.moved, self.scale = {}, 1
         if arcs and trace is None:
             down, up = [], []
             for label in net.m[0]:
@@ -270,14 +274,12 @@ class _Run:
             net.set_pair(i, j, net.m[i][j] if w is None else _union((_piece(w[j][i], w[i][j]),)))
 
     def end(self, outcome: Outcome) -> RunReport:
-        if not self.held:  # a held run's holder writes the network
-            self.write_back()
+        self.write_back()
         return RunReport(outcome, self.revise_calls, self.domain_updates)
 
     def pin(self, j: int, value: Union[int, Fraction]) -> None:
-        """Hold X_j at ``value``, and the run for the holder to write.  A value
-        whose denominator does not divide ``scale`` first rescales every
-        bound to the lcm."""
+        """Hold X_j at ``value``.  A value whose denominator does not divide
+        ``scale`` first rescales every bound to the lcm."""
         scale, denominator = self.scale, value.denominator
         if scale % denominator:
             factor = lcm(scale, denominator) // scale
@@ -286,7 +288,6 @@ class _Run:
         v = value.numerator * (scale // denominator)
         self.down[j], self.up[j] = (-v, True), (v, True)
         self.moved[j] = None
-        self.held = True
 
     def _below_floor(self, down: Bound, up: Bound) -> bool:
         """Does either bound, held at ``scale``, sink below the floor?  A run
@@ -438,15 +439,15 @@ def _worklist(
     *,
     lifo: bool = False,
     select: Optional[Callable[[Tuple[_Triple, ...]], _Triple]] = None,
-) -> RunReport:
+) -> Outcome:
     """Run steps (i, k, j) from ``seed`` until none is pending, budget checked first.
 
-    A step that empties entry (i, j) ends the run; one that narrows it queues
-    the steps of ``again(i, k, j)`` not yet pending.  The pending dict keeps
-    insertion order, which ``select`` sees; the deque beside it makes a FIFO
-    or LIFO pop O(1) (under ``select`` it has length 0 and drops pushes).
-    A run over an STP's bounds steps through its path kernel; ``run.end``
-    writes back what the run holds and reports the outcome.
+    A step that empties entry (i, j) stops the loop; one that narrows it
+    queues the steps of ``again(i, k, j)`` not yet pending.  The pending dict
+    keeps insertion order, which ``select`` sees; the deque beside it makes a
+    FIFO or LIFO pop O(1) (under ``select`` it has length 0 and drops pushes).
+    A run over an STP's bounds steps through its path kernel.  The loop only
+    steps: a run may span several worklists, and its engine ends it.
     """
     pending = dict.fromkeys(seed)
     queue = deque(pending, maxlen=None if select is None else 0)
@@ -462,18 +463,18 @@ def _worklist(
     push, grid, budget = queue.append, run.net.m, run.budget
     while pending:
         if budget is not None and run.revise_calls >= budget:
-            return run.end(Outcome.BUDGET_EXHAUSTED)
+            return Outcome.BUDGET_EXHAUSTED
         step = pop()
         del pending[step]
         i, k, j = step
         if revise(i, k, j):
             if grid[i][j].is_empty():
-                return run.end(Outcome.EMPTY_DOMAIN)
+                return Outcome.EMPTY_DOMAIN
             for later in again(i, k, j):
                 if later not in pending:
                     pending[later] = None
                     push(later)
-    return run.end(Outcome.CONSISTENT)
+    return Outcome.CONSISTENT
 
 
 def _mask_pairs(net: Tcsp) -> List[_Pair]:
@@ -521,7 +522,7 @@ def _bdac3(
             return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
 
     run = _Run(net, alg, weak=weak, clamp=clamp, budget=budget, trace=trace, arcs=True)
-    return _worklist(run, seed, _requeue(net.neighbours, weak), lifo=lifo)
+    return run.end(_worklist(run, seed, _requeue(net.neighbours, weak), lifo=lifo))
 
 
 def _requeue(neighbours: List[Tuple[int, ...]], weak: bool) -> Callable[..., List[_Triple]]:
@@ -609,24 +610,25 @@ def _pin_in_turn(
 ) -> Tuple[RunReport, Optional[int]]:
     """Pin each X_t whose domain is not a point to ``pick(down, up)`` of its
     bounds, in index order, and re-propagate it as ``bdac3(net, changed=(0,
-    t))`` would, all over one held run, unclamped: ``net`` is a connected STP
-    at the bdac3 fixpoint with no empty entry, where no pin's run needs the
-    clamp (``solver.backtrack_free``'s lemma).  Returns the pins' summed
-    report and the variable whose pin emptied a domain, or None."""
+    t))`` would, each pin a worklist of one run, unclamped: ``net`` is a
+    connected STP at the bdac3 fixpoint with no empty entry, where no pin's
+    run needs the clamp (``solver.backtrack_free``'s lemma).  The run ends
+    once, after the last pin or the first that empties a domain, and writes
+    the network then.  Returns the pins' summed report and the variable
+    whose pin emptied a domain, or None."""
     run = _Run(net, "bdac3", clamp=False, arcs=True)
     again = _requeue(net.neighbours, False)
-    report, dead = RunReport(Outcome.CONSISTENT, 0, 0), None
+    outcome, dead = Outcome.CONSISTENT, None
     for t in range(1, net.n_vars + 1):
         down, up = run.down[t], run.up[t]
         if _add(up, down) == _CLOSED_ZERO:
             continue  # X_t is already a point
         run.pin(t, pick(_unscaled(down, run.scale), _unscaled(up, run.scale)))
-        report = _worklist(run, _arcs_reading(net, (0, t)), again)
-        if report.outcome is not Outcome.CONSISTENT:
+        outcome = _worklist(run, _arcs_reading(net, (0, t)), again)
+        if outcome is not Outcome.CONSISTENT:
             dead = t
             break
-    run.write_back()
-    return report, dead
+    return run.end(outcome), dead
 
 
 def _bdac1(
@@ -649,18 +651,12 @@ def _bdac1(
         if sorted(pairs) != _mask_pairs(net):
             raise ValueError("order must be a permutation of the constrained ordered pairs")
     run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace, arcs=True)
-    grid = net.m
-    while True:
-        changed_any = False
-        for k, m in pairs:
-            if budget is not None and run.revise_calls >= budget:
-                return run.end(Outcome.BUDGET_EXHAUSTED)
-            if run.revise(0, m, k):
-                changed_any = True
-                if grid[0][k].is_empty():
-                    return run.end(Outcome.EMPTY_DOMAIN)
-        if not changed_any:
-            return run.end(Outcome.CONSISTENT)
+    steps = [(0, m, k) for k, m in pairs]
+    while True:  # a pass: every arc once, in order, none queued again
+        updates = run.domain_updates
+        outcome = _worklist(run, steps, lambda *step: [])
+        if outcome is not Outcome.CONSISTENT or run.domain_updates == updates:
+            return run.end(outcome)
 
 
 def bdac1(
@@ -669,9 +665,12 @@ def bdac1(
     """Round-robin arc passes in a fixed pair order until a pass changes nothing.
 
     The default order is both orientations of the constrained pairs,
-    lexicographically; an explicit ``order`` must list such pairs.
-    An empty domain stops the run mid-pass.  Untraced, the run steps over
-    domain bounds as :func:`bdac3` describes.
+    lexicographically; an explicit ``order`` must list such pairs.  Each
+    pass is a worklist of those arcs in that order that puts no arc back, so
+    the minus variant's budget is checked before every step, a pass's first
+    included.  The passes make one run, which an empty domain stops
+    mid-pass.  Untraced, the run steps over domain bounds as :func:`bdac3`
+    describes.
     """
     return _bdac1(net, order=order, trace=trace)
 
@@ -849,7 +848,7 @@ def _pc2(
 
     run = _Run(net, alg, clamp=clamp, budget=budget, trace=trace,
                stp=trace is None and is_stp(net))
-    return _worklist(run, seed, again, select=select)
+    return run.end(_worklist(run, seed, again, select=select))
 
 
 def pc2(

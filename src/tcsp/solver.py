@@ -69,8 +69,8 @@ def backtrack_free(net: Tcsp) -> Tcsp:
     """Fix every variable of a connected, bdArc-consistent STP, in place.
 
     Each round pins the lowest-index unfixed variable to a value of its
-    domain and re-propagates, unclamped, over one held run that writes the
-    network once (``propagation._pin_in_turn``).  A consistent round keeps
+    domain and re-propagates, unclamped, in one run that writes the network
+    once (``propagation._pin_in_turn``).  A consistent round keeps
     earlier pins points, so one pass in index order fixes them all.
 
     The lemma.  Read X_v's domain as the edges X0 -> X_v, of its upper end

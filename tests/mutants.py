@@ -97,6 +97,21 @@ MUTANTS = (
         ("tests/test_propagation.py::test_untraced_arc_passes_equal_the_label_run",),
     ),
     Mutant(
+        "bdac1-stops-after-one-pass",
+        "src/tcsp/propagation.py",
+        "        if outcome is not Outcome.CONSISTENT or run.domain_updates == updates:",
+        "        if True:",
+        ("tests/test_propagation.py::"
+         "test_the_clamp_ends_every_clamped_engine_on_a_diverging_circuit",),
+    ),
+    Mutant(
+        "worklist-takes-a-step-past-the-budget",
+        "src/tcsp/propagation.py",
+        "        if budget is not None and run.revise_calls >= budget:",
+        "        if budget is not None and run.revise_calls > budget:",
+        ("tests/test_propagation.py::test_bdac3_minus_runs_out_of_budget_on_the_hidden_circuit",),
+    ),
+    Mutant(
         "connectivity-forward-only",
         "src/tcsp/network.py",
         "    return [a or b for a, b in zip(forward, backward)]",

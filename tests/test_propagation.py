@@ -1826,6 +1826,25 @@ def test_bdac1_runs_as_specified():
     assert clamped > 0
 
 
+@pytest.mark.parametrize("make", [hidden_circuit_stp, creeping_circuit_stp, chain_stp])
+def test_bdac1_minus_checks_the_budget_at_each_pass_boundary(make):
+    # budgets of one, two and three whole passes, one call less and one
+    # more: a pass's first step is checked like any other, and a quiet pass
+    # (the chain's third) ends the run without a further check
+    size = sum(len(row) for row in make().neighbours)
+    outcomes = {}
+    for passes in (1, 2, 3):
+        for budget in (passes * size - 1, passes * size, passes * size + 1):
+            outcomes[budget], _ = _agrees(
+                lambda n: _bdac1_as_specified(n, clamp=False, budget=budget),
+                lambda n, trace: minus_variant("bdac1", n, budget=budget, trace=trace),
+                make(),
+            )
+    quiet = {3 * size, 3 * size + 1} if make is chain_stp else set()
+    assert {b for b, outcome in outcomes.items() if outcome is Outcome.CONSISTENT} == quiet
+    assert all(outcomes[b] is Outcome.BUDGET_EXHAUSTED for b in outcomes.keys() - quiet)
+
+
 def _counting_path_bounds(monkeypatch, trace=None, kinds=None):
     """Wrap the ``path_bounds`` the clamp calls; each call appends the
     length ``trace`` had then (None without a trace).  Every run must hand

@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -431,11 +432,14 @@ def _fractional_constraints(rng, n):
     form a tree of their own, which anchoring has to reach.  2n - 2 more
     pairs within a part get a label too.  Each label holds the witness strictly
     inside, its ends a fraction of denominator 2, 3 or 7 away and open or
-    closed at random; one end in five is missing.
+    closed at random; one end in five is missing.  Below n = 9 the parts
+    hold fewer than 3n - 3 pairs, which raises ``ValueError``.
     """
+    linked = n - 3
+    if linked < 0 or comb(linked + 1, 2) + 3 < 3 * n - 3:
+        raise ValueError(f"the parts of {n} variables hold fewer than {3 * n - 3} pairs")
     xs = [Fraction(0)] + [Fraction(rng.randint(-300, 300), rng.choice(_DENOMINATORS))
                           for _ in range(n)]
-    linked = n - 3
     pairs = {(rng.randrange(i), i) for i in range(1, linked + 1)}
     pairs |= {(rng.randrange(linked + 1, j), j) for j in range(linked + 2, n + 1)}
     while len(pairs) < 3 * n - 3:
@@ -451,6 +455,16 @@ def _fractional_constraints(rng, n):
         constraints.append((i, j, [(lo, hi, lo is not None and rng.random() < 0.5,
                                     hi is not None and rng.random() < 0.5)]))
     return constraints
+
+
+def test_fractional_constraints_refuse_too_few_variables_before_drawing():
+    rng = random.Random(9)
+    state = rng.getstate()
+    for n in range(1, 9):
+        with pytest.raises(ValueError, match=f"fewer than {3 * n - 3} pairs$"):
+            _fractional_constraints(rng, n)
+        assert rng.getstate() == state
+    assert len(_fractional_constraints(rng, 9)) == 24  # every pair within the parts
 
 
 @pytest.mark.slow
