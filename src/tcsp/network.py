@@ -64,9 +64,7 @@ class Tcsp:
     the structure.
 
     Writes go through :meth:`set_pair`, which keeps the mirror invariant and
-    declares the pair.  The one exception is ``pc1``'s label sweep (traced
-    runs, and networks that are not STPs), which writes ``m`` directly; the
-    run's ``write_back`` passes each pair it narrowed to :meth:`set_pair`.
+    declares the pair.
     """
 
     __slots__ = ("n_vars", "m", "neighbours")
@@ -288,8 +286,8 @@ def path_bounds(net: Tcsp) -> PathBounds:
     network the two readings coincide.
 
     One call scans the n(n+1)/2 pairs of the upper triangle and makes two
-    partial selections of n keys.  It holds no state, so copies and direct
-    writes to ``m`` need nothing.
+    partial selections of n keys.  It holds no state, so copies need
+    nothing.
     """
     n = net.n_vars
     below: List[Bound] = []

@@ -31,16 +31,16 @@ Every step narrows its entry through one kernel,
 where a step is a pair of minima.  One run state, ``_Run``, holds those
 bounds, two vectors of domain bounds for the arc passes on one-piece
 domains or the matrix of the labels' bounds for ``pc1`` and ``pc2`` on an
-STP, and steps each through its own kernel, with the counts and the
-network a run over labels ends with.  Every arc pass, over bounds or
-labels, holds row 0 and writes each moved domain once, when the run ends,
-or at once where a step empties it, which ends the run; so it reads the
-floor off the network it started on.  A run may span several worklists,
-and its engine ends it: ``bdac1``'s passes are one run, and so are
-extraction's pins, unclamped, which write the network once, when the last
-pin ends or one empties a domain (see ``_pin_in_turn``).  Every step can
-be recorded: pass a list as ``trace=`` and one :class:`TraceEntry` per call
-is appended.
+STP, and steps each through its own kernel, with the counts.  A run holds
+everything it narrows, those bounds, row 0 or a copy of the label matrix,
+and records an entry a step empties; it writes the network once, through
+``Tcsp.set_pair``, when it ends, the emptied entry last.  So every run
+reads the floor off the network it started on.
+A run may span several worklists, and its engine ends it: ``bdac1``'s
+passes are one run, and so are extraction's pins, unclamped, which end
+after the last pin or the first that empties a domain (see
+``_pin_in_turn``).  Every step can be recorded: pass a list as ``trace=``
+and one :class:`TraceEntry` per call is appended.
 
 :func:`refinements` is the depth-first loop of the solver's and the
 scheduler's searches.
@@ -206,14 +206,16 @@ class _Run:
     goes on over labels; a traced arc pass, or one that starts on a domain
     of more than one piece, holds ``row`` from the start.
 
-    The write rule: ``moved`` keys what moved, j or (i, j) with i < j, for
-    ``write_back`` to write from the bounds or ``row`` when the run ends; a
-    step that empties an entry writes it at once, and the run ends there.
-    So an arc pass, or a run over an STP's bounds, leaves the network as it
-    began until it ends, and ``_below_floor``, called at a narrowing write
-    only, reads the floor off it.  pc2 over labels writes each step at once,
-    as later steps read it as a leg, and reads the floor before that write;
-    pc1's label sweep writes m[i][j] alone, which ``write_back`` mirrors.
+    The write rule: the run is the only writer.  ``m`` is the label matrix
+    the run reads: ``net.m`` for an arc pass, which never writes it, and for
+    pc1's label sweep and pc2 over labels a copy that the run narrows, pc2
+    with the mirror, as its later steps read a pair either way round as a
+    leg, and pc1 without.  ``moved`` keys what moved, j or (i, j) with i <
+    j, and ``emptied`` the entry a step emptied, which ends the run; when it
+    ends ``write_back`` writes each moved entry from the bounds, ``row`` or
+    the upper triangle of ``m``, and the emptied entry last.  So the network
+    is the run-start network until the run ends, and ``_below_floor``,
+    called at a narrowing write only, reads the floor off it.
 
     A run may span several worklists, and its engine ends it, once, with
     ``end``: bdac1's passes, and extraction's pins (:meth:`pin`), keep the
@@ -221,7 +223,8 @@ class _Run:
     """
 
     __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor", "walks",
-                 "revise_calls", "domain_updates", "down", "up", "w", "row", "moved", "scale")
+                 "revise_calls", "domain_updates", "down", "up", "w", "m", "row", "moved",
+                 "emptied", "scale")
 
     def __init__(self, net: Tcsp, alg: str, *, weak: bool = False, clamp: bool = True,
                  budget: Optional[int] = None, trace: Optional[Trace] = None,
@@ -230,8 +233,8 @@ class _Run:
         self.weak, self.clamp, self.budget = weak, clamp, budget
         self.floor, self.walks = None, {}
         self.revise_calls = self.domain_updates = 0
-        self.down = self.w = self.row = None
-        self.moved, self.scale = {}, 1
+        self.down = self.w = self.row = self.emptied = None
+        self.m, self.moved, self.scale = net.m, {}, 1
         if arcs and trace is None:
             down, up = [], []
             for label in net.m[0]:
@@ -248,6 +251,8 @@ class _Run:
                 self.down, self.up, self.scale = down, up, scale
         elif stp:
             self.w = [[label.parts[0]._up for label in row] for row in net.m]
+        elif not arcs:
+            self.m = [row[:] for row in net.m]
         if arcs and self.down is None:
             self.row = net.m[0][:]
 
@@ -263,15 +268,17 @@ class _Run:
         self.row, self.down, self.scale = self._row(), None, 1
 
     def write_back(self) -> None:
-        """Write each entry that moved, from the bounds or labels the run holds."""
-        net, w = self.net, self.w
+        """Write each entry that moved from what the run holds, the emptied one last."""
+        net, w, grid = self.net, self.w, self.m
         if self.arcs:
             row = self.row if self.down is None else self._row()
             for j in self.moved:
                 net.set_pair(0, j, row[j])
-            return
-        for i, j in self.moved:  # (i, j) with i < j: the upper triangle is current
-            net.set_pair(i, j, net.m[i][j] if w is None else _union((_piece(w[j][i], w[i][j]),)))
+        else:
+            for i, j in self.moved:  # (i, j) with i < j: the upper triangle is current
+                net.set_pair(i, j, grid[i][j] if w is None else _union((_piece(w[j][i], w[i][j]),)))
+        if self.emptied is not None:
+            net.set_pair(*self.emptied, IntervalUnion.empty())
 
     def end(self, outcome: Outcome) -> RunReport:
         self.write_back()
@@ -348,14 +355,14 @@ class _Run:
                 empty = self._below_floor(down, up)
             if empty:
                 self.moved.pop(j, None)
-                self.net.set_pair(0, j, IntervalUnion.empty())
+                self.emptied = (0, j)
             else:
                 downs[j] = down
                 ups[j] = up
                 self.moved[j] = None
             return True
         self.revise_calls += 1
-        grid, row = self.net.m, self.row
+        grid, row = self.m, self.row
         if row is None:
             row = grid[i]
         old, via = row[j], row[k]
@@ -371,13 +378,15 @@ class _Run:
         changed = new is not old
         if changed:
             self.domain_updates += 1
-            # pc2 writes each step at once, an arc pass only an emptied domain
-            if row is grid[i] or new.is_empty():
-                self.moved.pop(j, None)
-                self.net.set_pair(i, j, new)
+            moved = j if self.arcs else (i, j)
+            if new.is_empty():
+                self.moved.pop(moved, None)
+                self.emptied = (i, j)
             else:
                 row[j] = new
-                self.moved[j] = None
+                if not self.arcs:  # pc2's later steps read the pair as a leg, either way round
+                    grid[j][i] = new.converse()
+                self.moved[moved] = None
         if self.trace is not None:
             target = (j, k) if self.arcs else (i, k, j)
             self.trace.append(TraceEntry(self.alg, target, old, temp, new, clamped, changed))
@@ -411,7 +420,7 @@ class _Run:
             empty = self._below_floor(down, up)
         if empty:
             self.moved.pop((i, j), None)
-            self.net.set_pair(i, j, IntervalUnion.empty())
+            self.emptied = (i, j)
         else:
             row_i[j] = up
             row_j[i] = down
@@ -460,7 +469,7 @@ def _worklist(
                 raise ValueError(f"select returned {step!r}, which is not pending")
             return step
     revise = run.revise if run.w is None else run._path_step
-    push, grid, budget = queue.append, run.net.m, run.budget
+    push, budget = queue.append, run.budget
     while pending:
         if budget is not None and run.revise_calls >= budget:
             return Outcome.BUDGET_EXHAUSTED
@@ -468,7 +477,7 @@ def _worklist(
         del pending[step]
         i, k, j = step
         if revise(i, k, j):
-            if grid[i][j].is_empty():
+            if run.emptied is not None:
                 return Outcome.EMPTY_DOMAIN
             for later in again(i, k, j):
                 if later not in pending:
@@ -565,8 +574,8 @@ def bdac3(
     constraint label of more than one piece (or none) it goes on over
     labels, from the domains as the bounds stand.  Traced or not, the run
     holds row 0 and writes each moved domain once, when it ends, whatever
-    the outcome, or at once where a step empties it.  Either way the counts,
-    the clamp's decisions and the final network are those of a traced run.
+    the outcome, a domain a step emptied last.  Either way the counts, the
+    clamp's decisions and the final network are those of a traced run.
     """
     return _bdac3(net, lifo=lifo, trace=trace, changed=changed)
 
@@ -675,31 +684,20 @@ def bdac1(
     return _bdac1(net, order=order, trace=trace)
 
 
-def _pc1_on_bounds(run: _Run) -> RunReport:
+def _pc1_on_bounds(run: _Run) -> Optional[RunReport]:
     """pc1 on an STP, untraced: one Floyd-Warshall pass through the path
-    kernel, counted as the label sweep counts it (see pc1)."""
-    w, step, grid = run.w, run._path_step, run.net.m
+    kernel, counted as the label sweep counts it (see pc1).  None, with the
+    network unwritten, where a step empties its entry."""
+    w, step = run.w, run._path_step
     size = len(w)
     for k in range(size):
         via = w[k]
-        ends = []  # j of each pair (i, j) moved in round k
         for i in range(size):
             if i == k or (w[i][k] is None and via[i] is None):
                 continue  # no path through X_k leaves or reaches X_i
             for j in range(i + 1, size):
-                if j == k or not step(i, k, j):
-                    continue
-                if grid[i][j].is_empty():
-                    # the label sweep leaves the emptied entry as the step
-                    # found it, which w still holds; the step comes before
-                    # the mirror (j', k, i') of each pair moved this round
-                    # whose j' lies past row i
-                    run.moved[i, j] = None
-                    late = sum(1 for end in ends if end > i)
-                    run.revise_calls = (k * size + i) * size + j + 1
-                    run.domain_updates = 2 * (run.domain_updates - 1) - late
-                    return run.end(Outcome.EMPTY_DOMAIN)
-                ends.append(j)
+                if j != k and step(i, k, j) and run.emptied is not None:
+                    return None
     # each move counts at (i, k, j) and at its mirror (j, k, i); a pass that
     # moved a bound is followed by a second sweep, which the label sweep
     # counts and which changes nothing
@@ -713,10 +711,12 @@ def _pc1(net: Tcsp, *, trace: Optional[Trace] = None, alg: str = "pc1") -> RunRe
         return RunReport(Outcome.EMPTY_DOMAIN, 0, 0)
     # an STP is settled by its first sweep (see pc1)
     settled = is_stp(net)
-    run = _Run(net, alg, clamp=False, trace=trace, stp=settled and trace is None)
-    if run.w is not None:
-        return _pc1_on_bounds(run)
-    grid = net.m
+    if settled and trace is None:
+        report = _pc1_on_bounds(_Run(net, alg, clamp=False, stp=True))
+        if report is not None:
+            return report
+    run = _Run(net, alg, clamp=False, trace=trace)
+    grid = run.m
     size = net.n_vars + 1
     sweep = size ** 3
     step = 0
@@ -773,8 +773,9 @@ def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
     i != j.  Every step is counted and traced, but a step that cannot narrow
     its entry -- its target is diagonal, its path runs through the diagonal
     or an unconstrained leg, or it lies past the first sweep of an STP -- is
-    not composed.  The sweep writes a narrowed entry alone, and the pair,
-    mirror included, goes through ``_Run.write_back`` when the run ends.
+    not composed.  The sweep writes a narrowed entry alone, into the run's
+    copy of the matrix, and the pair, mirror included, goes through
+    ``_Run.write_back`` when the run ends; an emptied entry is not written.
 
     The one-sweep rule for an STP (every label convex on entry): a label is
     one piece, two bounds in the ordered monoid of ``(value, closed)``
@@ -800,12 +801,10 @@ def pc1(net: Tcsp, *, trace: Optional[Trace] = None) -> RunReport:
     and writes the pairs that moved when it ends.  Steps (i, k, j) and (j,
     k, i) take the same two minima, from the same round-k legs, so the pass
     relaxes each pair once per round and counts a moved pair twice, once at
-    each position.  A run that stops at step (i, k, j), i < j (the first of
-    the two positions of the emptied pair, which keeps the label it held),
-    counts ``k*size**2 + i*size + j + 1`` steps, and of each pair (a, b), a < b,
-    moved earlier in round k it counts the mirror (b, k, a) only when row b
-    comes no later than row i.  A pass that empties nothing counts one
-    sweep when no bound moved, and otherwise two.
+    each position.  A pass that empties nothing counts one sweep when no
+    bound moved, and otherwise two.  A pass that empties an entry leaves the
+    network unwritten, and the label sweep runs instead: it defines pc1's
+    counts at a stop.
     """
     return _pc1(net, trace=trace)
 
@@ -862,18 +861,15 @@ def pc2(
     The queue holds triples (i, k, j) with i < j; by default the oldest
     pending triple runs next, but ``select`` may pick any pending one (it
     gets the pending tuple and must return a member).  ``select`` sees only
-    that tuple: an untraced run on an STP leaves the network unwritten until
-    it ends.
+    that tuple: a run leaves the network unwritten until it ends.
 
     On an STP a full-strength step keeps one piece or none (see pc1), so the
     network stays an STP, and a step takes each bound of (i, j) to the least
     of itself and the sum of the legs' bounds.  Untraced, an STP runs the
     same worklist -- seed, queue, ``select``, budget and counts -- through
-    ``_Run``'s path kernel over the labels' bounds.  A step that empties its
-    entry writes it at once and ends the run; every other pair that moved is
-    written when the run ends, whatever the outcome.  So the floor, read at
-    the first narrowing write, is path_lb of the network the run started
-    on, as a traced run reads it before its first write.
+    ``_Run``'s path kernel over the labels' bounds.  Either way the network
+    is written when the run ends (see ``_Run``), so the floor is path_lb of
+    the network the run started on.
     """
     return _pc2(net, select=select, trace=trace)
 

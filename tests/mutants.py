@@ -157,6 +157,63 @@ MUTANTS = (
         "    if not t:\n        t = '0'\n    if not t:\n        raise",
         ("tests/test_cli.py::test_a_malformed_document_exits_2_with_its_message",),
     ),
+    Mutant(
+        "worklist-ignores-an-emptied-entry",
+        "src/tcsp/propagation.py",
+        "            if run.emptied is not None:\n                return Outcome.EMPTY_DOMAIN",
+        "            if False:\n                return Outcome.EMPTY_DOMAIN",
+        ("tests/test_propagation.py::"
+         "test_bdac3_detects_the_circuit_hidden_behind_an_infinite_edge",),
+    ),
+    Mutant(
+        "write-back-drops-the-emptied-entry",
+        "src/tcsp/propagation.py",
+        "        if self.emptied is not None:\n            net.set_pair(*self.emptied",
+        "        if False:\n            net.set_pair(*self.emptied",
+        ("tests/test_propagation.py::"
+         "test_bdac3_detects_the_circuit_hidden_behind_an_infinite_edge",
+         "tests/test_propagation.py::test_the_worklist_runs_pc2_as_specified"),
+    ),
+    Mutant(
+        "pc1-on-bounds-ends-the-run-at-its-stop",
+        "src/tcsp/propagation.py",
+        "                    return None",
+        "                    return run.end(Outcome.EMPTY_DOMAIN)",
+        ("tests/test_propagation.py::test_untraced_pc1_on_an_stp_equals_the_label_sweep",),
+    ),
+    Mutant(
+        "up-weight-closes-a-strict-end",
+        "src/tcsp/network.py",
+        "    return _weight(label.parts[-1]._up) if label.parts else INF",
+        "    _up = label.parts[-1]._up if label.parts else None\n"
+        "    return _weight(_up and (_up[0], True)) if label.parts else INF",
+        ("tests/test_acceptance.py::"
+         "test_c10_graph_round_trip_is_the_identity_on_all_bound_shapes",),
+    ),
+    Mutant(
+        "head-bound-sorts-earliest-starts-ascending",
+        "src/tcsp/scheduling.py",
+        "sorted(clique, key=est.__getitem__, reverse=True)",
+        "sorted(clique, key=est.__getitem__)",
+        ("tests/test_scheduling.py::"
+         "test_head_bound_sums_the_tasks_that_cannot_start_earlier",),
+    ),
+    Mutant(
+        "refinements-stack-children-unreversed",
+        "src/tcsp/propagation.py",
+        "        stack.extend(reversed(children))",
+        "        stack.extend(children)",
+        ("tests/test_propagation.py::"
+         "test_refinements_visit_children_depth_first_in_piece_order",),
+    ),
+    Mutant(
+        "floyd-warshall-misses-a-strict-zero-circuit",
+        "src/tcsp/graph.py",
+        "                    if i == j and cand < _CLOSED_ZERO:",
+        "                    if i == j and cand < (0, False):",
+        ("tests/test_weights_graph.py::"
+         "test_floyd_warshall_treats_zero_strict_diagonal_as_negative",),
+    ),
 )
 
 

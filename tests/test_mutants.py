@@ -1,5 +1,7 @@
-"""The entries of ``tests/mutants.py`` stay current: each snippet occurs
-exactly once in its file, and each test it names is defined there."""
+"""The entries of ``tests/mutants.py`` stay current and sound: each snippet
+occurs exactly once in its file, its replacement differs from it and leaves
+the file parsing, and each test it names is defined there.  So no entry
+counts as killed because its mutated copy raises a ``SyntaxError``."""
 
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ def _functions(path: str) -> set:
 def test_each_entry_names_a_unique_snippet_and_defined_tests(mutant):
     text = (ROOT / mutant.path).read_text(encoding="utf-8")
     assert text.count(mutant.snippet) == 1
+    assert mutant.replacement != mutant.snippet
+    ast.parse(text.replace(mutant.snippet, mutant.replacement))
     for test in mutant.tests:
         path, *names = test.split("::")
         assert names and names[-1].split("[")[0] in _functions(path), test

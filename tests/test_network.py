@@ -376,7 +376,7 @@ def test_maintained_path_bounds_equal_a_fresh_computation(case):
             (i, j), label = step[1], step[2]
             net.set_pair(i, j, label)
         elif step[0] == "direct":
-            # past set_pair, as pc1's label sweep writes
+            # past set_pair: path_bounds reads the matrix as it stands
             (i, j), label = step[1], step[2]
             net.m[i][j], net.m[j][i] = label, label.converse()
         elif step[0] == "copy":

@@ -1104,49 +1104,126 @@ def _scheduler_nodes(monkeypatch, count):
     return nodes
 
 
+def _watching_writes(monkeypatch):
+    """Patch the run kernels, ``narrow`` and ``Tcsp.set_pair``; returns ``run(engine,
+    net, **option)``, which runs ``engine`` on a copy of ``net`` and returns its
+    report, the number of kernel calls and the copy's writes (entry, label).
+
+    Each kernel or ``narrow`` call checks that the copy's matrix is still the
+    run-start matrix, label for label, and counts as a step; ``run`` checks
+    that every write comes after the last step, and writes each entry once.
+    """
+    watched = {}
+    writes = []
+    set_pair, narrowed = Tcsp.set_pair, propagation.narrow
+
+    def stepped():
+        assert watched["net"].m == watched["start"], watched["start"]
+        watched["steps"] += 1
+
+    def kernel(step):
+        def checked(run, i, k, j):
+            stepped()
+            watched["kernel"] += 1
+            return step(run, i, k, j)
+        return checked
+
+    def narrowing(*legs):
+        stepped()
+        return narrowed(*legs)
+
+    def written(net, i, j, label):
+        if net is watched.get("net"):
+            writes.append((watched["steps"], (min(i, j), max(i, j)), label))
+        set_pair(net, i, j, label)
+
+    for name in ("revise", "_path_step"):
+        monkeypatch.setattr(propagation._Run, name, kernel(getattr(propagation._Run, name)))
+    monkeypatch.setattr(propagation, "narrow", narrowing)
+    monkeypatch.setattr(Tcsp, "set_pair", written)
+
+    def run(engine, net, **option):
+        worked = net.copy()
+        watched.update(net=worked, start=[row[:] for row in worked.m], steps=0, kernel=0)
+        del writes[:]
+        report = engine(worked, **option)
+        entries = [entry for _, entry, _ in writes]
+        assert all(done == watched["steps"] for done, _, _ in writes), net.m
+        assert len(set(entries)) == len(entries), net.m
+        return report, watched["kernel"], [(entry, label) for _, entry, label in writes]
+
+    return run
+
+
 def test_an_arc_pass_writes_each_domain_once_when_it_ends(monkeypatch):
-    # whatever the run holds, bounds or labels, it writes each moved domain
-    # once, after its last step; only a domain it empties is written at once,
-    # in the step that empties it
+    # whatever the run holds, bounds or labels, it writes each moved domain,
+    # an emptied one included, once, after its last step
     nodes = _scheduler_nodes(monkeypatch, 150)
     rng = random.Random(28028)
     nets = list(itertools.chain(_differential_cases(rng), _circuit_cases(random.Random(83))))
     nets += [net for net in (_with_a_second_piece(net, rng) for net in nets) if net]
-    steps, writes = [0], []
-    set_pair, step = Tcsp.set_pair, propagation._Run.revise
-
-    def written(net, i, j, label):
-        writes.append((steps[0], i, j, label))
-        set_pair(net, i, j, label)
-
-    def stepped(run, i, k, j):
-        changed = step(run, i, k, j)
-        steps[0] += 1
-        return changed
-
-    monkeypatch.setattr(Tcsp, "set_pair", written)
-    monkeypatch.setattr(propagation._Run, "revise", stepped)
+    run = _watching_writes(monkeypatch)
     outcomes = collections.Counter()
     for net, changed in [(net, None) for net in nets] + nodes:
         for algorithm in (bdac3, wbdac3, bdac1):
             option = {} if algorithm is bdac1 else {"changed": changed}
             for trace in (None, CappedTrace(10_000)):
-                worked = net.copy()
-                steps[0] = 0
-                del writes[:]
-                report = algorithm(worked, trace=trace, **option)
-                assert report.revise_calls == steps[0]
-                assert trace is None or len(trace) == steps[0]
-                domains = [i or j for _, i, j, _ in writes]
-                assert all(0 in (i, j) for _, i, j, _ in writes), net.m
-                assert len(set(domains)) == len(domains), net.m
-                for done, _, _, label in writes:
-                    assert done == (steps[0] - 1 if label.is_empty() else steps[0]), net.m
+                report, steps, writes = run(algorithm, net, trace=trace, **option)
+                assert report.revise_calls == steps
+                assert trace is None or len(trace) == steps
+                assert all(i == 0 for (i, _), _ in writes), net.m
+                emptied = [label for _, label in writes if label.is_empty()]
+                assert len(emptied) == (report.outcome is Outcome.EMPTY_DOMAIN), net.m
+                assert not emptied or writes[-1][1] is emptied[0], net.m
                 outcomes[report.outcome, trace is None, bool(writes)] += 1
     assert len(nodes) >= 20
     assert all(outcomes[outcome, untraced, True] > 0
                for outcome in (Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN)
                for untraced in (False, True))
+
+
+def test_path_passes_and_pins_write_each_entry_once_when_they_end(monkeypatch):
+    # pc1 and pc2, over labels or an STP's bounds, and extraction's pins hold
+    # what they narrow and write each entry that moved once, after the last
+    # step: pc2 and the pins write an emptied entry last, pc1 leaves it as
+    # it was
+    rng = random.Random(33033)
+    nets = list(itertools.chain(_differential_cases(rng), _circuit_cases(random.Random(83))))
+    nets += [net for net in (_with_a_second_piece(net, rng) for net in nets) if net]
+    starts = [strict_zero_circuit_stp(), _floor_after_an_earlier_pin_stp()]
+    starts += [random_consistent_stp(rng)[0] for _ in range(30)]
+    starts += [_fractional_stp(rng) for _ in range(60)]
+    pinned = [net for net in map(_anchored, starts) if net is not None]
+    pinned += _disjunctive_leaves(60)
+    run = _watching_writes(monkeypatch)
+    outcomes = collections.Counter()
+    for net in nets:
+        for algorithm in (pc1, pc2):
+            for trace in (None, CappedTrace(100_000)):
+                report, steps, writes = run(algorithm, net, trace=trace)
+                if algorithm is pc2:
+                    assert report.revise_calls == steps
+                emptied = [label for _, label in writes if label.is_empty()]
+                if algorithm is pc1 or report.outcome is not Outcome.EMPTY_DOMAIN:
+                    assert emptied == [], net.m
+                else:
+                    assert len(emptied) == 1 and writes[-1][1] is emptied[0], net.m
+                outcomes[algorithm, report.outcome, is_stp(net), trace is None,
+                         bool(writes)] += 1
+    assert all(outcomes[algorithm, outcome, stp, untraced, True] > 0
+               for algorithm in (pc1, pc2)
+               for outcome in (Outcome.CONSISTENT, Outcome.EMPTY_DOMAIN)
+               for stp in (False, True) for untraced in (False, True))
+    dead_ends = []
+    for net in pinned:
+        try:
+            _, _, writes = run(backtrack_free, net)
+        except ExtractionDeadEnd:
+            _, _, writes = run(propagation._pin_in_turn, net, pick=solver._pick_value)
+            dead_ends.append(writes)
+        assert writes and all(i == 0 for (i, _), _ in writes), net.m
+    assert len(dead_ends) >= 1
+    assert all(writes[-1][1].is_empty() for writes in dead_ends)
 
 
 @pytest.mark.parametrize("algorithm", [bdac3, wbdac3], ids=["bdac3", "wbdac3"])
