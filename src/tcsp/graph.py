@@ -13,7 +13,7 @@ bounds directly.
 from __future__ import annotations
 
 import re
-from typing import Callable, List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 from .errors import NegativeCircuit, NegativeCircuitReachable, NetworkFormatError
 from .intervals import _CLOSED_ZERO, _add
@@ -142,26 +142,18 @@ def bellman_ford(g: RootedDistanceGraph, source: int = 0) -> List[Weight]:
     return dist
 
 
-def _reached(rows: Sequence[Sequence], source: int, finite: Callable) -> List[bool]:
-    """Which vertices ``source`` reaches over the entries rows[u][v] that are ``finite``."""
-    seen = [False] * len(rows)
-    seen[source] = True
-    frontier = [source]
-    while frontier:
-        u = frontier.pop()
-        for v, entry in enumerate(rows[u]):
-            if not seen[v] and finite(entry):
-                seen[v] = True
-                frontier.append(v)
-    return seen
-
-
 def reachable_set(g: RootedDistanceGraph, source: int, reverse: bool = False) -> Set[int]:
     """Vertices reachable from ``source`` over finite edges (backwards if reverse)."""
     g._check(source, source)
     rows = list(zip(*g.w)) if reverse else g.w
-    seen = _reached(rows, source, lambda w: w.bound is not None)
-    return {v for v, hit in enumerate(seen) if hit}
+    seen = {source}
+    frontier = [source]
+    while frontier:
+        for v, w in enumerate(rows[frontier.pop()]):
+            if v not in seen and w.bound is not None:
+                seen.add(v)
+                frontier.append(v)
+    return seen
 
 
 def reachable(g: RootedDistanceGraph, frm: int, to: int) -> bool:

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     NotAnStp,
     UnionParseError,
 )
-from .graph import MAX_VERTICES, RootedDistanceGraph, _reached
+from .graph import MAX_VERTICES, RootedDistanceGraph
 from .intervals import (
     _CLOSED_ZERO,
     Bound,
@@ -157,11 +158,11 @@ def build_tcsp(n_vars: int, constraints: Iterable[Constraint]) -> Tcsp:
 
 def is_stp(net: Tcsp) -> bool:
     """True when every label is convex (a simple temporal problem)."""
-    return all(
-        net.m[i][j].is_convex()
-        for i in range(net.n_vars + 1)
-        for j in range(i + 1, net.n_vars + 1)
-    )
+    for i, row in enumerate(net.m):
+        for label in row[i + 1:]:
+            if len(label.parts) > 1:
+                return False
+    return True
 
 
 def first_empty_entry(net: Tcsp) -> Optional[Tuple[int, int]]:
@@ -170,10 +171,9 @@ def first_empty_entry(net: Tcsp) -> Optional[Tuple[int, int]]:
     By the mirror invariant (j, i) is empty exactly when (i, j) is, so this
     is also the first empty entry of the whole matrix in row order.
     """
-    for i in range(net.n_vars + 1):
-        row = net.m[i]
-        for j in range(i + 1, net.n_vars + 1):
-            if row[j].is_empty():
+    for i, row in enumerate(net.m):
+        for j, label in enumerate(row[i + 1:], i + 1):
+            if not label.parts:
                 return (i, j)
     return None
 
@@ -319,15 +319,36 @@ def connectivity(net: Tcsp) -> List[bool]:
     those of the convex closure's distance graph, whose edge u -> v is
     finite exactly when m[u][v] has a finite upper end, so they are read
     straight off the labels.  An empty entry raises EmptyLabel.
+
+    Each search starts from row 0 and then follows ``Tcsp.neighbours``
+    only: every finite off-origin entry lies on a declared pair (see
+    :class:`Tcsp`), so the pairs it skips hold universal labels, no edge.
     """
     where = first_empty_entry(net)
     if where is not None:
         raise EmptyLabel(f"entry {where} is empty")
     # by the mirror invariant m[v][u] has a finite upper end exactly when
     # m[u][v] has a finite lower end, so both searches read rows only
-    forward = _reached(net.m, 0, lambda label: label.parts[-1]._up is not None)
-    backward = _reached(net.m, 0, lambda label: label.parts[0]._down is not None)
+    forward = _linked(net, True)
+    backward = _linked(net, False)
     return [a or b for a, b in zip(forward, backward)]
+
+
+def _linked(net: Tcsp, forward: bool) -> List[bool]:
+    """The variables X0 reaches over finite upper ends, or over finite lower ends."""
+    m, neighbours = net.m, net.neighbours
+    seen = [False] * (net.n_vars + 1)
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        row = m[u]
+        for v in neighbours[u] if u else range(1, len(seen)):
+            parts = row[v].parts
+            if not seen[v] and (parts[-1]._up if forward else parts[0]._down) is not None:
+                seen[v] = True
+                frontier.append(v)
+    return seen
 
 
 def disconnected_variables(net: Tcsp) -> List[int]:
@@ -352,15 +373,34 @@ def is_refinement(tighter: Tcsp, looser: Tcsp) -> bool:
 
 
 def check_solution(net: Tcsp, values: Sequence[RatLike]) -> bool:
-    """Does the assignment X_i = values[i] satisfy every constraint?"""
+    """Does the assignment X_i = values[i] satisfy every constraint?
+
+    The values are held times ``scale``, the lcm of their denominators, as
+    ints, so each difference is an int d standing for d / scale.  A piece
+    holds d / scale exactly when d lies within its ends times ``scale``:
+    ``(d, True) <= up`` and ``(-d, True) <= down``, with ``up`` and ``down``
+    scaled (see :class:`~tcsp.intervals.Interval`).
+    """
     if len(values) != net.n_vars + 1:
         raise DimensionMismatch(
             f"expected {net.n_vars + 1} values, got {len(values)}"
         )
     vals = [_exact(v) for v in values]
-    for i in range(net.n_vars + 1):
-        for j in range(i + 1, net.n_vars + 1):
-            if not net.m[i][j].contains(vals[j] - vals[i]):
+    scale = lcm(*[v.denominator for v in vals])  # an int's denominator is 1
+    if scale != 1:
+        vals = [v.numerator * (scale // v.denominator) for v in vals]
+    for i, row in enumerate(net.m):
+        base = vals[i]
+        for label, value in zip(row[i + 1:], vals[i + 1:]):
+            d = value - base
+            for piece in label.parts:
+                up, down = piece._up, piece._down
+                if scale != 1:
+                    up = up and (up[0] * scale, up[1])
+                    down = down and (down[0] * scale, down[1])
+                if (up is None or (d, True) <= up) and (down is None or (-d, True) <= down):
+                    break
+            else:
                 return False
     return True
 

@@ -956,8 +956,38 @@ def refinements(root: Tcsp, propagate: Callable[..., RunReport]) -> Iterator[tup
 
 def is_bd_arc_consistent(net: Tcsp) -> bool:
     """Is every binarized domain supported through every explicit constraint, that
-    is, does revising each arc (k, m) hand the domain of X_k back unchanged?"""
-    domains = net.m[0]
-    return all(
-        narrow(domains[k], domains[m], net.m[m][k]) is domains[k] for k, m in _mask_pairs(net)
-    )
+    is, does revising each arc (k, m) hand the domain of X_k back unchanged?
+
+    An arc whose domains and label are one piece each is read off their
+    bounds, as ``narrow`` takes it: each end of X_k's domain keeps itself
+    against the sum S of X_m's matching end and the label's, ``_least``
+    handing back its first operand on a tie, so the domain comes back
+    unchanged exactly when at both ends S is infinite or the domain's end is
+    finite and no looser, ``end <= S``.  So the arc is unsupported exactly
+    when some S is finite and the end is infinite or ``S < end``.  Every
+    other arc, an empty or a multi-piece domain or label on it, asks
+    ``narrow`` itself.
+    """
+    m = net.m
+    domains = m[0]
+    for k, j in _mask_pairs(net):
+        old, via, label = domains[k].parts, domains[j].parts, m[j][k].parts
+        if not len(old) == len(via) == len(label) == 1:
+            if narrow(domains[k], domains[j], m[j][k]) is not domains[k]:
+                return False
+            continue
+        # the two ends written out, with _add inlined
+        p, a, b = old[0], via[0], label[0]
+        leg, edge = a._down, b._down
+        if leg is not None and edge is not None:
+            x, y = leg[0], edge[0]
+            down = (x + y if type(x) is int is type(y) else _plus(x, y), leg[1] and edge[1])
+            if p._down is None or down < p._down:
+                return False
+        leg, edge = a._up, b._up
+        if leg is not None and edge is not None:
+            x, y = leg[0], edge[0]
+            up = (x + y if type(x) is int is type(y) else _plus(x, y), leg[1] and edge[1])
+            if p._up is None or up < p._up:
+                return False
+    return True

@@ -118,16 +118,15 @@ def extract_solution(net: Tcsp) -> List[Fraction]:
 
 def _select_disjunctive(net: Tcsp) -> Optional[Tuple[int, int]]:
     """The disjunctive entry with the fewest pieces, ties toward low (i, j)."""
-    best: Optional[Tuple[int, Tuple[int, int]]] = None
-    for i in range(net.n_vars + 1):
-        for j in range(i + 1, net.n_vars + 1):
-            label = net.m[i][j]
-            if label.is_convex():
-                continue
+    best, fewest = None, 0
+    for i, row in enumerate(net.m):
+        for j, label in enumerate(row[i + 1:], i + 1):
             width = len(label.parts)
-            if best is None or width < best[0]:
-                best = (width, (i, j))
-    return None if best is None else best[1]
+            if width > 1 and (best is None or width < fewest):
+                if width == 2:
+                    return (i, j)  # no disjunctive entry has fewer pieces
+                best, fewest = (i, j), width
+    return best
 
 
 def _search(net: Tcsp) -> Optional[Tuple[Tcsp, List[Fraction]]]:

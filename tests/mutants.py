@@ -54,9 +54,19 @@ MUTANTS = (
     Mutant(
         "is-bd-arc-consistent-always-true",
         "src/tcsp/propagation.py",
-        "    return all(\n        narrow(domains[k], domains[m], net.m[m][k]) is domains[k]",
-        "    return True or all(\n        narrow(domains[k], domains[m], net.m[m][k]) is domains[k]",
-        ("tests/test_solver.py::test_backtrack_free_preconditions",),
+        "        p, a, b = old[0], via[0], label[0]\n",
+        "        p, a, b = old[0], via[0], label[0]\n        continue\n",
+        ("tests/test_solver.py::test_backtrack_free_preconditions",
+         "tests/test_propagation.py::"
+         "test_is_bd_arc_consistent_reads_one_piece_arcs_off_their_bounds"),
+    ),
+    Mutant(
+        "is-bd-arc-consistent-narrows-on-a-tie",
+        "src/tcsp/propagation.py",
+        "            if p._down is None or down < p._down:",
+        "            if p._down is None or down <= p._down:",
+        ("tests/test_propagation.py::"
+         "test_is_bd_arc_consistent_reads_one_piece_arcs_off_their_bounds",),
     ),
     Mutant(
         "pick-value-takes-an-excluded-lower-end",
@@ -118,6 +128,29 @@ MUTANTS = (
         "    return forward",
         ("tests/test_solver.py::"
          "test_lemma_a_a_bd_arc_consistent_stp_is_loose_exactly_where_a_domain_is_universal",),
+    ),
+    Mutant(
+        "connectivity-skips-row-0",
+        "src/tcsp/network.py",
+        "        for v in neighbours[u] if u else range(1, len(seen)):",
+        "        for v in neighbours[u]:",
+        ("tests/test_network.py::"
+         "test_connectivity_matches_the_distance_graph_of_the_convex_closure",),
+    ),
+    Mutant(
+        "check-solution-ignores-the-scale-on-label-ends",
+        "src/tcsp/network.py",
+        "                if scale != 1:\n                    up = up and",
+        "                if False:\n                    up = up and",
+        ("tests/test_network.py::test_check_solution_agrees_with_the_per_pair_reference",),
+    ),
+    Mutant(
+        "select-disjunctive-ignores-the-piece-count",
+        "src/tcsp/solver.py",
+        "            if width > 1 and (best is None or width < fewest):",
+        "            if width > 1:\n                return (i, j)\n            if False:",
+        ("tests/test_solver.py::"
+         "test_select_disjunctive_takes_the_fewest_pieces_then_the_lowest_pair",),
     ),
     Mutant(
         "search-branches-on-the-first-piece-only",

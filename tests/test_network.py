@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from operator import attrgetter
 
@@ -18,6 +19,8 @@ from randnets import (
     hidden_circuit_stp,
     random_bounded_stp,
     random_consistent_stp,
+    random_detached_stp,
+    random_disjunctive_tcsp,
 )
 from tcsp import (
     DimensionMismatch,
@@ -55,6 +58,8 @@ from tcsp import (
     weight,
 )
 from tcsp.graph import MAX_VERTICES
+from tcsp.intervals import _exact
+from tcsp.network import first_empty_entry
 
 _by_bound = attrgetter("bound")
 U = parse_union
@@ -469,6 +474,60 @@ def test_connectivity_rejects_an_empty_entry():
         connectivity(net)
 
 
+def _reference_scans(net):
+    """``is_stp``, ``first_empty_entry`` and ``connectivity`` as loops over
+    the whole upper triangle and full rows."""
+    stp = all(
+        net.m[i][j].is_convex()
+        for i in range(net.n_vars + 1)
+        for j in range(i + 1, net.n_vars + 1)
+    )
+    empty = next(
+        ((i, j) for i in range(net.n_vars + 1) for j in range(i + 1, net.n_vars + 1)
+         if net.m[i][j].is_empty()),
+        None,
+    )
+    if empty is not None:
+        return stp, empty, None
+    flags = [False] * (net.n_vars + 1)
+    for finite in (lambda label: label.parts[-1]._up is not None,
+                   lambda label: label.parts[0]._down is not None):
+        seen, frontier = {0}, [0]
+        while frontier:
+            for v, label in enumerate(net.m[frontier.pop()]):
+                if v not in seen and finite(label):
+                    seen.add(v)
+                    frontier.append(v)
+        for v in seen:
+            flags[v] = True
+    return stp, empty, flags
+
+
+def test_the_matrix_scans_agree_with_full_row_loops():
+    rng = random.Random(9191)
+    makers = (random_bounded_stp, random_detached_stp, random_disjunctive_tcsp,
+              lambda rng: random_consistent_stp(rng)[0])
+    seen = set()
+    for _ in range(150):
+        for make in makers:
+            net = make(rng)
+            if rng.random() < 0.3:
+                i = rng.randrange(net.n_vars)
+                net.set_pair(i, rng.randint(i + 1, net.n_vars), IntervalUnion.empty())
+            stp, empty, flags = _reference_scans(net)
+            assert is_stp(net) == stp
+            assert first_empty_entry(net) == empty
+            if empty is None:
+                assert connectivity(net) == flags, network_to_json(net)
+                seen.add(("connected", all(flags)))
+            else:
+                with pytest.raises(EmptyLabel, match=f"^entry {re.escape(str(empty))} is empty$"):
+                    connectivity(net)
+            seen.add((stp, empty is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False),
+                    ("connected", True), ("connected", False)}
+
+
 # -- refinement and solutions ----------------------------------------------------------------
 
 
@@ -499,6 +558,78 @@ def test_check_solution_respects_open_ends():
     assert check_solution(net, (0, 2))
     assert not check_solution(net, (0, 1))
     assert check_solution(net, (0, Fraction(3, 2)))
+
+
+def _contains_per_pair(net, values):
+    """Reference for ``check_solution``: each difference of exact values,
+    tested with ``IntervalUnion.contains``."""
+    if len(values) != net.n_vars + 1:
+        raise DimensionMismatch(
+            f"expected {net.n_vars + 1} values, got {len(values)}"
+        )
+    vals = [_exact(v) for v in values]
+    for i in range(net.n_vars + 1):
+        for j in range(i + 1, net.n_vars + 1):
+            if not net.m[i][j].contains(vals[j] - vals[i]):
+                return False
+    return True
+
+
+def _sixths(rng, span=12):
+    """A value in sixths, so halves and thirds both occur; int when whole."""
+    return rng.choice([rng.randint(-span, span), Fraction(rng.randint(-6 * span, 6 * span), 6)])
+
+
+def _label_around(rng, centre):
+    """Universal, or one or two pieces with ends in sixths near ``centre``,
+    either end open or infinite."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        return IntervalUnion.universal()
+    low = centre + Fraction(rng.randint(-4, 2), rng.choice((1, 2, 3)))
+    high = low + Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+    first = Interval(None if rng.random() < 0.2 else low, high,
+                     rng.random() < 0.5 or low == high, rng.random() < 0.5 or low == high)
+    if shape == 1:
+        return IntervalUnion((first,))
+    start = high + Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
+    end = None if rng.random() < 0.3 else start + Fraction(rng.randint(0, 4), 2)
+    second = Interval(start, end, rng.random() < 0.5 or start == end, end is not None)
+    return IntervalUnion((first, second) if rng.random() < 0.5 else (second, first))
+
+
+def test_check_solution_agrees_with_the_per_pair_reference():
+    rng = random.Random(3434)
+    verdicts, shapes, denominators = set(), set(), set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        values = [_sixths(rng) for _ in range(n + 1)]
+        net = Tcsp(n)
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                if rng.random() < 0.6:
+                    label = _label_around(rng, values[j] - values[i])
+                    net.set_pair(i, j, label)
+                    shapes.add("universal" if label.is_universal() else len(label.parts))
+        for vals in (values, [_sixths(rng) for _ in range(n + 1)], [str(v) for v in values]):
+            verdict = check_solution(net, vals)
+            assert verdict == _contains_per_pair(net, vals), (network_to_json(net), vals)
+            verdicts.add(verdict)
+        denominators.update(Fraction(v).denominator for v in values)
+        denominators.update(
+            Fraction(end[0]).denominator for row in net.m for label in row
+            for piece in label.parts for end in (piece._down, piece._up) if end is not None
+        )
+    assert verdicts == {True, False}
+    assert {2, 3, 6} <= denominators
+    assert shapes == {"universal", 1, 2}
+    net = build_tcsp(1, [(0, 1, U("(1/2,2/3]"))])
+    for check in (check_solution, _contains_per_pair):
+        with pytest.raises(DimensionMismatch, match="^expected 2 values, got 3$"):
+            check(net, (0, 1, 2))
+        with pytest.raises(TypeError, match="exact rational required"):
+            check(net, (0, 0.6))
+        assert check(net, (0, Fraction(2, 3))) and not check(net, (Fraction(1, 3), Fraction(5, 6)))
 
 
 # -- JSON file format ---------------------------------------------------------------------

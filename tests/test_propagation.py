@@ -58,6 +58,7 @@ from tcsp import (
     down_weight,
     minus_variant,
     network_from_json,
+    network_to_json,
     parse_union,
     path_bounds,
     pc1,
@@ -69,7 +70,7 @@ from tcsp import (
     wbdac3,
 )
 from tcsp import propagation, scheduling, solver
-from tcsp.intervals import narrow
+from tcsp.intervals import _add, narrow
 from tcsp.propagation import ALGORITHMS, refinements, run_algorithm
 
 U = parse_union
@@ -694,6 +695,67 @@ def test_is_bd_arc_consistent_agrees_with_composition_and_subset():
                 )
     assert verdicts == {True, False}
     assert kinds == {"empty", "universal", "convex", "multi-piece"}
+
+
+def _third_or_half(rng, span):
+    return Fraction(rng.randint(-span, span), rng.choice((1, 2, 3)))
+
+
+def _one_piece_in_thirds_and_halves(rng):
+    """One piece with ends in halves and thirds, either end open or infinite."""
+    low = _third_or_half(rng, 12)
+    high = low + abs(_third_or_half(rng, 12))
+    point = low == high
+    return IntervalUnion.span(None if rng.random() < 0.15 else low,
+                              None if rng.random() < 0.15 else high,
+                              point or rng.random() < 0.5, point or rng.random() < 0.5)
+
+
+def test_is_bd_arc_consistent_reads_one_piece_arcs_off_their_bounds():
+    rng = random.Random(2626)
+    verdicts, ties, denominators = set(), set(), set()
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        net = Tcsp(n)
+        for j in range(1, n + 1):
+            net.set_pair(0, j, _one_piece_in_thirds_and_halves(rng))
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if rng.random() < 0.5:
+                    net.set_pair(i, j, _one_piece_in_thirds_and_halves(rng))
+        if rng.random() < 0.7 and bdac3(net).outcome is not Outcome.CONSISTENT:
+            continue
+        # a fixpoint's ends tie with the sums that narrowed them; loosen or
+        # tighten one end by a sixth, or open or close it
+        if rng.random() < 0.6:
+            k = rng.randint(1, n)
+            piece = net.m[0][k].parts[0]
+            lo, hi = piece.lo, piece.hi
+            lo_closed, hi_closed = piece.lo_closed, piece.hi_closed
+            if rng.random() < 0.5 and lo is not None:
+                lo += rng.choice((0, Fraction(1, 6), Fraction(-1, 6)))
+                lo_closed = rng.random() < 0.5
+            elif hi is not None:
+                hi += rng.choice((0, Fraction(1, 6), Fraction(-1, 6)))
+                hi_closed = rng.random() < 0.5
+            if lo is None or hi is None or lo < hi or (lo == hi and lo_closed and hi_closed):
+                net.set_pair(0, k, IntervalUnion.span(lo, hi, lo_closed, hi_closed))
+        domains = net.m[0]
+        for k in range(1, n + 1):
+            for m in net.neighbours[k]:
+                p, a, b = (label.parts[0] for label in (domains[k], domains[m], net.m[m][k]))
+                for end, total in ((p._down, _add(a._down, b._down)), (p._up, _add(a._up, b._up))):
+                    if end is not None and total is not None and end[0] == total[0]:
+                        ties.add(("closed" if end[1] else "open", "closed" if total[1] else "open"))
+                    denominators.update(Fraction(e[0]).denominator
+                                        for e in (end, total) if e is not None)
+        assert all(len(label.parts) == 1 for row in net.m for label in row)
+        verdict = is_bd_arc_consistent(net)
+        assert verdict == _supported_by_composition(net), network_to_json(net)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert ties == {("closed", "closed"), ("closed", "open"), ("open", "closed"), ("open", "open")}
+    assert {2, 3, 6} <= denominators
 
 
 def test_set_pair_declares_the_arcs_the_arc_passes_read():

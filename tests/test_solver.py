@@ -299,6 +299,33 @@ def test_extract_solution_requires_singletons():
 # -- the disjunctive solver -----------------------------------------------------------------
 
 
+def _select_by_full_scan(net):
+    """Reference for ``_select_disjunctive``: every disjunctive entry of the
+    upper triangle, fewest pieces first, then lowest (i, j)."""
+    found = [(len(net.m[i][j].parts), (i, j))
+             for i in range(net.n_vars + 1) for j in range(i + 1, net.n_vars + 1)
+             if not net.m[i][j].is_convex()]
+    return min(found)[1] if found else None
+
+
+def test_select_disjunctive_takes_the_fewest_pieces_then_the_lowest_pair():
+    two, three, four = U("[0,1] u [3,4]"), U("[0,1] u [3,4] u [6,7]"), U("{0} u {2} u {4} u {6}")
+    cases = (
+        ([(0, 1, three), (1, 2, two), (0, 3, two), (2, 3, three)], (0, 3)),
+        ([(0, 1, three), (0, 2, three), (1, 3, two)], (1, 3)),
+        ([(0, 1, four), (1, 2, three), (2, 3, three), (1, 3, four)], (1, 2)),
+        ([(2, 3, two), (0, 3, three), (1, 2, two)], (1, 2)),
+        ([(0, 1, U("[0,1]")), (2, 3, U("(-inf,5)"))], None),
+    )
+    for constraints, expected in cases:
+        net = build_tcsp(3, constraints)
+        assert solver._select_disjunctive(net) == expected == _select_by_full_scan(net)
+    rng = random.Random(5151)
+    for _ in range(200):
+        net = random_disjunctive_tcsp(rng)
+        assert solver._select_disjunctive(net) == _select_by_full_scan(net)
+
+
 def test_consistent_golden_verdicts():
     assert consistent(fragmenting_tcsp())
     assert consistent(chain_stp())
