@@ -23,6 +23,7 @@ from .errors import (
     InvalidInstance,
     NetworkFormatError,
     NotAnStp,
+    TcspError,
     UnionParseError,
 )
 from .graph import RootedDistanceGraph, read_edge_list, write_edge_list
@@ -42,8 +43,28 @@ from .scheduling import instance_from_json, optimum
 from .solver import solve
 from .weights import format_weight
 
+
+class _Unprintable(TcspError):
+    """A result that Python cannot print."""
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _texts(render, values) -> list:
+    """``render`` of each value, before anything is printed or written.
+
+    A sum of literals within Python's int-to-string digit limit can exceed
+    it, and printing it raises ValueError, which renderers of valid values
+    raise for nothing else: it becomes unusable input, as such a literal is.
+    """
+    try:
+        return [render(value) for value in values]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise _Unprintable(
+            f"a result has a numerator or denominator of more than {limit} digits") from None
 
 
 def _budget(text: str) -> int:
@@ -67,11 +88,10 @@ def _cmd_check(args) -> int:
     stp_input = is_stp(net)
     trace = [] if args.trace else None
     report = run_algorithm(args.algorithm, net, budget=args.budget, trace=trace)
+    domains = _texts(format_union, net.domains())
     if args.trace:
-        Path(args.trace).write_text(
-            "".join(format_trace_line(e) + "\n" for e in trace), encoding="utf-8"
-        )
-    domains = [format_union(d) for d in net.domains()]
+        lines = _texts(format_trace_line, trace)
+        Path(args.trace).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     if args.format == "json":
         doc = {
             "outcome": report.outcome.value,
@@ -113,17 +133,12 @@ def _cmd_solve(args) -> int:
         print(json.dumps({"consistent": False, "solution": None}, indent=2))
         return 1
     result = solve(net)
+    solution = None if result.solution is None else _texts(str, result.solution)
     if args.format == "json":
-        doc = {
-            "consistent": result.consistent,
-            "solution": None
-            if result.solution is None
-            else [str(v) for v in result.solution],
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({"consistent": result.consistent, "solution": solution}, indent=2))
     elif result.consistent:
         print("consistent")
-        print("solution: " + " ".join(str(v) for v in result.solution))
+        print("solution: " + " ".join(solution))
     else:
         print("inconsistent")
     return 0 if result.consistent else 1
@@ -152,8 +167,8 @@ def _cmd_shortest_paths(args) -> int:
         return 1
     swap = {0: source, source: 0}
     others = [v for v in g.vertices() if v != source]
-    outbound = [format_weight(up_weight(net.m[0][swap.get(v, v)])) for v in others]
-    inbound = [format_weight(down_weight(net.m[0][swap.get(v, v)])) for v in others]
+    outbound = _texts(format_weight, [up_weight(net.m[0][swap.get(v, v)]) for v in others])
+    inbound = _texts(format_weight, [down_weight(net.m[0][swap.get(v, v)]) for v in others])
     if args.format == "json":
         doc = {"source": source, "from": outbound, "to": inbound}
         print(json.dumps(doc, indent=2))
@@ -172,18 +187,15 @@ def _cmd_schedule(args) -> int:
         else:
             print("infeasible")
         return 1
-    starts = [str(s) for s in schedule.start_times]
+    makespan, latency, *starts = _texts(
+        str, (schedule.makespan, schedule.latency, *schedule.start_times))
     if args.format == "json":
-        doc = {
-            "makespan": str(schedule.makespan),
-            "starts": starts,
-            "latency": str(schedule.latency),
-        }
+        doc = {"makespan": makespan, "starts": starts, "latency": latency}
         print(json.dumps(doc, indent=2))
     else:
-        print(f"makespan: {schedule.makespan}")
+        print(f"makespan: {makespan}")
         print("starts: " + " ".join(starts))
-        print(f"latency: {schedule.latency}")
+        print(f"latency: {latency}")
     return 0
 
 
@@ -240,7 +252,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; the only place where an error becomes a message
     and an exit code (an empty label 1 on stdout, unusable input 2 on stderr,
-    a file that is not UTF-8 included)."""
+    a file that is not UTF-8 and a result past the digit limit included)."""
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
@@ -248,7 +260,8 @@ def main(argv=None) -> int:
         print(f"inconsistent: {exc}")
         return 1
     except (
-        NetworkFormatError, UnionParseError, InvalidInstance, NotAnStp, OSError, UnicodeDecodeError
+        NetworkFormatError, UnionParseError, InvalidInstance, NotAnStp, _Unprintable, OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -194,7 +194,7 @@ class _Run:
     domain (all one piece), and ``_path_step`` while pc1 or pc2 on an STP
     (``stp``, tested by the caller) holds ``w``, the labels' bounds,
     ``w[i][j]`` the edge i -> j.  An arc step reads its label's ends from
-    ``net.m``, which an arc pass never writes, the hull ends under ``weak``.
+    ``m``, which an arc pass never writes, the hull ends under ``weak``.
     Domain bounds, and each label end an arc step reads, are held times
     ``scale``, the lcm of the row's denominators, so domains pinned to
     Fraction midpoints step as ints.  Scaling every weight by one positive
@@ -220,6 +220,8 @@ class _Run:
     A run may span several worklists, and its engine ends it, once, with
     ``end``: bdac1's passes, and extraction's pins (:meth:`pin`), keep the
     bounds, ``scale`` and ``moved`` from one worklist to the next.
+    ``is_bd_arc_consistent`` steps a run without a worklist and never ends
+    it, so it writes nothing.
     """
 
     __slots__ = ("net", "alg", "weak", "clamp", "budget", "trace", "arcs", "floor", "walks",
@@ -258,7 +260,7 @@ class _Run:
 
     def _row(self) -> List[IntervalUnion]:
         """Row 0 with each moved domain built from the scaled bounds the run holds."""
-        row, scale, down, up = self.net.m[0][:], self.scale, self.down, self.up
+        row, scale, down, up = self.m[0][:], self.scale, self.down, self.up
         for j in self.moved:
             row[j] = _union((_piece(_unscaled(down[j], scale), _unscaled(up[j], scale)),))
         return row
@@ -318,7 +320,7 @@ class _Run:
         """Step (i, k, j): narrow entry (i, j) by m[i][k] and m[k][j], mirrored."""
         downs = self.down
         if downs is not None:
-            parts = self.net.m[k][j].parts
+            parts = self.m[k][j].parts
             if len(parts) != 1 and not (parts and self.weak):
                 self._leave_bounds()
                 downs = None
@@ -955,39 +957,17 @@ def refinements(root: Tcsp, propagate: Callable[..., RunReport]) -> Iterator[tup
 
 
 def is_bd_arc_consistent(net: Tcsp) -> bool:
-    """Is every binarized domain supported through every explicit constraint, that
-    is, does revising each arc (k, m) hand the domain of X_k back unchanged?
+    """Is every binarized domain supported through every explicit constraint:
+    does the revise step of each constrained arc (k, m) hand the domain of
+    X_k back unchanged?
 
-    An arc whose domains and label are one piece each is read off their
-    bounds, as ``narrow`` takes it: each end of X_k's domain keeps itself
-    against the sum S of X_m's matching end and the label's, ``_least``
-    handing back its first operand on a tie, so the domain comes back
-    unchanged exactly when at both ends S is infinite or the domain's end is
-    finite and no looser, ``end <= S``.  So the arc is unsupported exactly
-    when some S is finite and the end is infinite or ``S < end``.  Every
-    other arc, an empty or a multi-piece domain or label on it, asks
-    ``narrow`` itself.
+    The steps are ``_Run.revise``'s, on one unclamped, untraced run that
+    stops at the first step that narrows.  The run is never ended, so the
+    network is left as it was.
     """
-    m = net.m
-    domains = m[0]
-    for k, j in _mask_pairs(net):
-        old, via, label = domains[k].parts, domains[j].parts, m[j][k].parts
-        if not len(old) == len(via) == len(label) == 1:
-            if narrow(domains[k], domains[j], m[j][k]) is not domains[k]:
-                return False
-            continue
-        # the two ends written out, with _add inlined
-        p, a, b = old[0], via[0], label[0]
-        leg, edge = a._down, b._down
-        if leg is not None and edge is not None:
-            x, y = leg[0], edge[0]
-            down = (x + y if type(x) is int is type(y) else _plus(x, y), leg[1] and edge[1])
-            if p._down is None or down < p._down:
-                return False
-        leg, edge = a._up, b._up
-        if leg is not None and edge is not None:
-            x, y = leg[0], edge[0]
-            up = (x + y if type(x) is int is type(y) else _plus(x, y), leg[1] and edge[1])
-            if p._up is None or up < p._up:
+    run = _Run(net, "revise", clamp=False, arcs=True)
+    for k in range(1, net.n_vars + 1):
+        for m in net.neighbours[k]:
+            if run.revise(0, m, k):
                 return False
     return True

@@ -54,19 +54,33 @@ MUTANTS = (
     Mutant(
         "is-bd-arc-consistent-always-true",
         "src/tcsp/propagation.py",
-        "        p, a, b = old[0], via[0], label[0]\n",
-        "        p, a, b = old[0], via[0], label[0]\n        continue\n",
+        "            if run.revise(0, m, k):",
+        "            if run.revise(0, m, k) and False:",
         ("tests/test_solver.py::test_backtrack_free_preconditions",
+         "tests/test_propagation.py::test_is_bd_arc_consistent_flags_unfiltered_networks",
+         "tests/test_propagation.py::"
+         "test_is_bd_arc_consistent_agrees_with_composition_and_subset",
          "tests/test_propagation.py::"
          "test_is_bd_arc_consistent_reads_one_piece_arcs_off_their_bounds"),
     ),
     Mutant(
         "is-bd-arc-consistent-narrows-on-a-tie",
         "src/tcsp/propagation.py",
-        "            if p._down is None or down < p._down:",
-        "            if p._down is None or down <= p._down:",
-        ("tests/test_propagation.py::"
-         "test_is_bd_arc_consistent_reads_one_piece_arcs_off_their_bounds",),
+        "                if down is None or path < down:",
+        "                if down is None or path <= down:",
+        ("tests/test_propagation.py::test_is_bd_arc_consistent_flags_unfiltered_networks",
+         "tests/test_propagation.py::"
+         "test_is_bd_arc_consistent_agrees_with_composition_and_subset",
+         "tests/test_propagation.py::"
+         "test_is_bd_arc_consistent_reads_one_piece_arcs_off_their_bounds"),
+    ),
+    Mutant(
+        "is-bd-arc-consistent-ends-its-run",
+        "src/tcsp/propagation.py",
+        "            if run.revise(0, m, k):\n                return False",
+        "            if run.revise(0, m, k):\n                run.end(Outcome.CONSISTENT)\n"
+        "                return False",
+        ("tests/test_propagation.py::test_is_bd_arc_consistent_writes_nothing",),
     ),
     Mutant(
         "pick-value-takes-an-excluded-lower-end",
@@ -246,6 +260,53 @@ MUTANTS = (
         "                    if i == j and cand < (0, False):",
         ("tests/test_weights_graph.py::"
          "test_floyd_warshall_treats_zero_strict_diagonal_as_negative",),
+    ),
+    Mutant(
+        "clamp-floor-1000-times-too-low",
+        "src/tcsp/propagation.py",
+        "        if self.scale != 1:\n            floor = (floor[0] * self.scale, floor[1])",
+        "        floor = (floor[0] * 1000, floor[1])\n"
+        "        if self.scale != 1:\n            floor = (floor[0] * self.scale, floor[1])",
+        ("tests/test_propagation.py::"
+         "test_the_clamp_ends_every_clamped_engine_on_a_diverging_circuit",),
+    ),
+    Mutant(
+        "earliest-start-reads-the-last-piece",
+        "src/tcsp/scheduling.py",
+        "    return -parts[0]._down[0]",
+        "    return -parts[-1]._down[0]",
+        ("tests/test_scheduling.py::"
+         "test_no_child_of_a_search_node_lowers_the_completion_bound",),
+    ),
+    Mutant(
+        "due-window-open-above",
+        "src/tcsp/scheduling.py",
+        "            window = IntervalUnion.span(lo, hi)",
+        "            window = IntervalUnion.span(lo, hi, True, False)",
+        ("tests/test_scheduling.py::"
+         "test_every_search_node_keeps_the_label_forms_that_optimum_reads",),
+    ),
+    Mutant(
+        "pins-skip-the-re-enqueue",
+        "src/tcsp/propagation.py",
+        "        outcome = _worklist(run, _arcs_reading(net, (0, t)), again)",
+        "        outcome = _worklist(run, _arcs_reading(net, (0, t)), lambda *step: [])",
+        ("tests/test_solver.py::test_extraction_agrees_with_the_reference_at_scale",),
+    ),
+    Mutant(
+        "seeded-bdac3-skips-the-emptiness-check",
+        "src/tcsp/propagation.py",
+        "        if net.m[changed[0]][changed[1]].is_empty():",
+        "        if False:",
+        ("tests/test_propagation.py::"
+         "test_a_seeded_run_reports_an_emptied_entry_without_revising",),
+    ),
+    Mutant(
+        "add-closes-a-sum-when-either-end-is-closed",
+        "src/tcsp/intervals.py",
+        "    return (_plus(a[0], b[0]), a[1] and b[1])",
+        "    return (_plus(a[0], b[0]), a[1] or b[1])",
+        ("tests/test_intervals.py::test_compose_openness_and_infinities",),
     ),
 )
 

@@ -576,6 +576,37 @@ def test_a_literal_past_the_digit_limit_is_a_format_error(capsys, tmp_path, comm
     assert err.startswith("error: ") and err.endswith(f"{_TOO_LONG}\n") and err.count("\n") == 1
 
 
+_AT_LIMIT = "9" + "0" * (sys.get_int_max_str_digits() - 1)
+_TWO_STEPS = json.dumps({"variables": 2, "constraints": [
+    {"i": 0, "j": 1, "label": f"[{_AT_LIMIT},{_AT_LIMIT}]"},
+    {"i": 1, "j": 2, "label": f"[{_AT_LIMIT},{_AT_LIMIT}]"},
+]})
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (("check", "--trace"), "net.json", _TWO_STEPS),
+        (("check", "--algorithm", "pc2", "--trace"), "net.json", _TWO_STEPS),
+        (("solve",), "net.json", _TWO_STEPS),
+        (("schedule",), "inst.json",
+         json.dumps({"tasks": [{"d": _AT_LIMIT}, {"d": _AT_LIMIT}], "precedences": [[1, 2]]})),
+        (("shortest-paths",), "g.edges", f"0 1 {_AT_LIMIT}\n1 2 {_AT_LIMIT}\n"),
+    ],
+    ids=["check", "check-pc2", "solve", "schedule", "shortest-paths"],
+)
+def test_a_result_past_the_digit_limit_is_a_format_error(capsys, tmp_path, argv, name, text):
+    # each literal is within the limit, the sum of two is not
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    if argv[-1] == "--trace":
+        argv += (str(trace),)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == "" and not trace.exists()
+    assert err.startswith("error: ") and err.endswith(f"{_TOO_LONG}\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command, name, text",
     [

@@ -71,6 +71,7 @@ from tcsp import (
 )
 from tcsp import propagation, scheduling, solver
 from tcsp.intervals import _add, narrow
+from tcsp.network import first_empty_entry
 from tcsp.propagation import ALGORITHMS, refinements, run_algorithm
 
 U = parse_union
@@ -756,6 +757,43 @@ def test_is_bd_arc_consistent_reads_one_piece_arcs_off_their_bounds():
     assert verdicts == {True, False}
     assert ties == {("closed", "closed"), ("closed", "open"), ("open", "closed"), ("open", "open")}
     assert {2, 3, 6} <= denominators
+
+
+def _check_family(net):
+    """Which of the four families ``is_bd_arc_consistent``'s run reads
+    apart ``net`` falls in: an emptied entry, a fragmented domain, one-piece
+    domains with a two-piece label (where the run leaves its bounds), or an
+    STP (where it stays on them)."""
+    if first_empty_entry(net) is not None:
+        return "emptied"
+    if any(len(domain.parts) > 1 for domain in net.domains()):
+        return "fragmented"
+    return "stp" if is_stp(net) else "two-piece label"
+
+
+def test_is_bd_arc_consistent_writes_nothing():
+    rng = random.Random(3535)
+    makers = (random_bounded_stp, random_detached_stp, random_disjunctive_tcsp)
+    verdicts = collections.defaultdict(set)
+    for _ in range(400):
+        net = rng.choice(makers)(rng)
+        run = rng.choice((None, bdac3, wbdac3))
+        if run is not None:
+            run(net)
+        k = rng.randint(1, net.n_vars)
+        shape = rng.random()
+        if shape < 0.2:
+            net.set_pair(0, k, U("[0,1] u [3,4]"))
+        elif shape < 0.3:
+            net.set_pair(rng.randrange(k), k, IntervalUnion.empty())
+        labels = [row[:] for row in net.m]
+        neighbours = net.neighbours[:]
+        verdict = is_bd_arc_consistent(net)
+        assert all(a is b for was, row in zip(labels, net.m) for a, b in zip(was, row))
+        assert net.neighbours == neighbours
+        verdicts[_check_family(net)].add(verdict)
+    assert verdicts == {family: {True, False}
+                        for family in ("stp", "fragmented", "two-piece label", "emptied")}
 
 
 def test_set_pair_declares_the_arcs_the_arc_passes_read():
